@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Conormal duality two ways: generic covectors in the conormal space versus
-the greedy multisegment involution -- including the chain where the duality
-does NOT reverse the closure order."""
+"""Conormal duality two ways: generic covectors in the conormal space (the
+linear-algebra oracle) versus the greedy multisegment involution (the
+production route behind pyasetskii_dual) -- including the chain where the
+duality does NOT reverse the closure order."""
 
 from fractions import Fraction
 
 from voganlab import Chain, build_variety, closure_leq, enumerate_orbits
-from voganlab.geometry import mw_involution, pyasetskii_dual
+from voganlab.geometry import conormal_dual, mw_involution, pyasetskii_dual
 from voganlab.report import format_table
 
 v = build_variety([Chain(Fraction(-1), (1, 2, 1))], "gl")
@@ -14,7 +15,7 @@ table = enumerate_orbits(v)
 
 rows = []
 for o in table:
-    geo = pyasetskii_dual(o, 0, table)
+    geo = conormal_dual(o, 0, table)
     comb = mw_involution(o, table)
     rows.append([o.index, o.label(), o.dim, geo.index, comb.index])
 print(format_table(["id", "multisegment", "dim", "conormal dual", "greedy dual"], rows))

@@ -139,47 +139,42 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return kl.poly_trim(out)
 
 
-def multiplicity_poly(c: OrbitRecord, d: OrbitRecord) -> Poly:
-    """Graded multiplicity (the polynomial itself; internal/debug use)."""
-    return _pair_poly(c, d)
-
-
 def multiplicity(c: OrbitRecord, d: OrbitRecord) -> int:
     """[standard module of C : irreducible of D], trivial local systems."""
     return kl.poly_eval_at_one(_pair_poly(c, d))
 
 
-def multiplicity_matrix(table: list[OrbitRecord]) -> dict:
+def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None) -> dict:
     """
     Square multiplicity data over the orbit table.
 
-    Chain varieties get the full KL-backed matrix.  Classical shapes get the
-    entries forced by support and by smooth closures (complete for the
-    steinberg shape, partial for two-eigenvalue middles), with a marker for
-    what the source was; undetermined entries are None.
+    Chain varieties with every chain total within ``kl.KL_TABLE_MAX`` get
+    the full KL-backed matrix.  Other varieties get the entries forced by
+    support and by smooth closures (complete for the steinberg shape, partial
+    for two-eigenvalue middles and large chains), with a marker for what the
+    source was; undetermined entries are None.  ``below`` is the closure
+    relation of :func:`orbits.closure_below`, if the caller already has it.
     """
     if not table:
         return {"entries": [], "source": "kl", "complete": True}
     v = table[0].variety
-    n = len(table)
-    if v.kind == "chain":
+    if v.kind == "chain" and all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
         entries = [[multiplicity(c, d) for d in table] for c in table]
         return {"entries": entries, "source": "kl", "complete": True}
-    smooth = {d.index: geometry.is_smooth_closure(d, table) for d in table}
-    entries = []
-    complete = True
-    for c in table:
-        row = []
-        for d in table:
-            if not orbits.closure_leq(c, d):
-                row.append(0)
-            elif smooth[d.index]:
-                row.append(1)
-            else:
-                row.append(None)
-                complete = False
-        entries.append(row)
-    return {"entries": entries, "source": "smooth-closure-support", "complete": complete}
+    below = below if below is not None else orbits.closure_below(table)
+    smooth = [geometry.is_smooth_closure(d, table) for d in table]
+    entries = [
+        [
+            (1 if smooth[j] else None) if down >> i & 1 else 0
+            for j, down in enumerate(below)
+        ]
+        for i in range(len(table))
+    ]
+    source = "smooth-closure-support"
+    if v.kind == "chain":
+        source += " (chain totals exceed the KL table range)"
+    complete = all(x is not None for row in entries for x in row)
+    return {"entries": entries, "source": source, "complete": complete}
 
 
 def rationally_smooth(c: OrbitRecord, table: list[OrbitRecord] | None = None) -> bool:

@@ -6,8 +6,13 @@ For each family the standard representation is graded by the pairing of its
 weights with the coroot sum, so every simple root vector raises the grade by
 exactly one.  A subset S of simple roots determines a point x_S (the sum of
 the chosen root vectors); its general-linear shadow is the multisegment read
-off the exact ranks of the graded powers of x_S.  That shadow is what the
-Arthur-type test consumes.
+off the ranks of the graded powers of x_S.  That shadow is what the
+Arthur-type test consumes.  Grades of these gradings have dimension 1 or 2,
+so x_S is a chain of integer blocks of size at most 2 x 2 between
+consecutive grades; the ranks come from composing those blocks once per
+start grade, and since one end of each composite is a line, its rank is
+whether it is nonzero.  The rank computation on dense powers of x_S is kept
+as the oracle (:func:`graded_power_multisegment`).
 
 Matrix conventions (split forms, Gram matrix antidiagonal):
 
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import InputError, UnsupportedFamilyError
-from .variety import GL, SO_EVEN, SO_ODD, SP_DUAL, Chain, steinberg_grading
+from .variety import SO_EVEN, SO_ODD, SP_DUAL, Chain, steinberg_grading
 
 
 def _zero(dim: int) -> list[list[int]]:
@@ -115,38 +120,19 @@ def subset_point_matrix(family: str, n: int, subset) -> list[list[int]]:
     return x
 
 
-def gl_multisegment_of_subset(family: str, n: int, subset) -> tuple[Chain, tuple]:
-    """
-    The multisegment of x_S, read on the standard-representation grading.
-
-    Returns (chain, segments) with segments a sorted tuple of (b, e) index
-    pairs on the chain grid.  Segment counts come from the exact ranks of the
-    graded powers of x_S via inclusion-exclusion.
-    """
+def _graded_subset_point(family: str, n: int, subset):
+    """(chain, x_S, basis indices per chain grade) for the subset point."""
     family_chain = steinberg_grading(family, n)
     x = subset_point_matrix(family, n, subset)
-    exps = graded_exponents(family, n)
-    # indices of basis vectors per grade, grade i <-> chain index i
-    k = family_chain.length
-    grade_of = {family_chain.exponent(i): i for i in range(k)}
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for idx, e in enumerate(exps):
+    grade_of = {family_chain.exponent(i): i for i in range(family_chain.length)}
+    buckets: list[list[int]] = [[] for _ in range(family_chain.length)]
+    for idx, e in enumerate(graded_exponents(family, n)):
         buckets[grade_of[e]].append(idx)
+    return family_chain, x, buckets
 
-    def restricted_rank(a: int, b: int) -> int:
-        """Rank of x^(b-a) from grade a to grade b."""
-        if a == b:
-            return len(buckets[a])
-        power = x
-        for _ in range(b - a - 1):
-            power = linalg.matmul(linalg.to_fractions(power), linalg.to_fractions(x))
-        sub = [[power[r][c] for c in buckets[a]] for r in buckets[b]]
-        return linalg.rank(sub)
 
-    r = {}
-    for a in range(k):
-        for b in range(a, k):
-            r[(a, b)] = restricted_rank(a, b)
+def _segments_from_ranks(r: dict[tuple[int, int], int], k: int) -> tuple:
+    """Segment multiplicities from the rank data by inclusion-exclusion."""
 
     def r_at(a: int, b: int) -> int:
         if a < 0 or b >= k or a > b:
@@ -160,20 +146,55 @@ def gl_multisegment_of_subset(family: str, n: int, subset) -> tuple[Chain, tuple
             if mult < 0:
                 raise InputError("inconsistent rank data for subset point")
             segments.extend([(a, b)] * mult)
-    return family_chain, tuple(sorted(segments))
+    return tuple(sorted(segments))
+
+
+def gl_multisegment_of_subset(family: str, n: int, subset) -> tuple[Chain, tuple]:
+    """
+    The multisegment of x_S, read on the standard-representation grading.
+
+    Returns (chain, segments) with segments a sorted tuple of (b, e) index
+    pairs on the chain grid.  Segment counts come from the ranks of the
+    graded powers of x_S via inclusion-exclusion; each power from grade a to
+    grade b is the product of the blocks of x_S between consecutive grades.
+    Only the middle grade of the even orthogonal grading has dimension 2, so
+    for a != b one end is a line and the rank is 1 iff the power is nonzero.
+    """
+    chain, x, buckets = _graded_subset_point(family, n, subset)
+    k = chain.length
+    blocks = [[[x[r][c] for c in buckets[l]] for r in buckets[l + 1]] for l in range(k - 1)]
+    ranks = {}
+    for a in range(k):
+        ranks[(a, a)] = len(buckets[a])
+        power = [[int(r == c) for c in range(len(buckets[a]))] for r in range(len(buckets[a]))]
+        for b in range(a + 1, k):
+            step = blocks[b - 1]
+            power = [
+                [sum(s * p[c] for s, p in zip(row, power)) for c in range(len(power[0]))]
+                for row in step
+            ]
+            ranks[(a, b)] = int(any(any(row) for row in power))
+    return chain, _segments_from_ranks(ranks, k)
+
+
+def graded_power_multisegment(family: str, n: int, subset) -> tuple[Chain, tuple]:
+    """Oracle for :func:`gl_multisegment_of_subset`: exact ranks of dense
+    rational powers of x_S, restricted to each pair of grades."""
+    chain, x, buckets = _graded_subset_point(family, n, subset)
+    k = chain.length
+    x = linalg.to_fractions(x)
+    powers = [linalg.identity(len(x)), x]  # powers[m] = x^m
+    for _ in range(k - 2):
+        powers.append(linalg.matmul(powers[-1], x))
+    ranks = {}
+    for a in range(k):
+        for b in range(a, k):
+            sub = [[powers[b - a][r][c] for c in buckets[a]] for r in buckets[b]]
+            ranks[(a, b)] = linalg.rank(sub)
+    return chain, _segments_from_ranks(ranks, k)
 
 
 def two_eigenvalue_gl_segments(n: int, rank: int) -> tuple:
     """GL shadow of the rank-r stratum on the (n, n) two-eigenvalue grid."""
     segs = [(0, 1)] * rank + [(0, 0)] * (n - rank) + [(1, 1)] * (n - rank)
     return tuple(sorted(segs))
-
-
-def steinberg_family_label(family: str, n: int) -> str:
-    names = {
-        GL: f"GL({n})",
-        SP_DUAL: f"Sp({2 * n},C) dual (G = SO({2 * n + 1}))",
-        SO_ODD: f"SO({2 * n + 1},C) dual (G = Sp({2 * n}))",
-        SO_EVEN: f"SO({2 * n},C) dual (G = SO({2 * n}))",
-    }
-    return names[family]

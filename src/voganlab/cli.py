@@ -33,7 +33,13 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--steinberg", type=int, metavar="N", help="principal parameter of rank N")
     g.add_argument("--two-eig", type=int, metavar="N", help="two-eigenvalue parameter, grades (N, N)")
     g.add_argument("--spec", metavar="FILE", help="variety spec as a JSON file")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized genericity (default 0)")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the randomized conormal-dual oracle run by verify; "
+        "recorded in reports (default 0)",
+    )
     p.add_argument("--jobs", type=int, default=1, help="data-parallel per-orbit workers")
 
 
@@ -43,8 +49,12 @@ def _variety_from_args(args) -> VoganVariety:
     if args.two_eig is not None:
         return two_eigenvalue_variety(args.family, args.two_eig)
     if args.spec is not None:
-        with open(args.spec) as fh:
-            return variety_from_json(fh.read())
+        try:
+            with open(args.spec) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read spec file: {exc}") from exc
+        return variety_from_json(text)
     if args.family == "gl":
         return point_variety()
     raise InputError("choose one of --steinberg, --two-eig, --spec")
@@ -100,7 +110,12 @@ def cmd_verify(args) -> int:
 
 
 def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Invariant suite for one variety; returns (name, passed, detail) rows."""
+    """Invariant suite for one variety; returns (name, passed, detail) rows.
+
+    Smoothness and duals come from the linear-algebra oracles (tangent
+    spaces, generic conormal covectors), so the rows that compare them with
+    the KL and greedy routes check independent computations.
+    """
     table = orbits.enumerate_orbits(v)
     results: list[tuple[str, bool, str]] = []
 
@@ -117,12 +132,12 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
             break
     add("dimension strictly increases along covers", mono_ok, mono_detail)
 
-    smooth = {o.index: geometry.is_smooth_closure(o, table) for o in table}
+    smooth = {o.index: geometry.tangent_smooth_closure(o, table) for o in table}
     add("open and closed closures smooth",
         smooth[next(o.index for o in table if o.is_open)]
         and smooth[next(o.index for o in table if o.is_closed)])
 
-    duals = {o.index: geometry.pyasetskii_dual(o, seed=seed, dual_table=table) for o in table}
+    duals = {o.index: geometry.conormal_dual(o, seed=seed, dual_table=table) for o in table}
     add("duality is an involution",
         all(duals[duals[o.index].index].index == o.index for o in table))
     open_o = next(o for o in table if o.is_open)

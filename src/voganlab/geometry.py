@@ -1,32 +1,49 @@
 """
 Smoothness of orbit closures, conormal geometry, and duality.
 
-Tangent spaces.  The closure of a chain orbit C is cut out by the conditions
-rank(composite arrow map i -> j) <= r_C[i][j]; these rank conditions generate
-a radical ideal (a classical fact for equioriented type-A loci, and for the
-(anti)symmetric determinantal loci of the two-eigenvalue shapes), so the
-scheme tangent space at a point x is computed from first-order data: a pair
-(i, j) contributes the conditions
+Production routes are closed forms; the exact linear algebra below them is
+kept as their oracle, run by the tests and by ``voganlab verify``.
+
+Smoothness.  Every orbit closure is a cone (the group contains the scalings
+of V), and a cone is smooth exactly when it is a linear space, i.e. equal to
+its linear span.  For a chain orbit C the span is the sum of the arrow
+spaces Hom(E_l, E_{l+1}) on which x_C is nonzero (they are irreducible and
+pairwise non-isomorphic under H), so the closure is smooth iff
+
+    dim C = sum over chains of sum_{l : r_C(l, l+1) > 0} d_l * d_{l+1}.
+
+A two-eigenvalue closure (a determinantal variety of (anti)symmetric
+matrices) is smooth iff its orbit is open or closed, and a Steinberg closure
+is a coordinate subspace, always smooth.
+
+The oracle, :func:`tangent_smooth_closure`, compares scheme tangent spaces
+with the orbit dimension at every stratum.  The closure of a chain orbit C
+is cut out by the conditions rank(composite arrow map i -> j) <= r_C[i][j];
+these rank conditions generate a radical ideal (a classical fact for
+equioriented type-A loci, and for the (anti)symmetric determinantal loci of
+the two-eigenvalue shapes), so the tangent space at a point x is computed
+from first-order data: a pair (i, j) contributes the conditions
 
     coker(c) . dc(v) . ker(c) = 0,    c = composite at x,
 
 exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
-vanish to order >= 2).  Everything is exact rational linear algebra.  The
-KL-based rational-smoothness test in the multiplicity module provides an
-independent cross-check of the resulting smooth/singular verdicts.
+vanish to order >= 2).
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
 grade e to grade b), so the dual of an orbit is reported as an entry of the
 same canonical orbit table.  The dual C* of C is the orbit of a generic
-covector in the conormal space { xi : [x, xi] = 0 } at a representative: its
-rank data is the entrywise maximum over the conormal space, found by seeded
-randomized evaluation with verification retries and an exact symbolic
-fallback.  The greedy multisegment involution (extracting, from the top grade
-down, the shortest segment ending at each grade that still extends the
-current chain) computes the same bijection combinatorially and is kept as an
-independent route.
+covector in the conormal space { xi : [x, xi] = 0 } at a representative.  On
+chains it is the greedy Moeglin-Waldspurger involution (extracting, from the
+top grade down, the shortest segment ending at each grade that still extends
+the current chain), which Knight and Zelevinsky identify with the generic
+conormal duality (Adv. Math. 117, 1996).  Steinberg duals are subset
+complements, and the dual of the rank-r two-eigenvalue stratum has rank
+n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  The oracle,
+:func:`conormal_dual`, finds the generic rank data over the conormal space
+by seeded randomized evaluation with verification retries and an exact
+symbolic fallback.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -156,7 +173,28 @@ def _two_eig_tangent(c: OrbitRecord, d: OrbitRecord) -> int:
 
 
 def is_smooth_closure(c: OrbitRecord, table: list[OrbitRecord] | None = None) -> bool:
-    """True iff the closure of c is smooth (tangent dim = dim c at all strata)."""
+    """True iff the closure of c is smooth: it equals its linear span.
+
+    ``table`` is accepted for the oracle's signature; the closed form does
+    not need it.
+    """
+    v = c.variety
+    if v.kind == "chain":
+        span = sum(
+            chain.dims[l] * chain.dims[l + 1]
+            for segs, chain in zip(c.msegs, v.chains)
+            for l in range(chain.length - 1)
+            if any(b <= l < e for b, e in segs)
+        )
+        return c.dim == span
+    if v.kind == "steinberg":
+        return True
+    return c.is_open or c.is_closed
+
+
+def tangent_smooth_closure(c: OrbitRecord, table: list[OrbitRecord] | None = None) -> bool:
+    """Oracle for :func:`is_smooth_closure`: tangent dim = dim c at every
+    stratum of the closure."""
     table = table if table is not None else orbits.enumerate_orbits(c.variety)
     return all(
         tangent_dim_at(c, d) == c.dim for d in table if orbits.closure_leq(d, c)
@@ -240,7 +278,7 @@ def conormal_space(orbit: OrbitRecord) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# duality via a generic conormal covector
+# duality: closed forms, and the generic conormal covector as oracle
 
 
 def _reversed_blocks(vec, dims: tuple[int, ...]):
@@ -365,7 +403,27 @@ def pyasetskii_dual(
     """
     The dual orbit, reported in the canonical table of the same variety
     (orbits of the opposite-orientation variety carry the same labels).
+
+    Closed forms; ``seed`` is accepted for the oracle's signature and unused.
     """
+    v = orbit.variety
+    table = dual_table if dual_table is not None else orbits.enumerate_orbits(v)
+    if v.kind == "chain":
+        dual = tuple(mw_chain_involution(segs) for segs in orbit.msegs)
+        return orbits.orbit_by_key(table, dual)
+    if v.kind == "steinberg":
+        complement = tuple(i for i in range(v.n) if i not in orbit.subset)
+        return orbits.orbit_by_key(table, complement)
+    if v.symmetric_form:
+        return orbits.orbit_by_key(table, v.n - orbit.rank)
+    return orbits.orbit_by_key(table, 2 * ((v.n - orbit.rank) // 2))
+
+
+def conormal_dual(
+    orbit: OrbitRecord, seed: int = 0, dual_table: list[OrbitRecord] | None = None
+) -> OrbitRecord:
+    """Oracle for :func:`pyasetskii_dual`: the orbit of a generic covector in
+    the conormal space, found with seeded random samples."""
     v = orbit.variety
     table = dual_table if dual_table is not None else orbits.enumerate_orbits(v)
     rng = random.Random(seed)
@@ -412,7 +470,7 @@ def _two_eig_dual_rank(v: VoganVariety, rank: int, rng: random.Random) -> int:
 
 
 # ---------------------------------------------------------------------------
-# greedy multisegment involution (independent combinatorial route)
+# greedy multisegment involution
 
 
 def mw_chain_involution(segs: ChainSegs) -> ChainSegs:

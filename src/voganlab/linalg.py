@@ -107,8 +107,3 @@ def nullspace(m) -> list[list[Fraction]]:
 
 def left_nullspace(m) -> list[list[Fraction]]:
     return nullspace(transpose(to_fractions(m)))
-
-
-def column_space_complement(m) -> list[list[Fraction]]:
-    """Rows spanning a complement of the column space (cokernel projections)."""
-    return left_nullspace(m)

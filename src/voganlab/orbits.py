@@ -6,8 +6,15 @@ the chain grid whose coverage at every grade equals the dimension there.  The
 complete orbit invariant is the rank matrix r[i][j] = number of segments
 containing [i, j], which equals the rank of the composed arrow maps at any
 orbit point.  The closure order is entrywise rank dominance (smaller orbit =
-smaller ranks); dimensions come from the exact rank of the infinitesimal
-action of the symmetry group at a representative.
+smaller ranks); :func:`closure_below` computes it once per table as integer
+bitsets, from which :func:`hasse` takes the transitive reduction.
+
+A chain orbit's dimension is dim H - dim End(M) for its multisegment module
+M = sum of segment modules, and dim Hom([b_s, e_s], [b_t, e_t]) is 1 exactly
+when b_t <= b_s <= e_t <= e_s, so the dimension is a count over pairs of
+segments.  The exact rank of the infinitesimal group action at a
+representative (:func:`commutator_orbit_dim`) is kept as the oracle for that
+count; the two-eigenvalue shapes still use the action rank.
 
 Ids are deterministic: orbits are sorted by dimension, then by their rank
 data, so identical inputs always produce identical tables.
@@ -15,6 +22,7 @@ data, so identical inputs always produce identical tables.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,7 +163,15 @@ def _commutator_matrix(arrows: list[list[list[int]]], dims: tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def chain_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
-    """Rank of the infinitesimal action at the representative."""
+    """dim H - #{(s, t) in M^2 : b_t <= b_s <= e_t <= e_s} (pairs with
+    multiplicity), i.e. dim H - dim End of the multisegment module."""
+    homs = sum(1 for bs, es in segs for bt, et in segs if bt <= bs <= et <= es)
+    return sum(d * d for d in dims) - homs
+
+
+def commutator_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
+    """Oracle for :func:`chain_orbit_dim`: the rank of the infinitesimal
+    action at the representative."""
     if len(dims) <= 1:
         return 0
     arrows = chain_representative(segs, dims)
@@ -336,33 +352,81 @@ def orbit_dim(orbit: OrbitRecord) -> int:
     return orbit.dim
 
 
+def _dominance_key(o: OrbitRecord) -> tuple[int, ...]:
+    """Coordinates in which the closure order is entrywise <=: rank data for
+    chains, the subset indicator for Steinberg shapes, the rank otherwise."""
+    v = o.variety
+    if v.kind == "chain":
+        return tuple(
+            x
+            for segs, chain in zip(o.msegs, v.chains)
+            for x in rank_key(segs, chain.length)
+        )
+    if v.kind == "steinberg":
+        return tuple(int(i in o.subset) for i in range(v.n))
+    return (o.rank,)
+
+
 def closure_leq(a: OrbitRecord, b: OrbitRecord) -> bool:
     """a <= b iff a lies in the closure of b (entrywise rank dominance)."""
     if a.variety != b.variety:
         raise InputError("closure comparison across different varieties")
-    v = a.variety
-    if v.kind == "chain":
-        return all(
-            x <= y
-            for sa, sb, chain in zip(a.msegs, b.msegs, v.chains)
-            for x, y in zip(rank_key(sa, chain.length), rank_key(sb, chain.length))
-        )
-    if v.kind == "steinberg":
-        return set(a.subset) <= set(b.subset)
-    return a.rank <= b.rank
+    return all(x <= y for x, y in zip(_dominance_key(a), _dominance_key(b)))
 
 
-def hasse(orbits: list[OrbitRecord]) -> list[tuple[int, int]]:
-    """Covering relations (a, b): orbit a is covered by orbit b."""
-    n = len(orbits)
-    leq = [[closure_leq(orbits[i], orbits[j]) for j in range(n)] for i in range(n)]
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def closure_below(table: list[OrbitRecord]) -> list[int]:
+    """The closure order as bitsets: bit i of ``below[j]`` is set iff
+    table[i] <= table[j].
+
+    Each orbit's dominance key is packed into one integer, a field per entry
+    with a guard bit on top; then a <= b entrywise iff subtracting a's packed
+    key from b's (guards set) clears no guard.  A strictly smaller orbit has
+    strictly smaller dimension, so only those are compared.
+    """
+    if not table:
+        return []
+    v = table[0].variety
+    if any(o.variety != v for o in table):
+        raise InputError("closure comparison across different varieties")
+    keys = [_dominance_key(o) for o in table]
+    width = max((x for key in keys for x in key), default=0).bit_length() + 1
+    guard = sum(1 << (t * width + width - 1) for t in range(len(keys[0])))
+    packed = [sum(x << (t * width) for t, x in enumerate(key)) for key in keys]
+    order = sorted(range(len(table)), key=lambda i: table[i].dim)
+    dims = [table[i].dim for i in order]
+    below = [0] * len(table)
+    for pos, j in enumerate(order):
+        top = packed[j] | guard
+        mask = 1 << j
+        for i in order[: bisect.bisect_left(dims, dims[pos])]:
+            if (top - packed[i]) & guard == guard:
+                mask |= 1 << i
+        below[j] = mask
+    return below
+
+
+def hasse(orbits: list[OrbitRecord], below: list[int] | None = None) -> list[tuple[int, int]]:
+    """Covering relations (a, b): orbit a is covered by orbit b.
+
+    The transitive reduction of :func:`closure_below`, which may be passed in
+    when the caller already has it.
+    """
+    below = below if below is not None else closure_below(orbits)
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                edges.append((i, j))
+    for j, down in enumerate(below):
+        strict = down & ~(1 << j)
+        reached = 0  # everything strictly below some element strictly below j
+        for i in _bits(strict):
+            reached |= below[i] & ~(1 << i)
+        edges.extend((i, j) for i in _bits(strict & ~reached))
     return sorted(edges)
 
 

@@ -95,11 +95,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
     else:
         orbit_rows = [per_orbit(o) for o in table]
 
-    if v.kind == "chain" and not all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
-        smooth_flags = {r["id"]: r["smooth_closure"] for r in orbit_rows}
-        mult = _partial_multiplicity(table, smooth_flags)
-    else:
-        mult = bridge.multiplicity_matrix(table)
+    below = orbits.closure_below(table)
 
     report = {
         "tool": {"name": "voganlab", "version": __version__},
@@ -116,32 +112,10 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "group_dim": v.group_dim,
         },
         "orbits": orbit_rows,
-        "multiplicity_matrix": mult,
-        "hasse": [list(e) for e in orbits.hasse(table)],
+        "multiplicity_matrix": bridge.multiplicity_matrix(table, below),
+        "hasse": [list(e) for e in orbits.hasse(table, below)],
     }
     return report
-
-
-def _partial_multiplicity(table: list[OrbitRecord], smooth_flags: dict[int, bool]) -> dict:
-    """Entries forced by support and smooth closures only (large chains)."""
-    entries = []
-    complete = True
-    for c in table:
-        row = []
-        for d in table:
-            if not orbits.closure_leq(c, d):
-                row.append(0)
-            elif smooth_flags[d.index]:
-                row.append(1)
-            else:
-                row.append(None)
-                complete = False
-        entries.append(row)
-    return {
-        "entries": entries,
-        "source": "smooth-closure-support (chain totals exceed the KL table range)",
-        "complete": complete,
-    }
 
 
 def report_json(report: dict) -> str:
@@ -159,16 +133,6 @@ def hasse_dot(v: VoganVariety) -> str:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def speculation_text(v: VoganVariety) -> str:
-    """Aligned per-class table of smoothness vs Arthur type."""
-    table = orbits.enumerate_orbits(v)
-    rows = arthur.speculation_rows(table)
-    agg = arthur.speculation_table(rows)
-    cols = ["", "Closure smooth", "Orbit Arthur type", "Rep Arthur type"]
-    body = [[r["class"], r["smooth"], r["arthur_orbit"], r["arthur_rep"]] for r in agg]
-    return format_table(cols, body)
 
 
 def format_table(header: list[str], body: list[list[str]]) -> str:

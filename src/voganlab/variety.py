@@ -91,21 +91,6 @@ class Chain:
         return sum(d * d for d in self.dims)
 
 
-def chain_from_support(support: dict, offset=0) -> list[Chain]:
-    """Split a possibly gapped exponent -> dim map into contiguous chains."""
-    items = sorted((int(e), int(d)) for e, d in support.items())
-    chains: list[Chain] = []
-    run: list[tuple[int, int]] = []
-    for e, d in items:
-        if run and e != run[-1][0] + 1:
-            chains.append(Chain(Fraction(offset) + run[0][0], tuple(x for _, x in run)))
-            run = []
-        run.append((e, d))
-    if run:
-        chains.append(Chain(Fraction(offset) + run[0][0], tuple(x for _, x in run)))
-    return chains
-
-
 @dataclass(frozen=True)
 class VoganVariety:
     """A graded vector space with its symmetry group, by family and shape."""
@@ -285,17 +270,22 @@ def point_variety() -> VoganVariety:
 
 
 def variety_from_dict(doc: dict) -> VoganVariety:
-    try:
-        family = canonical_family(doc["family"])
-    except KeyError:
-        raise InputError("variety spec needs a 'family' field") from None
+    if "family" not in doc:
+        raise InputError("variety spec needs a 'family' field")
+    if not isinstance(doc["family"], str):
+        raise InputError(f"'family' must be a string, got {doc['family']!r}")
+    family = canonical_family(doc["family"])
     raw_chains = doc.get("chains", [])
+    if not isinstance(raw_chains, list):
+        raise InputError(f"'chains' must be a list of chain objects, got {raw_chains!r}")
     chains = []
     for rc in raw_chains:
+        if not isinstance(rc, dict) or not isinstance(rc.get("dims"), list):
+            raise InputError(f"bad chain entry {rc!r}: expected an object with a 'dims' list")
         try:
             offset = Fraction(str(rc.get("offset", 0)))
             dims = tuple(int(d) for d in rc["dims"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad chain entry {rc!r}: {exc}") from exc
         chains.append(Chain(offset, dims))
     return build_variety(chains, family)

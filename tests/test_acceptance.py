@@ -3,7 +3,8 @@ Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criterion 7 checks the conormal duality on every chain variety of the
 exhaustive suite: it is an involution, it swaps the open and closed orbits,
-and the generic-conormal route agrees with the greedy involution.  As first
+and the generic-conormal route (the oracle) agrees with the greedy
+involution (the production route).  As first
 specified, the criterion also required the duality to reverse the closure
 order.  That clause is false as mathematics -- on the chain with dims
 (1, 2, 1) the orbits {[0..1], [1], [2]} <= {[0..1], [1..2]} have duals
@@ -24,7 +25,7 @@ from voganlab.arthur import brute_force_arthur, is_arthur_type, speculation_rows
 from voganlab.bridge import multiplicity_matrix, rationally_smooth
 from voganlab.cli import main
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
-from voganlab.geometry import is_smooth_closure, mw_involution, pyasetskii_dual
+from voganlab.geometry import conormal_dual, is_smooth_closure, mw_involution, pyasetskii_dual
 from voganlab.lattice import builtin_root_datum, center_image, stabilizer_component_group
 from voganlab.orbits import closure_leq, enumerate_orbits, gl_shadow
 from voganlab.variety import steinberg_variety, two_eigenvalue_variety
@@ -146,6 +147,7 @@ def test_criterion_7_duality_battery(chain_suite):
         for o in table:
             involution_ok &= duals[duals[o.index].index].index == o.index
             greedy_ok &= mw_involution(o, table).index == duals[o.index].index
+            greedy_ok &= conormal_dual(o, 0, table).index == duals[o.index].index
         top = next(o for o in table if o.is_open)
         zero = next(o for o in table if o.is_closed)
         swap_ok &= duals[top.index].index == zero.index
@@ -177,7 +179,7 @@ def test_criterion_8_smoothness_cross_validation(chain_suite):
     for dims, v, table in chain_suite:
         for o in table:
             assert rationally_smooth(o, table) == is_smooth_closure(o, table), (dims, o.index)
-    report("8 (tangent smoothness = KL rational smoothness)", True)
+    report("8 (closed-form smoothness = KL rational smoothness)", True)
 
 
 def test_criterion_9_kl_sanity():

@@ -12,6 +12,7 @@ from voganlab.arthur import (
     speculation_rows,
     speculation_table,
 )
+from voganlab.classical import gl_multisegment_of_subset, graded_power_multisegment
 from voganlab.errors import InputError
 from voganlab.orbits import enumerate_orbits, gl_shadow
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
@@ -157,6 +158,20 @@ def test_classical_steinberg_orbits_arthur_iff_extreme():
         table = enumerate_orbits(steinberg_variety(family, n))
         for o in table:
             assert is_arthur_type(o).is_arthur == (o.is_open or o.is_closed)
+
+
+def test_steinberg_shadow_matches_dense_power_ranks():
+    checked = 0
+    for family in ("sp-dual", "so-even", "so-odd-dual"):
+        for n in range(1, 7):
+            if family == "so-even" and n < 3:
+                continue  # no Steinberg variety below the simple range
+            for o in enumerate_orbits(steinberg_variety(family, n)):
+                fast = gl_multisegment_of_subset(o.variety.family, n, o.subset)
+                assert fast == graded_power_multisegment(o.variety.family, n, o.subset), (
+                    family, n, o.subset)
+                checked += 1
+    assert checked == 2 * (2 + 4 + 8 + 16 + 32 + 64) + (8 + 16 + 32 + 64)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from voganlab.bridge import (
     rationally_smooth,
 )
 from voganlab.errors import UnsupportedFamilyError
-from voganlab.geometry import is_smooth_closure
+from voganlab.geometry import is_smooth_closure, tangent_smooth_closure
 from voganlab.kl import perm_length
 from voganlab.orbits import closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
@@ -207,6 +207,23 @@ def test_classical_two_eig_multiplicities_partial():
     assert mm["entries"][zero.index][top.index] == 1
 
 
+def test_large_chain_multiplicities_come_from_support_and_smooth_closures():
+    # total 7 is past the KL table range
+    table = enumerate_orbits(gl_chain((2, 3, 2)))
+    mm = multiplicity_matrix(table)
+    assert mm["source"] == "smooth-closure-support (chain totals exceed the KL table range)"
+    assert not mm["complete"]
+    for c in table:
+        for d in table:
+            if not closure_leq(c, d):
+                expected = 0
+            elif tangent_smooth_closure(d, table):
+                expected = 1
+            else:
+                expected = None
+            assert mm["entries"][c.index][d.index] == expected
+
+
 # ---------------------------------------------------------------------------
 # rational smoothness and calibration
 
@@ -225,7 +242,8 @@ def test_rational_smoothness_matches_tangent_test():
     for dims in [(1, 1, 1, 1), (2, 2), (1, 2, 1), (2, 1, 2), (3, 2)]:
         table = enumerate_orbits(gl_chain(dims))
         for o in table:
-            assert rationally_smooth(o, table) == is_smooth_closure(o, table)
+            assert rationally_smooth(o, table) == tangent_smooth_closure(o, table)
+            assert is_smooth_closure(o, table) == tangent_smooth_closure(o, table)
 
 
 def test_rational_smoothness_needs_chain_variety():

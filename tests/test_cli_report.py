@@ -123,6 +123,32 @@ def test_bad_spec_exits_2(tmp_path, capsys):
     assert "steinberg" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "gl", "chains": 5},
+    {"family": "gl", "chains": [5]},
+    {"family": "gl", "chains": [{"offset": 0}]},
+    {"family": "gl", "chains": [{"dims": 3}]},
+    {"family": ["gl"], "chains": []},
+    {"chains": []},
+])
+def test_malformed_spec_shapes_exit_2(tmp_path, capsys, doc):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    for command in ("analyze", "verify", "hasse"):
+        code, out, err = run_cli(capsys, command, "--spec", str(spec))
+        assert code == 2, (command, doc)
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_missing_spec_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-spec.json"
+    code, out, err = run_cli(capsys, "analyze", "--spec", str(missing))
+    assert code == 2
+    assert out == ""
+    assert "no-such-spec.json" in err
+
+
 def test_verify_builtins_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "gl", "--steinberg", "4")
     assert code == 0

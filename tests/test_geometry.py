@@ -8,12 +8,14 @@ from voganlab import linalg
 from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.geometry import (
     chain_tangent_dim_at_point,
+    conormal_dual,
     conormal_space,
     is_smooth_closure,
     mw_chain_involution,
     mw_involution,
     pyasetskii_dual,
     tangent_dim_at,
+    tangent_smooth_closure,
 )
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
@@ -67,6 +69,30 @@ def test_two_eig_middles_singular_extremes_smooth():
         for o in table:
             expected = o.is_open or o.is_closed
             assert is_smooth_closure(o, table) == expected
+
+
+def classical_shapes(max_n=6):
+    """Every Steinberg and two-eigenvalue variety with n <= max_n, all four
+    families (the gl ones are chains)."""
+    for family in ("gl", "sp-dual", "so-even", "so-odd-dual"):
+        for n in range(1, max_n + 1):
+            for make in (steinberg_variety, two_eigenvalue_variety):
+                try:
+                    yield make(family, n)
+                except InputError:
+                    continue  # shape not defined for this (family, n)
+
+
+def test_smoothness_closed_form_matches_tangent_scan(chain_suite):
+    tables = [table for _dims, _v, table in chain_suite]
+    tables += [enumerate_orbits(v) for v in classical_shapes()]
+    checked = 0
+    for table in tables:
+        for o in table:
+            assert is_smooth_closure(o, table) == tangent_smooth_closure(o, table), (
+                o.variety.describe(), o.label())
+            checked += 1
+    assert checked == 917
 
 
 def test_tangent_requires_closure_relation():
@@ -188,7 +214,7 @@ def test_duality_battery_small_varieties():
     for total in range(1, 6):
         for dims in compositions(total):
             table = enumerate_orbits(gl_chain(dims))
-            duals = {o.index: pyasetskii_dual(o, 0, table) for o in table}
+            duals = {o.index: conormal_dual(o, 0, table) for o in table}
             top = next(o for o in table if o.is_open)
             zero = next(o for o in table if o.is_closed)
             assert duals[top.index].index == zero.index
@@ -196,12 +222,22 @@ def test_duality_battery_small_varieties():
             for o in table:
                 assert duals[duals[o.index].index].index == o.index
                 assert mw_involution(o, table).index == duals[o.index].index
+                assert pyasetskii_dual(o, 0, table).index == duals[o.index].index
 
 
 def test_duality_seed_independence():
     table = enumerate_orbits(gl_chain((2, 1, 2)))
     for o in table:
-        assert pyasetskii_dual(o, 0, table).index == pyasetskii_dual(o, 99, table).index
+        assert conormal_dual(o, 0, table).index == conormal_dual(o, 99, table).index
+
+
+def test_two_eig_duals_match_conormal_route():
+    for family in ("sp-dual", "so-even"):
+        for n in range(2, 8):
+            table = enumerate_orbits(two_eigenvalue_variety(family, n))
+            for o in table:
+                assert pyasetskii_dual(o, 0, table).index == conormal_dual(o, 0, table).index, (
+                    family, n, o.rank)
 
 
 def test_duality_on_1_2_1_preserves_a_nested_pair():
@@ -211,6 +247,7 @@ def test_duality_on_1_2_1_preserves_a_nested_pair():
     table = enumerate_orbits(gl_chain((1, 2, 1)))
     duals = {o.index: pyasetskii_dual(o, 0, table).index for o in table}
     assert duals == {0: 4, 1: 2, 2: 1, 3: 3, 4: 0}
+    assert duals == {o.index: conormal_dual(o, 0, table).index for o in table}
     a = table[1]
     b = table[3]
     assert closure_leq(a, b)

@@ -8,9 +8,12 @@ from voganlab import linalg
 from voganlab.errors import InputError
 from voganlab.orbits import (
     chain_multisegments,
+    chain_orbit_dim,
     chain_rank_matrix,
     chain_representative,
+    closure_below,
     closure_leq,
+    commutator_orbit_dim,
     enumerate_orbits,
     hasse,
     rank_matrices,
@@ -175,6 +178,16 @@ def test_orbit_dim_matches_hom_count_oracle():
                 assert o.dim == v.group_dim - end_dim
 
 
+def test_orbit_dim_formula_matches_commutator_rank():
+    checked = 0
+    for total in range(1, 8):
+        for dims in compositions(total, maxparts=total):
+            for segs in chain_multisegments(dims):
+                assert chain_orbit_dim(segs, dims) == commutator_orbit_dim(segs, dims), (dims, segs)
+                checked += 1
+    assert checked == 1472
+
+
 def test_extreme_dims():
     for dims in [(1, 1, 1), (2, 2), (1, 2, 1)]:
         v = gl_chain(dims)
@@ -233,6 +246,46 @@ def test_hasse_steinberg3_is_boolean_lattice():
     assert len(edges) == 4  # the square on two atoms
     degrees_up = {i: sum(1 for a, _ in edges if a == i) for i in range(4)}
     assert degrees_up[0] == 2  # bottom covers two atoms
+
+
+def reference_hasse(table):
+    """Covers straight from the definition, one closure_leq call per pair."""
+    n = len(table)
+    leq = [[closure_leq(table[i], table[j]) for j in range(n)] for i in range(n)]
+    return sorted(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and leq[i][j]
+        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gl_chain((1, 2, 2, 1)),
+    lambda: gl_chain((2, 3, 2)),
+    lambda: build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(7), (2, 2))], "gl"),
+    lambda: steinberg_variety("so-even", 4),
+    lambda: two_eigenvalue_variety("so-even", 6),
+])
+def test_bitset_relation_and_hasse_match_the_definition(make):
+    table = enumerate_orbits(make())
+    below = closure_below(table)
+    for a in table:
+        for b in table:
+            assert bool(below[b.index] >> a.index & 1) == closure_leq(a, b)
+    assert hasse(table) == reference_hasse(table)
+    # edges are list positions; the relation must not rely on a dimension-sorted list
+    shuffled = list(table)
+    random.Random(5).shuffle(shuffled)
+    assert hasse(shuffled) == reference_hasse(shuffled)
+
+
+def test_closure_relation_needs_same_variety():
+    t1 = enumerate_orbits(gl_chain((1, 1)))
+    t2 = enumerate_orbits(gl_chain((1, 1), offset="-1/2"))
+    with pytest.raises(InputError):
+        closure_below([t1[0], t2[1]])
 
 
 def test_hasse_single_orbit_empty():
