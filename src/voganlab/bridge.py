@@ -19,12 +19,22 @@ the Kazhdan-Lusztig value
 zero unless C <= D (intersection complexes are supported on closures).  For
 a multi-chain variety the entries multiply over chains.
 
-Convention note: of the eight a-priori conventions (min vs max length coset
+The matrix is computed over the closure relation of
+:func:`orbits.closure_below`: each orbit's permutation is built once and
+P_{w(C), w(D)} is evaluated only for C <= D, since the bridge embeds the
+closure order into Bruhat order and every other entry is 0.  Because KL
+polynomials have constant term 1 and nonnegative coefficients, P(1) = 1 only
+when P = 1; so D is rationally smooth exactly when column D of the matrix
+holds only 0s and 1s.  :func:`rationally_smooth` computes the same flag
+orbit by orbit, as the oracle run by ``verify`` and the tests.
+
+Convention: of the eight a-priori conventions (min vs max length coset
 representative, argument order, table vs its transpose) exactly two survive
 calibration against varieties whose multiplicities are forced by smooth
 closures, and the two survivors -- (max, (C, D), table) and its global
 inverse (max, (C, D), transpose) -- give identical output because
-P_{u,w} = P_{u^{-1}, w^{-1}}.  The frozen convention is the first.
+P_{u,w} = P_{u^{-1}, w^{-1}}.  The first is frozen as :data:`CONVENTION`;
+the alternatives exist only inside :func:`calibrate`.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ from . import geometry, kl, orbits
 from .errors import UnsupportedFamilyError
 from .kl import Perm, Poly
 from .orbits import ChainSegs, OrbitRecord
-from .variety import VoganVariety
 
 # frozen bridge convention; see calibrate()
 CONVENTION = {"rep": "max", "args": "CD", "table": "cycle"}
@@ -90,13 +99,8 @@ def min_coset_rep(table: list[list[int]], dims: tuple[int, ...]) -> Perm:
     return tuple(word)
 
 
-def _chain_perm(segs: ChainSegs, dims: tuple[int, ...], convention=None) -> Perm:
-    conv = convention or CONVENTION
-    table = cycle_table(segs, len(dims))
-    if conv["table"] == "transpose":
-        table = [list(row) for row in zip(*table)]
-    rep = max_coset_rep if conv["rep"] == "max" else min_coset_rep
-    return rep(table, dims)
+def _chain_perm(segs: ChainSegs, dims: tuple[int, ...]) -> Perm:
+    return max_coset_rep(cycle_table(segs, len(dims)), dims)
 
 
 def multisegment_to_permutation(orbit: OrbitRecord) -> tuple[Perm, ...]:
@@ -113,16 +117,11 @@ def multisegment_to_permutation(orbit: OrbitRecord) -> tuple[Perm, ...]:
 # multiplicities
 
 
-def _pair_poly(c: OrbitRecord, d: OrbitRecord, convention=None) -> Poly:
-    """Product over chains of P_{w(C), w(D)} (argument order per convention)."""
-    conv = convention or CONVENTION
-    v = c.variety
+def _perms_poly(pc: tuple[Perm, ...], pd: tuple[Perm, ...]) -> Poly:
+    """Product over chains of P_{w(C), w(D)}, given both bridge permutations."""
     result = kl.ONE
-    for segs_c, segs_d, chain in zip(c.msegs, d.msegs, v.chains):
-        wc = _chain_perm(segs_c, chain.dims, conv)
-        wd = _chain_perm(segs_d, chain.dims, conv)
-        u, w = (wc, wd) if conv["args"] == "CD" else (wd, wc)
-        p = kl.kl_poly(u, w)
+    for wc, wd in zip(pc, pd):
+        p = kl.kl_poly(wc, wd)
         if not p:
             return kl.ZERO
         result = _poly_mul(result, p)
@@ -141,7 +140,8 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
 
 def multiplicity(c: OrbitRecord, d: OrbitRecord) -> int:
     """[standard module of C : irreducible of D], trivial local systems."""
-    return kl.poly_eval_at_one(_pair_poly(c, d))
+    pc, pd = multisegment_to_permutation(c), multisegment_to_permutation(d)
+    return kl.poly_eval_at_one(_perms_poly(pc, pd))
 
 
 def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None) -> dict:
@@ -149,26 +149,33 @@ def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None
     Square multiplicity data over the orbit table.
 
     Chain varieties with every chain total within ``kl.KL_TABLE_MAX`` get
-    the full KL-backed matrix.  Other varieties get the entries forced by
-    support and by smooth closures (complete for the steinberg shape, partial
-    for two-eigenvalue middles and large chains), with a marker for what the
-    source was; undetermined entries are None.  ``below`` is the closure
-    relation of :func:`orbits.closure_below`, if the caller already has it.
+    the full KL-backed matrix, evaluated only on the pairs C <= D.  Other
+    varieties get the entries forced by support and by smooth closures
+    (complete for the steinberg shape, partial for two-eigenvalue middles and
+    large chains), with a marker for what the source was; undetermined
+    entries are None.  ``below`` is the closure relation of
+    :func:`orbits.closure_below`, if the caller already has it.
     """
     if not table:
         return {"entries": [], "source": "kl", "complete": True}
     v = table[0].variety
-    if v.kind == "chain" and all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
-        entries = [[multiplicity(c, d) for d in table] for c in table]
-        return {"entries": entries, "source": "kl", "complete": True}
     below = below if below is not None else orbits.closure_below(table)
+    n = len(table)
+    if v.kind == "chain" and all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
+        perms = [multisegment_to_permutation(o) for o in table]
+        entries = [[0] * n for _ in table]
+        for j, down in enumerate(below):
+            for i in range(n):
+                if down >> i & 1:
+                    entries[i][j] = kl.poly_eval_at_one(_perms_poly(perms[i], perms[j]))
+        return {"entries": entries, "source": "kl", "complete": True}
     smooth = [geometry.is_smooth_closure(d, table) for d in table]
     entries = [
         [
             (1 if smooth[j] else None) if down >> i & 1 else 0
             for j, down in enumerate(below)
         ]
-        for i in range(len(table))
+        for i in range(n)
     ]
     source = "smooth-closure-support"
     if v.kind == "chain":
@@ -183,17 +190,24 @@ def rationally_smooth(c: OrbitRecord, table: list[OrbitRecord] | None = None) ->
     if v.kind != "chain":
         raise UnsupportedFamilyError("rational smoothness via KL needs a chain variety")
     table = table if table is not None else orbits.enumerate_orbits(v)
-    for d in table:
-        if not orbits.closure_leq(d, c):
-            continue
-        p = _pair_poly(d, c)
-        if p != kl.ONE:
-            return False
-    return True
+    wc = multisegment_to_permutation(c)
+    return all(
+        _perms_poly(multisegment_to_permutation(d), wc) == kl.ONE
+        for d in table
+        if orbits.closure_leq(d, c)
+    )
 
 
 # ---------------------------------------------------------------------------
 # calibration of the dictionary conventions
+
+
+def _convention_perm(segs: ChainSegs, dims: tuple[int, ...], conv: dict) -> Perm:
+    table = cycle_table(segs, len(dims))
+    if conv["table"] == "transpose":
+        table = [list(row) for row in zip(*table)]
+    rep = max_coset_rep if conv["rep"] == "max" else min_coset_rep
+    return rep(table, dims)
 
 
 def _check_convention(conv: dict, table: list[OrbitRecord]) -> bool:
@@ -203,7 +217,7 @@ def _check_convention(conv: dict, table: list[OrbitRecord]) -> bool:
     v = table[0].variety
     chain = v.chains[0]
     perms = {
-        o.index: _chain_perm(o.msegs[0], chain.dims, conv) for o in table
+        o.index: _convention_perm(o.msegs[0], chain.dims, conv) for o in table
     }
     for c in table:
         for d in table:
@@ -214,7 +228,10 @@ def _check_convention(conv: dict, table: list[OrbitRecord]) -> bool:
     open_orbit = next(o for o in table if o.is_open)
     for c in table:
         for d in table:
-            value = kl.poly_eval_at_one(_pair_poly(c, d, conv))
+            u, w = perms[c.index], perms[d.index]
+            if conv["args"] == "DC":
+                u, w = w, u
+            value = kl.poly_eval_at_one(kl.kl_poly(u, w))
             if c.index == d.index and value != 1:
                 return False
             if not orbits.closure_leq(c, d) and value != 0:

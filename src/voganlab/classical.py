@@ -131,8 +131,9 @@ def _graded_subset_point(family: str, n: int, subset):
     return family_chain, x, buckets
 
 
-def _segments_from_ranks(r: dict[tuple[int, int], int], k: int) -> tuple:
-    """Segment multiplicities from the rank data by inclusion-exclusion."""
+def segments_from_ranks(r: dict[tuple[int, int], int], k: int) -> tuple:
+    """The multiplicities of the segments [a, b] on a grid of k grades, from the
+    rank data r[(a, b)] (a <= b) by inclusion-exclusion."""
 
     def r_at(a: int, b: int) -> int:
         if a < 0 or b >= k or a > b:
@@ -144,7 +145,7 @@ def _segments_from_ranks(r: dict[tuple[int, int], int], k: int) -> tuple:
         for b in range(a, k):
             mult = r_at(a, b) - r_at(a - 1, b) - r_at(a, b + 1) + r_at(a - 1, b + 1)
             if mult < 0:
-                raise InputError("inconsistent rank data for subset point")
+                raise InputError("rank data is not a valid orbit invariant")
             segments.extend([(a, b)] * mult)
     return tuple(sorted(segments))
 
@@ -174,7 +175,7 @@ def gl_multisegment_of_subset(family: str, n: int, subset) -> tuple[Chain, tuple
                 for row in step
             ]
             ranks[(a, b)] = int(any(any(row) for row in power))
-    return chain, _segments_from_ranks(ranks, k)
+    return chain, segments_from_ranks(ranks, k)
 
 
 def graded_power_multisegment(family: str, n: int, subset) -> tuple[Chain, tuple]:
@@ -191,7 +192,7 @@ def graded_power_multisegment(family: str, n: int, subset) -> tuple[Chain, tuple
         for b in range(a, k):
             sub = [[powers[b - a][r][c] for c in buckets[a]] for r in buckets[b]]
             ranks[(a, b)] = linalg.rank(sub)
-    return chain, _segments_from_ranks(ranks, k)
+    return chain, segments_from_ranks(ranks, k)
 
 
 def two_eigenvalue_gl_segments(n: int, rank: int) -> tuple:

@@ -40,7 +40,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
         help="seed of the randomized conormal-dual oracle run by verify; "
         "recorded in reports (default 0)",
     )
-    p.add_argument("--jobs", type=int, default=1, help="data-parallel per-orbit workers")
 
 
 def _variety_from_args(args) -> VoganVariety:
@@ -63,7 +62,7 @@ def _variety_from_args(args) -> VoganVariety:
 def cmd_analyze(args) -> int:
     v = _variety_from_args(args)
     kl.load_cache()
-    rep = report.assemble_report(v, seed=args.seed, jobs=args.jobs)
+    rep = report.assemble_report(v, seed=args.seed)
     sys.stdout.write(report.report_json(rep))
     kl.save_cache()
     return 0

@@ -56,7 +56,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import linalg, orbits
+from . import classical, linalg, orbits
 from .errors import InputError, UnsupportedFamilyError
 from .orbits import ChainSegs, OrbitRecord
 from .variety import VoganVariety
@@ -313,29 +313,6 @@ def _downward_rank_key(blocks, dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _segs_from_rank_key(key: tuple[int, ...], k: int) -> ChainSegs:
-    r = {}
-    pos = 0
-    for i in range(k):
-        for j in range(i, k):
-            r[(i, j)] = key[pos]
-            pos += 1
-
-    def r_at(i: int, j: int) -> int:
-        if i < 0 or j >= k or i > j:
-            return 0
-        return r[(i, j)]
-
-    segs = []
-    for i in range(k):
-        for j in range(i, k):
-            m = r_at(i, j) - r_at(i - 1, j) - r_at(i, j + 1) + r_at(i - 1, j + 1)
-            if m < 0:
-                raise InputError("rank data is not a valid orbit invariant")
-            segs.extend([(i, j)] * m)
-    return tuple(sorted(segs))
-
-
 def _generic_chain_dual(
     segs: ChainSegs, dims: tuple[int, ...], rng: random.Random
 ) -> ChainSegs:
@@ -346,6 +323,7 @@ def _generic_chain_dual(
     if not basis:
         # open orbit: the conormal space is zero, the dual is the zero orbit
         return tuple((i, i) for i in range(k) for _ in range(dims[i]))
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]  # rank key order
     best: tuple[int, ...] | None = None
     confirmations = 0
     for _ in range(MAX_RETRIES):
@@ -361,13 +339,13 @@ def _generic_chain_dual(
         if key == best:
             confirmations += 1
             if confirmations >= 2:
-                return _segs_from_rank_key(best, k)
+                return classical.segments_from_ranks(dict(zip(pairs, best)), k)
         elif all(b <= a for a, b in zip(best, key)):
             continue  # weaker sample, keep the current candidate
         else:
             best = tuple(max(a, b) for a, b in zip(best, key))
             confirmations = 0
-    return _segs_from_rank_key(_symbolic_chain_dual(basis, dims), k)
+    return classical.segments_from_ranks(dict(zip(pairs, _symbolic_chain_dual(basis, dims))), k)
 
 
 def _symbolic_chain_dual(basis, dims: tuple[int, ...]) -> tuple[int, ...]:

@@ -271,43 +271,80 @@ def kl_poly_reference(u, w, descent_pick: int = 0) -> Poly:
 
 # ---------------------------------------------------------------------------
 # optional on-disk spill of the computed tables
+#
+# The spill holds the canonical table JSON as one string, stamped with the
+# library version and the SHA-256 of that string.  A spill that is unstamped,
+# from another version or does not match its hash is ignored, and the tables
+# are rebuilt: a cache never changes an answer by being edited or by being
+# left over from older code.
 
 CACHE_ENV = "VOGANLAB_CACHE_DIR"
+CACHE_FILE = "kl_tables.json"
+
+
+def _sha256(text: str) -> str:
+    # imported on use: hashlib loads OpenSSL, about 4 MB of resident memory
+    # that runs without a cache directory never need
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def save_cache(directory: str | None = None) -> str | None:
-    """Write the tables built this session to disk; returns the path or None."""
+    """Write the tables built this session to disk, stamped and atomically
+    (temp file, then rename); returns the path or None."""
+    import tempfile
+
+    from . import __version__
+
     directory = directory or os.environ.get(CACHE_ENV)
     if not directory:
         return None
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "kl_tables.json")
-    payload = {
-        str(n): {f"{x},{w}": list(p) for (x, w), p in table.items()}
-        for n, table in _tables.items()
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    path = os.path.join(directory, CACHE_FILE)
+    tables = json.dumps(
+        {
+            str(n): {f"{x},{w}": list(p) for (x, w), p in table.items()}
+            for n, table in _tables.items()
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    payload = {"version": __version__, "sha256": _sha256(tables), "tables": tables}
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=CACHE_FILE, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def load_cache(directory: str | None = None) -> bool:
-    """Pre-warm the in-memory tables from a previous spill, if present."""
+    """Pre-warm the in-memory tables from a previous spill; True only if a
+    spill with this version's stamp and a matching hash was loaded."""
+    from . import __version__
+
     directory = directory or os.environ.get(CACHE_ENV)
     if not directory:
         return False
-    path = os.path.join(directory, "kl_tables.json")
-    if not os.path.exists(path):
-        return False
+    path = os.path.join(directory, CACHE_FILE)
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        for n_str, entries in payload.items():
-            table = {
+        tables = payload["tables"]
+        if payload["version"] != __version__ or payload["sha256"] != _sha256(tables):
+            return False
+        loaded = {
+            int(n_str): {
                 tuple(int(t) for t in key.split(",")): tuple(coeffs)
                 for key, coeffs in entries.items()
             }
-            _tables[int(n_str)] = table
-    except (ValueError, OSError):
+            for n_str, entries in json.loads(tables).items()
+        }
+    except (ValueError, OSError, KeyError, TypeError, AttributeError):
         return False
+    _tables.update(loaded)
     return True

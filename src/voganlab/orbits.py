@@ -98,13 +98,6 @@ def rank_key(segs: ChainSegs, k: int) -> tuple[int, ...]:
     return tuple(r[(i, j)] for i in range(k) for j in range(i, k))
 
 
-def segment_counts(segs: ChainSegs) -> dict[Seg, int]:
-    counts: dict[Seg, int] = {}
-    for s in segs:
-        counts[s] = counts.get(s, 0) + 1
-    return counts
-
-
 def chain_representative(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[list[int]]]:
     """Arrow matrices (one per adjacent grade pair) of the shift-operator sum.
 

@@ -7,11 +7,10 @@ the same spec, version, and seed) and to a DOT digraph for the closure order.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
-from . import arthur, bridge, geometry, kl, lattice, orbits
+from . import arthur, bridge, geometry, lattice, orbits
 from .orbits import OrbitRecord
-from .variety import GL, VoganVariety
+from .variety import VoganVariety
 
 ABV_NOTE = (
     "orbits with smooth closure define singleton ABV-packet membership for "
@@ -58,17 +57,22 @@ def _component_group_json(orbit: OrbitRecord):
 
 
 def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
+    """The report of ``v``.  ``jobs`` is accepted and ignored: the per-orbit
+    rows come from one serial loop, since a thread pool over this pure-Python
+    work measured no gain, and the keyword stays for callers that pass it."""
     from . import __version__
 
     table = orbits.enumerate_orbits(v)
+    below = orbits.closure_below(table)
+    matrix = bridge.multiplicity_matrix(table, below)
+    smooth = {o.index: geometry.is_smooth_closure(o, table) for o in table}
+    rational = {o.index: None for o in table}
+    if matrix["source"] == "kl":
+        # D is rationally smooth iff column D of the KL matrix holds only 0s and 1s
+        entries = matrix["entries"]
+        rational = {o.index: all(row[o.index] in (0, 1) for row in entries) for o in table}
 
-    def per_orbit(o: OrbitRecord) -> dict:
-        smooth = geometry.is_smooth_closure(o, table)
-        verdict = arthur.is_arthur_type(o)
-        dual = geometry.pyasetskii_dual(o, seed=seed, dual_table=table)
-        rs = None
-        if v.kind == "chain" and all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
-            rs = bridge.rationally_smooth(o, table)
+    def per_orbit(o: OrbitRecord, row: dict) -> dict:
         return {
             "id": o.index,
             "label": o.label(),
@@ -79,23 +83,19 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "rank_matrix": _rank_matrix_json(o),
             "is_open": o.is_open,
             "is_closed": o.is_closed,
-            "smooth_closure": smooth,
-            "rationally_smooth": rs,
-            "abv_singleton": smooth,
-            "arthur": verdict.as_dict(),
-            "dual_orbit": dual.index,
+            "smooth_closure": smooth[o.index],
+            "rationally_smooth": rational[o.index],
+            "abv_singleton": smooth[o.index],
+            "arthur": row["arthur_verdict"].as_dict(),
+            "dual_orbit": geometry.pyasetskii_dual(o, seed=seed, dual_table=table).index,
             "component_group": _component_group_json(o),
             "representative": orbits.representative(o),
-            "violation": verdict.is_arthur and not (o.is_open or o.is_closed) and smooth,
+            "violation": row["violation"],
         }
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            orbit_rows = list(pool.map(per_orbit, table))
-    else:
-        orbit_rows = [per_orbit(o) for o in table]
-
-    below = orbits.closure_below(table)
+    orbit_rows = [
+        per_orbit(o, row) for o, row in zip(table, arthur.speculation_rows(table, smooth))
+    ]
 
     report = {
         "tool": {"name": "voganlab", "version": __version__},
@@ -112,7 +112,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "group_dim": v.group_dim,
         },
         "orbits": orbit_rows,
-        "multiplicity_matrix": bridge.multiplicity_matrix(table, below),
+        "multiplicity_matrix": matrix,
         "hasse": [list(e) for e in orbits.hasse(table, below)],
     }
     return report

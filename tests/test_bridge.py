@@ -187,6 +187,15 @@ def test_multichain_multiplicities_factor():
             assert multiplicity(c, d) == parts[0] * parts[1]
 
 
+def test_closure_restricted_matrix_equals_all_pairs(chain_suite):
+    two_chains = build_variety([Chain(Fraction(0), (1, 2)), Chain(Fraction(10), (2, 1))], "gl")
+    tables = [table for _dims, _v, table in chain_suite] + [enumerate_orbits(two_chains)]
+    for table in tables:
+        mm = multiplicity_matrix(table)
+        assert mm["source"] == "kl" and mm["complete"]
+        assert mm["entries"] == [[multiplicity(c, d) for d in table] for c in table]
+
+
 def test_classical_steinberg_multiplicities_complete():
     table = enumerate_orbits(steinberg_variety("sp-dual", 2))
     mm = multiplicity_matrix(table)

@@ -1,11 +1,15 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from voganlab.bridge import rationally_smooth
 from voganlab.cli import main
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
+from voganlab.geometry import tangent_smooth_closure
+from voganlab.orbits import closure_below, enumerate_orbits
 from voganlab.report import assemble_report, hasse_dot, report_json
-from voganlab.variety import steinberg_variety, two_eigenvalue_variety
+from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
 
 def run_cli(capsys, *argv):
@@ -47,9 +51,42 @@ def test_report_json_roundtrip():
     assert report_json(json.loads(text)) == text
 
 
-def test_report_with_jobs_matches_serial():
-    v = steinberg_variety("gl", 3)
-    assert assemble_report(v, jobs=1) == assemble_report(v, jobs=3)
+def test_analyze_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--jobs", "2", "--family", "gl", "--two-eig", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_report_rational_smoothness_matches_oracles(chain_suite):
+    for _dims, v, table in chain_suite:
+        rows = assemble_report(v)["orbits"]
+        for o, row in zip(table, rows):
+            assert row["rationally_smooth"] == rationally_smooth(o, table)
+            assert row["rationally_smooth"] == tangent_smooth_closure(o, table)
+
+
+def test_report_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
+    from voganlab import bridge, kl
+
+    v = build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(10), (2, 1))], "gl")
+    table = enumerate_orbits(v)
+    related = sum(bin(down).count("1") for down in closure_below(table))
+    calls = {"max_coset_rep": 0, "kl_poly": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bridge, "max_coset_rep")
+    counted(kl, "kl_poly")
+    assemble_report(v)
+    assert calls == {"max_coset_rep": 2 * len(table), "kl_poly": 2 * related}
 
 
 def test_hasse_dot_shapes(capsys):
@@ -196,3 +233,54 @@ def test_kl_cache_spill_roundtrip(tmp_path, monkeypatch):
     saved = kl._tables.pop(3)
     assert kl.load_cache()
     assert kl._tables[3] == saved
+
+
+def _two_eig_2_matrix(capsys) -> list:
+    code, out, _ = run_cli(capsys, "analyze", "--family", "gl", "--two-eig", "2")
+    assert code == 0
+    return json.loads(out)["multiplicity_matrix"]["entries"]
+
+
+def test_tampered_kl_spill_is_ignored(tmp_path, monkeypatch, capsys):
+    from voganlab import kl
+
+    monkeypatch.setenv(kl.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(kl, "_tables", {})
+    assert _two_eig_2_matrix(capsys) == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
+    spill = tmp_path / "kl_tables.json"
+    payload = json.loads(spill.read_text())
+    tables = json.loads(payload["tables"])
+    _perms, index, _lengths, _rmul = kl._sn_data(4)
+    key = f"{index[(2, 1, 4, 3)]},{index[(4, 2, 3, 1)]}"
+    assert tables["4"][key] == [1, 1]
+    tables["4"][key] = [1, 5]  # P_{2143,4231} = 1 + 5q, stamp left as it was
+    payload["tables"] = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+    spill.write_text(json.dumps(payload))
+
+    monkeypatch.setattr(kl, "_tables", {})
+    assert not kl.load_cache()
+    assert _two_eig_2_matrix(capsys) == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
+    # the run rebuilt the table and replaced the spill with a valid one
+    monkeypatch.setattr(kl, "_tables", {})
+    assert kl.load_cache()
+    assert kl._tables[4][tuple(int(t) for t in key.split(","))] == (1, 1)
+
+
+def test_unstamped_or_stale_kl_spill_is_ignored(tmp_path, monkeypatch):
+    from voganlab import kl
+
+    monkeypatch.setenv(kl.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(kl, "_tables", {})
+    kl.kl_poly((1, 2, 3), (3, 2, 1))
+    spill = tmp_path / "kl_tables.json"
+    kl.save_cache()
+    payload = json.loads(spill.read_text())
+    assert [p.name for p in tmp_path.iterdir()] == ["kl_tables.json"]
+
+    monkeypatch.setattr(kl, "_tables", {})
+    spill.write_text(payload["tables"])  # the unstamped layout of earlier versions
+    assert not kl.load_cache() and kl._tables == {}
+    spill.write_text(json.dumps({**payload, "version": "0.0.0"}))
+    assert not kl.load_cache() and kl._tables == {}
+    spill.write_text(json.dumps(payload))
+    assert kl.load_cache() and 3 in kl._tables
