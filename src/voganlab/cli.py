@@ -61,10 +61,8 @@ def _variety_from_args(args) -> VoganVariety:
 
 def cmd_analyze(args) -> int:
     v = _variety_from_args(args)
-    kl.load_cache()
     rep = report.assemble_report(v, seed=args.seed)
     sys.stdout.write(report.report_json(rep))
-    kl.save_cache()
     return 0
 
 
@@ -116,6 +114,7 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
     the KL and greedy routes check independent computations.
     """
     table = orbits.enumerate_orbits(v)
+    below = orbits.closure_below(table)
     results: list[tuple[str, bool, str]] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
@@ -125,7 +124,7 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
         sum(o.is_open for o in table) == 1 and sum(o.is_closed for o in table) == 1)
 
     mono_ok, mono_detail = True, ""
-    for a, b in orbits.hasse(table):
+    for a, b in orbits.hasse(table, below):
         if not table[a].dim < table[b].dim:
             mono_ok, mono_detail = False, f"cover {a} -> {b} without dimension increase"
             break
@@ -164,7 +163,7 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
             bad = next((o.index for o in table if rs[o.index] != smooth[o.index]), None)
             add("KL rational smoothness matches the tangent test",
                 bad is None, "" if bad is None else f"orbit {bad}")
-            mult = bridge.multiplicity_matrix(table)["entries"]
+            mult = bridge.multiplicity_matrix(table, below)["entries"]
             ok, detail = True, ""
             for d in table:
                 if not smooth[d.index]:
@@ -183,11 +182,11 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
             )
             add("open orbit row is the identity row", ok)
 
+    rows = arthur.speculation_rows(table, smooth)
     arthur_ok, arthur_detail = True, ""
-    for o in table:
-        verdict = arthur.is_arthur_type(o)
+    for o, row in zip(table, rows):
         for chain, segs in orbits.gl_shadow(o):
-            if arthur.brute_force_arthur(chain, segs) != verdict.is_arthur:
+            if arthur.brute_force_arthur(chain, segs) != row["arthur"]:
                 arthur_ok, arthur_detail = False, f"orbit {o.index}"
                 break
         if not arthur_ok:
@@ -195,7 +194,7 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
     add("rectangle search agrees with brute force", arthur_ok, arthur_detail)
 
     add("no violation of the open/closed/singular pattern",
-        not any(r["violation"] for r in arthur.speculation_rows(table, smooth)))
+        not any(r["violation"] for r in rows))
     return results
 
 
@@ -212,7 +211,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("hasse", help="closure order as a DOT digraph")
     _add_spec_flags(p)
-    p.add_argument("--dot", action="store_true", help="emit DOT (the default format)")
     p.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("dataset", help="curated published tables")

@@ -7,7 +7,8 @@ no trailing zeros; the zero polynomial is the empty tuple.
 
 ``kl_poly`` implements the classical recursion with mu-corrections.  Because
 the correction sum ranges over the full lower Bruhat cone, the implementation
-materialises the whole table for S_N bottom-up by length (memoised per N).
+materialises the whole table for S_N bottom-up by length, once per N and
+process; tables live in memory only.
 This is exact and fast through N = 6; larger N is refused rather than risk an
 incorrect lazy evaluation that silently drops mu-terms.
 
@@ -20,8 +21,6 @@ incorrect lazy evaluation that silently drops mu-terms.
 from __future__ import annotations
 
 import itertools
-import json
-import os
 from functools import lru_cache
 
 from .errors import InputError
@@ -146,14 +145,9 @@ def _sn_data(n: int):
     return perms, index, lengths, rmul
 
 
-# tables already built this session, keyed by N; values may come from a spill
-_tables: dict[int, dict[tuple[int, int], Poly]] = {}
-
-
+@lru_cache(maxsize=None)
 def _kl_table(n: int) -> dict[tuple[int, int], Poly]:
     """All nonzero P_{x,w} for S_n, keyed by indices into the sorted perm list."""
-    if n in _tables:
-        return _tables[n]
     perms, _index, lengths, rmul = _sn_data(n)
     P: dict[tuple[int, int], Poly] = {}
     mu: list[list[tuple[int, int]]] = [[] for _ in perms]  # w -> [(z, mu(z,w))]
@@ -184,7 +178,6 @@ def _kl_table(n: int) -> dict[tuple[int, int], Poly]:
                 p = P.get((xi, wi))
                 if p and len(p) == (d - 1) // 2 + 1:
                     mu[wi].append((xi, p[-1]))
-    _tables[n] = P
     return P
 
 
@@ -270,81 +263,17 @@ def kl_poly_reference(u, w, descent_pick: int = 0) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# optional on-disk spill of the computed tables
-#
-# The spill holds the canonical table JSON as one string, stamped with the
-# library version and the SHA-256 of that string.  A spill that is unstamped,
-# from another version or does not match its hash is ignored, and the tables
-# are rebuilt: a cache never changes an answer by being edited or by being
-# left over from older code.
-
-CACHE_ENV = "VOGANLAB_CACHE_DIR"
-CACHE_FILE = "kl_tables.json"
+# cache hooks: no-ops, since KL tables are never stored outside this process
 
 
-def _sha256(text: str) -> str:
-    # imported on use: hashlib loads OpenSSL, about 4 MB of resident memory
-    # that runs without a cache directory never need
-    import hashlib
+def load_cache() -> bool:
+    """Does nothing and returns False: KL tables are built in memory only.
 
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def save_cache(directory: str | None = None) -> str | None:
-    """Write the tables built this session to disk, stamped and atomically
-    (temp file, then rename); returns the path or None."""
-    import tempfile
-
-    from . import __version__
-
-    directory = directory or os.environ.get(CACHE_ENV)
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, CACHE_FILE)
-    tables = json.dumps(
-        {
-            str(n): {f"{x},{w}": list(p) for (x, w), p in table.items()}
-            for n, table in _tables.items()
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    payload = {"version": __version__, "sha256": _sha256(tables), "tables": tables}
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=CACHE_FILE, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
+    Kept, with :func:`save_cache`, only because the benchmark worker in
+    ``perfbench/worker.py`` still calls both with no arguments.
+    """
+    return False
 
 
-def load_cache(directory: str | None = None) -> bool:
-    """Pre-warm the in-memory tables from a previous spill; True only if a
-    spill with this version's stamp and a matching hash was loaded."""
-    from . import __version__
-
-    directory = directory or os.environ.get(CACHE_ENV)
-    if not directory:
-        return False
-    path = os.path.join(directory, CACHE_FILE)
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        tables = payload["tables"]
-        if payload["version"] != __version__ or payload["sha256"] != _sha256(tables):
-            return False
-        loaded = {
-            int(n_str): {
-                tuple(int(t) for t in key.split(",")): tuple(coeffs)
-                for key, coeffs in entries.items()
-            }
-            for n_str, entries in json.loads(tables).items()
-        }
-    except (ValueError, OSError, KeyError, TypeError, AttributeError):
-        return False
-    _tables.update(loaded)
-    return True
+def save_cache() -> None:
+    """Does nothing: KL tables are never written to disk (see :func:`load_cache`)."""

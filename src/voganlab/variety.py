@@ -282,11 +282,14 @@ def variety_from_dict(doc: dict) -> VoganVariety:
     for rc in raw_chains:
         if not isinstance(rc, dict) or not isinstance(rc.get("dims"), list):
             raise InputError(f"bad chain entry {rc!r}: expected an object with a 'dims' list")
+        bad = [d for d in rc["dims"] if not isinstance(d, int) or isinstance(d, bool)]
+        if bad:
+            raise InputError(f"bad chain entry {rc!r}: dims must be integers, got {bad[0]!r}")
         try:
             offset = Fraction(str(rc.get("offset", 0)))
-            dims = tuple(int(d) for d in rc["dims"])
-        except (TypeError, ValueError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad chain entry {rc!r}: {exc}") from exc
+        dims = tuple(rc["dims"])
         chains.append(Chain(offset, dims))
     return build_variety(chains, family)
 

@@ -52,10 +52,12 @@ def test_report_json_roundtrip():
 
 
 def test_analyze_has_no_jobs_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--jobs", "2", "--family", "gl", "--two-eig", "2"])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    # deleted flags are refused by argparse: analyze --jobs and hasse --dot
+    for command, *flag in (["analyze", "--jobs", "2"], ["hasse", "--dot"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag, "--family", "gl", "--two-eig", "2"])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_report_rational_smoothness_matches_oracles(chain_suite):
@@ -167,6 +169,10 @@ def test_bad_spec_exits_2(tmp_path, capsys):
     {"family": "gl", "chains": [{"dims": 3}]},
     {"family": ["gl"], "chains": []},
     {"chains": []},
+    {"family": "gl", "chains": [{"dims": [1.5, 2]}]},
+    {"family": "gl", "chains": [{"dims": [True, 2]}]},
+    {"family": "gl", "chains": [{"dims": [float("inf")]}]},
+    {"family": "gl", "chains": [{"dims": [2], "offset": "1/0"}]},
 ])
 def test_malformed_spec_shapes_exit_2(tmp_path, capsys, doc):
     spec = tmp_path / "bad.json"
@@ -223,64 +229,16 @@ def test_report_fields_for_classical_steinberg():
     assert rep["multiplicity_matrix"]["complete"]
 
 
-def test_kl_cache_spill_roundtrip(tmp_path, monkeypatch):
-    from voganlab import kl
-
-    monkeypatch.setenv(kl.CACHE_ENV, str(tmp_path))
-    kl.kl_poly((1, 2, 3), (3, 2, 1))
-    path = kl.save_cache()
-    assert path is not None
-    saved = kl._tables.pop(3)
-    assert kl.load_cache()
-    assert kl._tables[3] == saved
-
-
-def _two_eig_2_matrix(capsys) -> list:
-    code, out, _ = run_cli(capsys, "analyze", "--family", "gl", "--two-eig", "2")
+def test_kl_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):
+    # KL tables live in memory only: VOGANLAB_CACHE_DIR is neither read nor
+    # written, and the answer does not depend on it
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.delenv("VOGANLAB_CACHE_DIR", raising=False)
+    argv = ["analyze", "--family", "gl", "--two-eig", "2"]
+    code, plain, _ = run_cli(capsys, *argv)
     assert code == 0
-    return json.loads(out)["multiplicity_matrix"]["entries"]
-
-
-def test_tampered_kl_spill_is_ignored(tmp_path, monkeypatch, capsys):
-    from voganlab import kl
-
-    monkeypatch.setenv(kl.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(kl, "_tables", {})
-    assert _two_eig_2_matrix(capsys) == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
-    spill = tmp_path / "kl_tables.json"
-    payload = json.loads(spill.read_text())
-    tables = json.loads(payload["tables"])
-    _perms, index, _lengths, _rmul = kl._sn_data(4)
-    key = f"{index[(2, 1, 4, 3)]},{index[(4, 2, 3, 1)]}"
-    assert tables["4"][key] == [1, 1]
-    tables["4"][key] = [1, 5]  # P_{2143,4231} = 1 + 5q, stamp left as it was
-    payload["tables"] = json.dumps(tables, sort_keys=True, separators=(",", ":"))
-    spill.write_text(json.dumps(payload))
-
-    monkeypatch.setattr(kl, "_tables", {})
-    assert not kl.load_cache()
-    assert _two_eig_2_matrix(capsys) == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
-    # the run rebuilt the table and replaced the spill with a valid one
-    monkeypatch.setattr(kl, "_tables", {})
-    assert kl.load_cache()
-    assert kl._tables[4][tuple(int(t) for t in key.split(","))] == (1, 1)
-
-
-def test_unstamped_or_stale_kl_spill_is_ignored(tmp_path, monkeypatch):
-    from voganlab import kl
-
-    monkeypatch.setenv(kl.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(kl, "_tables", {})
-    kl.kl_poly((1, 2, 3), (3, 2, 1))
-    spill = tmp_path / "kl_tables.json"
-    kl.save_cache()
-    payload = json.loads(spill.read_text())
-    assert [p.name for p in tmp_path.iterdir()] == ["kl_tables.json"]
-
-    monkeypatch.setattr(kl, "_tables", {})
-    spill.write_text(payload["tables"])  # the unstamped layout of earlier versions
-    assert not kl.load_cache() and kl._tables == {}
-    spill.write_text(json.dumps({**payload, "version": "0.0.0"}))
-    assert not kl.load_cache() and kl._tables == {}
-    spill.write_text(json.dumps(payload))
-    assert kl.load_cache() and 3 in kl._tables
+    assert json.loads(plain)["multiplicity_matrix"]["entries"] == [[1, 2, 1], [0, 1, 1], [0, 0, 1]]
+    monkeypatch.setenv("VOGANLAB_CACHE_DIR", str(cache))
+    assert run_cli(capsys, *argv) == (0, plain, "")
+    assert list(cache.iterdir()) == []
