@@ -7,7 +7,7 @@ Arthur-type rectangle decompositions, and stabilizer component groups --
 all over exact rational arithmetic.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .arthur import ArthurVerdict, Rectangle, is_arthur_type, rectangle_multisegment
 from .bridge import (

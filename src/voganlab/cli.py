@@ -144,10 +144,13 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
         duals[open_o.index].index == closed_o.index
         and duals[closed_o.index].index == open_o.index)
 
+    def leq(i: int, j: int) -> bool:
+        return bool(below[j] >> i & 1)
+
     rev_ok, rev_detail = True, ""
     for a in table:
         for b in table:
-            if orbits.closure_leq(a, b) and not orbits.closure_leq(duals[b.index], duals[a.index]):
+            if leq(a.index, b.index) and not leq(duals[b.index].index, duals[a.index].index):
                 rev_ok = False
                 rev_detail = f"orbits {a.index} <= {b.index} but duals {duals[b.index].index} !<= {duals[a.index].index}"
                 break
@@ -169,7 +172,7 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
                 if not smooth[d.index]:
                     continue
                 for c in table:
-                    expected = 1 if orbits.closure_leq(c, d) else 0
+                    expected = 1 if leq(c.index, d.index) else 0
                     if mult[c.index][d.index] != expected:
                         ok, detail = False, f"entry[{c.index}][{d.index}]"
                         break

@@ -382,19 +382,25 @@ def pyasetskii_dual(
     The dual orbit, reported in the canonical table of the same variety
     (orbits of the opposite-orientation variety carry the same labels).
 
-    Closed forms; ``seed`` is accepted for the oracle's signature and unused.
+    Closed forms (:func:`dual_key`); ``seed`` is accepted for the oracle's
+    signature and unused.
     """
+    table = dual_table if dual_table is not None else orbits.enumerate_orbits(orbit.variety)
+    return orbits.orbit_by_key(table, dual_key(orbit))
+
+
+def dual_key(orbit: OrbitRecord):
+    """The ``key`` of the dual orbit: the greedy involution per chain,
+    the complementary subset, or rank n - r (symmetric) or 2*floor((n - r)/2)
+    (antisymmetric)."""
     v = orbit.variety
-    table = dual_table if dual_table is not None else orbits.enumerate_orbits(v)
     if v.kind == "chain":
-        dual = tuple(mw_chain_involution(segs) for segs in orbit.msegs)
-        return orbits.orbit_by_key(table, dual)
+        return tuple(mw_chain_involution(segs) for segs in orbit.msegs)
     if v.kind == "steinberg":
-        complement = tuple(i for i in range(v.n) if i not in orbit.subset)
-        return orbits.orbit_by_key(table, complement)
+        return tuple(i for i in range(v.n) if i not in orbit.subset)
     if v.symmetric_form:
-        return orbits.orbit_by_key(table, v.n - orbit.rank)
-    return orbits.orbit_by_key(table, 2 * ((v.n - orbit.rank) // 2))
+        return v.n - orbit.rank
+    return 2 * ((v.n - orbit.rank) // 2)
 
 
 def conormal_dual(
@@ -498,5 +504,4 @@ def mw_involution(orbit: OrbitRecord, table: list[OrbitRecord] | None = None) ->
     if v.kind != "chain":
         raise UnsupportedFamilyError("the multisegment involution needs a chain variety")
     table = table if table is not None else orbits.enumerate_orbits(v)
-    dual = tuple(mw_chain_involution(segs) for segs in orbit.msegs)
-    return orbits.orbit_by_key(table, dual)
+    return orbits.orbit_by_key(table, dual_key(orbit))

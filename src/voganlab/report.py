@@ -12,23 +12,6 @@ from . import arthur, bridge, geometry, lattice, orbits
 from .orbits import OrbitRecord
 from .variety import VoganVariety
 
-ABV_NOTE = (
-    "orbits with smooth closure define singleton ABV-packet membership for "
-    "restrictions of irreducible equivariant local systems on the closure; "
-    "recorded from the smoothness flag, not from vanishing-cycle computations"
-)
-
-
-def _rank_matrix_json(orbit: OrbitRecord) -> list[dict] | None:
-    if orbit.msegs is None:
-        return None
-    out = []
-    for segs, chain in zip(orbit.msegs, orbit.variety.chains):
-        r = orbits.chain_rank_matrix(segs, chain.length)
-        out.append({f"{i},{j}": r[(i, j)] for i in range(chain.length) for j in range(i, chain.length)})
-    return out
-
-
 def _multisegment_json(orbit: OrbitRecord) -> list[list[list[str]]] | None:
     if orbit.msegs is None:
         return None
@@ -66,6 +49,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
     below = orbits.closure_below(table)
     matrix = bridge.multiplicity_matrix(table, below)
     smooth = {o.index: geometry.is_smooth_closure(o, table) for o in table}
+    index_of = {o.key: o.index for o in table}
     rational = {o.index: None for o in table}
     if matrix["source"] == "kl":
         # D is rationally smooth iff column D of the KL matrix holds only 0s and 1s
@@ -80,14 +64,12 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "subset": list(o.subset) if o.subset is not None else None,
             "rank": o.rank,
             "dim": o.dim,
-            "rank_matrix": _rank_matrix_json(o),
             "is_open": o.is_open,
             "is_closed": o.is_closed,
             "smooth_closure": smooth[o.index],
             "rationally_smooth": rational[o.index],
-            "abv_singleton": smooth[o.index],
             "arthur": row["arthur_verdict"].as_dict(),
-            "dual_orbit": geometry.pyasetskii_dual(o, seed=seed, dual_table=table).index,
+            "dual_orbit": index_of[geometry.dual_key(o)],
             "component_group": _component_group_json(o),
             "representative": orbits.representative(o),
             "violation": row["violation"],
@@ -105,7 +87,6 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "bridge": dict(bridge.CONVENTION),
             "dual_orbit_labels": "multisegment labels shared between V and its opposite",
         },
-        "abv_note": ABV_NOTE,
         "variety": {
             **v.spec_dict(),
             "total_dim": v.total_dim,
@@ -119,7 +100,8 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """One line of compact JSON; ``python -m json.tool`` pretty-prints it."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def hasse_dot(v: VoganVariety) -> str:

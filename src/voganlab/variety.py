@@ -285,8 +285,12 @@ def variety_from_dict(doc: dict) -> VoganVariety:
         bad = [d for d in rc["dims"] if not isinstance(d, int) or isinstance(d, bool)]
         if bad:
             raise InputError(f"bad chain entry {rc!r}: dims must be integers, got {bad[0]!r}")
+        text = str(rc.get("offset", 0))
+        if "e" in text.lower():
+            # Fraction("1e99999999999999999999") would compute 10**exponent
+            raise InputError(f"bad chain entry {rc!r}: offset {text!r} has an exponent")
         try:
-            offset = Fraction(str(rc.get("offset", 0)))
+            offset = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad chain entry {rc!r}: {exc}") from exc
         dims = tuple(rc["dims"])
@@ -297,7 +301,7 @@ def variety_from_dict(doc: dict) -> VoganVariety:
 def variety_from_json(text: str) -> VoganVariety:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("variety spec must be a JSON object")

@@ -1,15 +1,22 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from voganlab.bridge import rationally_smooth
 from voganlab.cli import main
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
-from voganlab.geometry import tangent_smooth_closure
+from voganlab.geometry import pyasetskii_dual, tangent_smooth_closure
 from voganlab.orbits import closure_below, enumerate_orbits
 from voganlab.report import assemble_report, hasse_dot, report_json
-from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
+from voganlab.variety import (
+    Chain,
+    build_variety,
+    point_variety,
+    steinberg_variety,
+    two_eigenvalue_variety,
+)
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +73,19 @@ def test_report_rational_smoothness_matches_oracles(chain_suite):
         for o, row in zip(table, rows):
             assert row["rationally_smooth"] == rationally_smooth(o, table)
             assert row["rationally_smooth"] == tangent_smooth_closure(o, table)
+
+
+def test_report_duals_match_pyasetskii_dual(chain_suite):
+    # the report looks duals up by key; pyasetskii_dual scans the table
+    classical = [steinberg_variety(family, 4) for family in ("sp-dual", "so-even", "so-odd-dual")]
+    classical += [two_eigenvalue_variety(family, 5) for family in ("sp-dual", "so-even")]
+    cases = [v for _dims, v, _table in chain_suite] + classical
+    for v in cases:
+        table = enumerate_orbits(v)
+        rows = assemble_report(v)["orbits"]
+        assert [row["dual_orbit"] for row in rows] == [
+            pyasetskii_dual(o, 0, table).index for o in table
+        ]
 
 
 def test_report_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
@@ -173,6 +193,7 @@ def test_bad_spec_exits_2(tmp_path, capsys):
     {"family": "gl", "chains": [{"dims": [True, 2]}]},
     {"family": "gl", "chains": [{"dims": [float("inf")]}]},
     {"family": "gl", "chains": [{"dims": [2], "offset": "1/0"}]},
+    {"family": "gl", "chains": [{"dims": [2], "offset": "1e99999999999999999999"}]},
 ])
 def test_malformed_spec_shapes_exit_2(tmp_path, capsys, doc):
     spec = tmp_path / "bad.json"
@@ -182,6 +203,15 @@ def test_malformed_spec_shapes_exit_2(tmp_path, capsys, doc):
         assert code == 2, (command, doc)
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_overlong_integer_in_spec_exits_2(tmp_path, capsys):
+    # json.loads refuses integer literals over 4300 digits with a ValueError
+    spec = tmp_path / "long.json"
+    spec.write_text('{"family": "gl", "chains": [{"dims": [' + "1" * 5000 + "]}]}")
+    code, out, err = run_cli(capsys, "analyze", "--spec", str(spec))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON")
 
 
 def test_missing_spec_file_exits_2(tmp_path, capsys):
@@ -242,3 +272,21 @@ def test_kl_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VOGANLAB_CACHE_DIR", str(cache))
     assert run_cli(capsys, *argv) == (0, plain, "")
     assert list(cache.iterdir()) == []
+
+
+def test_reports_match_the_schema_doc():
+    jsonschema = pytest.importorskip("jsonschema")
+    root = Path(__file__).resolve().parents[1]
+    schema = json.loads((root / "docs" / "schema" / "orbit_report.schema.json").read_text())
+    varieties = [
+        build_variety([Chain(Fraction(0), (1, 2, 2, 1))], "gl"),  # KL range
+        build_variety([Chain(Fraction(0), (1, 2)), Chain(Fraction(10), (2, 1))], "gl"),
+        build_variety([Chain(Fraction(0), (1, 2, 3, 1))], "gl"),  # past the KL range
+        steinberg_variety("sp-dual", 4),
+        two_eigenvalue_variety("so-even", 4),
+        point_variety(),
+    ]
+    for v in varieties:
+        text = report_json(assemble_report(v))
+        assert text.endswith("\n") and text.count("\n") == 1
+        jsonschema.validate(json.loads(text), schema)
