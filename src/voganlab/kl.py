@@ -5,12 +5,18 @@ Permutations are tuples in one-line notation on ``{1..N}``, e.g. ``(3,4,1,2)``.
 Polynomials in q are tuples of integer coefficients, constant term first, with
 no trailing zeros; the zero polynomial is the empty tuple.
 
-``kl_poly`` implements the classical recursion with mu-corrections.  Because
-the correction sum ranges over the full lower Bruhat cone, the implementation
-materialises the whole table for S_N bottom-up by length, once per N and
-process; tables live in memory only.
-This is exact and fast through N = 6; larger N is refused rather than risk an
-incorrect lazy evaluation that silently drops mu-terms.
+``kl_poly(u, w)`` reads P_{u,w} from the column of w, ``{x: P_{x,w}}`` over
+the lower Bruhat interval [e, w].  A column is built by the classical
+recursion on the first right descent s of w: with v = ws, [e, w] is
+[e, v] ∪ [e, v]·s, and every term of the recursion is read from complete
+columns of shorter elements (P_{xs,v} and P_{x,v} from column v, mu(z, v) from
+column v, P_{x,z} from column z), so no mu-term is ever dropped.  Columns are
+memoised in memory for the life of the process; only the columns an orbit
+table asks for, and those their recursion reaches, are built.
+N is capped at ``KL_TABLE_MAX`` = 6 for size: |[e, w]| grows up to N!, so a
+column of S_7 may hold 5,040 polynomials.  The route for larger N is ROADMAP
+item 3.  ``_kl_table`` builds the whole S_N table bottom-up by index and stays
+as an independent oracle for the tests.
 
 >>> kl_poly((1, 2, 3, 4), (3, 4, 1, 2))
 (1, 1)
@@ -132,7 +138,100 @@ def poly_str(a: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# full KL table for S_N, built bottom-up by length
+# KL columns over lower Bruhat intervals (the production route)
+
+
+@lru_cache(maxsize=None)
+def _length(x: Perm) -> int:
+    return perm_length(x)
+
+
+def _first_descent(w: Perm) -> int | None:
+    """The smallest k with w[k] > w[k+1] (0-based), i.e. w * s_k < w."""
+    return next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+
+
+@lru_cache(maxsize=None)
+def _lower_interval(w: Perm) -> tuple[Perm, ...]:
+    """[e, w] in decreasing length, by lifting: [e, w] = [e, ws] ∪ [e, ws]·s
+    for the first right descent s of w."""
+    k = _first_descent(w)
+    if k is None:
+        return (w,)
+    below = _lower_interval(right_mult_s(w, k))
+    items = set(below)
+    items.update(right_mult_s(x, k) for x in below)
+    return tuple(sorted(items, key=_length, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _column(w: Perm) -> dict[Perm, Poly]:
+    """{x: P_{x,w} for x <= w}, by the recursion on the first right descent.
+
+    The memoised dict is shared by every caller; read it, never mutate it.
+    """
+    k = _first_descent(w)
+    if k is None:
+        return {w: ONE}
+    v = right_mult_s(w, k)
+    col_v = _column(v)
+    lw = _length(w)
+    # mu(z, v) * q^((l(w) - l(z)) / 2) * P_{x,z} over z < v with zs < z
+    corrections = []
+    for z, p in col_v.items():
+        d = lw - 1 - _length(z)
+        if z[k] > z[k + 1] and d % 2 == 1 and len(p) == (d + 1) // 2:
+            corrections.append((_column(z), (d + 1) // 2, p[-1]))
+    col: dict[Perm, Poly] = {}
+    for x in _lower_interval(w):
+        xs = right_mult_s(x, k)
+        if x[k] < x[k + 1]:  # xs > x, so xs <= w is longer and already filled
+            col[x] = col[xs]
+            continue
+        val = poly_add(col_v[xs], poly_shift(col_v.get(x, ZERO), 1))
+        for col_z, shift, m in corrections:
+            pxz = col_z.get(x)
+            if pxz:
+                val = poly_sub_shifted(val, pxz, shift, m)
+        col[x] = val
+    return col
+
+
+def _check_pair(u, w, name: str) -> tuple[Perm, Perm]:
+    u, w = check_perm(u), check_perm(w)
+    if len(u) != len(w):
+        raise InputError(f"{name}: size mismatch")
+    n = len(u)
+    if n > KL_TABLE_MAX:
+        raise InputError(
+            f"{name} supports S_N for N <= {KL_TABLE_MAX}; got N = {n} "
+            "(the interval [e, w] grows up to N! elements; the route for larger N "
+            "is ROADMAP item 3)"
+        )
+    return u, w
+
+
+def kl_poly(u, w) -> Poly:
+    """P_{u,w}; the zero polynomial when u is not Bruhat-below w."""
+    u, w = _check_pair(u, w, "kl_poly")
+    if u == w:
+        return ONE
+    return _column(w).get(u, ZERO)
+
+
+def mu_coeff(u, w) -> int:
+    """mu(u, w): the top allowed coefficient of P_{u,w}."""
+    u, w = _check_pair(u, w, "mu_coeff")
+    d = perm_length(w) - perm_length(u)
+    if d <= 0 or d % 2 == 0:
+        return 0
+    p = _column(w).get(u, ZERO)
+    return p[-1] if p and len(p) == (d - 1) // 2 + 1 else 0
+
+
+# ---------------------------------------------------------------------------
+# full KL table for S_N, built bottom-up by length (test oracle; no production
+# caller, so that it stays independent of the column route)
 
 
 @lru_cache(maxsize=None)
@@ -181,37 +280,8 @@ def _kl_table(n: int) -> dict[tuple[int, int], Poly]:
     return P
 
 
-def kl_poly(u, w) -> Poly:
-    """P_{u,w}; the zero polynomial when u is not Bruhat-below w."""
-    u, w = check_perm(u), check_perm(w)
-    if len(u) != len(w):
-        raise InputError("kl_poly: size mismatch")
-    n = len(u)
-    if n > KL_TABLE_MAX:
-        raise InputError(
-            f"kl_poly supports S_N for N <= {KL_TABLE_MAX}; got N = {n} "
-            "(full-table evaluation; larger N is refused rather than approximated)"
-        )
-    if u == w:
-        return ONE
-    _perms, index, lengths, _rmul = _sn_data(n)
-    ui, wi = index[u], index[w]
-    if lengths[ui] >= lengths[wi]:
-        return ZERO
-    return _kl_table(n).get((ui, wi), ZERO)
-
-
-def mu_coeff(u, w) -> int:
-    """mu(u, w): the top allowed coefficient of P_{u,w}."""
-    d = perm_length(tuple(w)) - perm_length(tuple(u))
-    if d <= 0 or d % 2 == 0:
-        return 0
-    p = kl_poly(u, w)
-    return p[-1] if p and len(p) == (d - 1) // 2 + 1 else 0
-
-
 # ---------------------------------------------------------------------------
-# slow reference recursion (test oracle; independent of the table builder)
+# slow reference recursion (test oracle; independent of both builders)
 
 
 def kl_poly_reference(u, w, descent_pick: int = 0) -> Poly:

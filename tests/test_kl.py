@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from voganlab import bridge, kl
+from voganlab.cli import main
 from voganlab.errors import InputError
 from voganlab.kl import (
     bruhat_leq,
@@ -15,6 +18,8 @@ from voganlab.kl import (
     poly_str,
     right_mult_s,
 )
+from voganlab.orbits import enumerate_orbits
+from voganlab.variety import steinberg_variety
 
 
 def all_perms(n):
@@ -124,6 +129,64 @@ def test_kl_matches_reference_recursion_s4():
             assert kl_poly(u, w) == kl_poly_reference(u, w)
 
 
+def test_kl_matches_reference_for_every_descent_pick_s4():
+    # picks 0..2 rotate through every right descent (S_4 has at most 3)
+    for u in all_perms(4):
+        for w in all_perms(4):
+            p = kl_poly(u, w)
+            assert all(p == kl_poly_reference(u, w, pick) for pick in (1, 2))
+
+
+def test_kl_columns_match_full_table_through_s6():
+    # gate: the column route against the whole-group table, every pair of S_n
+    for n in range(1, 7):
+        perms, _index, _lengths, _rmul = kl._sn_data(n)
+        table = kl._kl_table(n)
+        for wi, w in enumerate(perms):
+            assert [kl_poly(u, w) for u in perms] == [
+                table.get((ui, wi), ()) for ui in range(len(perms))
+            ]
+
+
+def test_lower_interval_is_the_bruhat_ideal_s5():
+    perms = all_perms(5)
+    for w in perms:
+        interval = kl._lower_interval(w)
+        assert set(interval) == {x for x in perms if bruhat_leq(x, w)}
+        assert len(set(interval)) == len(interval)
+        lengths = [perm_length(x) for x in interval]
+        assert lengths == sorted(lengths, reverse=True)
+
+
+def test_production_never_builds_the_full_table(monkeypatch, tmp_path, capsys, chain_suite):
+    def refuse(n):
+        raise AssertionError(f"full S_{n} table built")
+
+    monkeypatch.setattr(kl, "_kl_table", refuse)
+    monkeypatch.setattr(kl, "_sn_data", refuse)
+    kl._column.cache_clear()
+    assert main(["analyze", "--family", "gl", "--steinberg", "6"]) == 0
+    spec = tmp_path / "c33.json"
+    spec.write_text(json.dumps({"family": "gl", "chains": [{"offset": 0, "dims": [3, 3]}]}))
+    assert main(["verify", "--spec", str(spec)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    for _dims, _v, table in chain_suite:
+        assert bridge.multiplicity_matrix(table)["source"] == "kl"
+
+
+def test_steinberg_6_builds_only_its_32_columns(capsys):
+    # the 32 orbit permutations form the Boolean interval below the Coxeter
+    # element, and the recursion reaches no column outside it
+    table = enumerate_orbits(steinberg_variety("gl", 6))
+    perms = {bridge.multisegment_to_permutation(o)[0] for o in table}
+    coxeter = max(perms, key=perm_length)
+    assert set(kl._lower_interval(coxeter)) == perms
+    kl._column.cache_clear()
+    assert main(["analyze", "--family", "gl", "--steinberg", "6"]) == 0
+    capsys.readouterr()
+    assert kl._column.cache_info().currsize == 32
+
+
 def test_kl_reference_is_descent_choice_independent():
     rng = random.Random(3)
     perms = all_perms(4)
@@ -146,6 +209,14 @@ def test_mu_values():
     assert mu_coeff((1, 3, 2, 4), (3, 4, 1, 2)) == 1  # degree (4-1-1)/2 = 1 hit
     assert mu_coeff((1, 2, 3, 4), (3, 4, 1, 2)) == 0  # even gap
     assert mu_coeff((1, 2, 4, 3), (1, 3, 4, 2)) == 1  # cover
+
+
+def test_mu_coeff_validates_like_kl_poly():
+    for u, w in [((1, 2, 3), (1, 2)), ((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 2, 1))]:
+        with pytest.raises(InputError):
+            mu_coeff(u, w)
+    with pytest.raises(InputError):  # S_7, even gap: refused before the parity test
+        mu_coeff(tuple(range(1, 8)), (2, 3, 1, 4, 5, 6, 7))
 
 
 def test_descent_reduction_identity():
