@@ -43,7 +43,6 @@ from .orbits import (
     closure_leq,
     enumerate_orbits,
     hasse,
-    orbit_dim,
     rank_matrices,
     representative,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "multiplicity_matrix",
     "multisegment_to_permutation",
     "mw_involution",
-    "orbit_dim",
     "point_variety",
     "pyasetskii_dual",
     "rank_matrices",

@@ -138,11 +138,8 @@ def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
         rects = []
         for d in range(1, total + 1):
             for a in range(1, total // d + 1):
-                try:
-                    r = Rectangle(d, a, Fraction(0))
-                    expanded = r.segments()
-                except InputError:
-                    continue
+                r = Rectangle(d, a, Fraction(0))
+                expanded = r.segments()
                 lo = min(s for s, _ in expanded)
                 hi = max(e for _, e in expanded)
                 if lo < chain.exponent(0) or hi > chain.exponent(chain.length - 1):
@@ -171,16 +168,6 @@ def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
         return search(remaining, idx + 1)
 
     return search(target, 0)
-
-
-def grid_symmetric_about_zero(chain: Chain) -> bool:
-    lo = chain.exponent(0)
-    hi = chain.exponent(chain.length - 1)
-    if lo != -hi:
-        return False
-    return all(
-        chain.dims[i] == chain.dims[chain.length - 1 - i] for i in range(chain.length)
-    )
 
 
 # ---------------------------------------------------------------------------

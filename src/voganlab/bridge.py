@@ -25,8 +25,8 @@ P_{w(C), w(D)} is evaluated only for C <= D, since the bridge embeds the
 closure order into Bruhat order and every other entry is 0.  Because KL
 polynomials have constant term 1 and nonnegative coefficients, P(1) = 1 only
 when P = 1; so D is rationally smooth exactly when column D of the matrix
-holds only 0s and 1s.  :func:`rationally_smooth` computes the same flag
-orbit by orbit, as the oracle run by ``verify`` and the tests.
+holds only 0s and 1s.  :func:`rational_smoothness` reads that flag off the
+matrix for the report, ``verify`` and :func:`rationally_smooth`.
 
 Convention: of the eight a-priori conventions (min vs max length coset
 representative, argument order, table vs its transpose) exactly two survive
@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import geometry, kl, orbits
-from .errors import UnsupportedFamilyError
+from .errors import InputError, UnsupportedFamilyError
 from .kl import Perm, Poly
 from .orbits import ChainSegs, OrbitRecord
 
@@ -184,18 +184,29 @@ def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None
     return {"entries": entries, "source": source, "complete": complete}
 
 
+def rational_smoothness(matrix: dict) -> list[bool | None]:
+    """Per orbit D of a :func:`multiplicity_matrix`: is D rationally smooth?
+
+    KL polynomials have constant term 1 and nonnegative coefficients, so
+    P(1) = 1 only when P = 1: D is rationally smooth iff column D holds only
+    0s and 1s.  None for every orbit when the matrix is not KL-backed.
+    """
+    entries = matrix["entries"]
+    if matrix["source"] != "kl":
+        return [None] * len(entries)
+    return [all(row[j] in (0, 1) for row in entries) for j in range(len(entries))]
+
+
 def rationally_smooth(c: OrbitRecord, table: list[OrbitRecord] | None = None) -> bool:
-    """True iff every KL polynomial over strata of the closure of c is 1."""
+    """True iff every KL polynomial over strata of the closure of c is 1,
+    read off column c of the multiplicity matrix of ``table``."""
     v = c.variety
     if v.kind != "chain":
         raise UnsupportedFamilyError("rational smoothness via KL needs a chain variety")
+    if any(chain.total > kl.KL_TABLE_MAX for chain in v.chains):
+        raise InputError(f"rational smoothness via KL needs chain totals <= {kl.KL_TABLE_MAX}")
     table = table if table is not None else orbits.enumerate_orbits(v)
-    wc = multisegment_to_permutation(c)
-    return all(
-        _perms_poly(multisegment_to_permutation(d), wc) == kl.ONE
-        for d in table
-        if orbits.closure_leq(d, c)
-    )
+    return rational_smoothness(multiplicity_matrix(table))[c.index]
 
 
 # ---------------------------------------------------------------------------

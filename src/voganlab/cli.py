@@ -162,11 +162,12 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
         add("greedy involution agrees with the conormal dual",
             all(geometry.mw_involution(o, table).index == duals[o.index].index for o in table))
         if all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
-            rs = {o.index: bridge.rationally_smooth(o, table) for o in table}
+            matrix = bridge.multiplicity_matrix(table, below)
+            rs = bridge.rational_smoothness(matrix)
             bad = next((o.index for o in table if rs[o.index] != smooth[o.index]), None)
             add("KL rational smoothness matches the tangent test",
                 bad is None, "" if bad is None else f"orbit {bad}")
-            mult = bridge.multiplicity_matrix(table, below)["entries"]
+            mult = matrix["entries"]
             ok, detail = True, ""
             for d in table:
                 if not smooth[d.index]:

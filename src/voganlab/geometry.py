@@ -41,9 +41,10 @@ the current chain), which Knight and Zelevinsky identify with the generic
 conormal duality (Adv. Math. 117, 1996).  Steinberg duals are subset
 complements, and the dual of the rank-r two-eigenvalue stratum has rank
 n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  The oracle,
-:func:`conormal_dual`, finds the generic rank data over the conormal space
-by seeded randomized evaluation with verification retries and an exact
-symbolic fallback.
+:func:`conormal_dual`, finds the generic rank data over a basis of the
+conormal space with one sampler for chains and two-eigenvalue shapes: seeded
+random covectors with verification retries, then one exact symbolic fallback
+(ranks over the rational function field), which the tests force.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -69,6 +70,17 @@ MAX_RETRIES = 8
 # tangent spaces
 
 
+def _composites(x: list) -> dict[tuple[int, int], list]:
+    """Composite arrow maps i -> j (i < j) of the arrow matrices x, keyed in
+    row-major (i, j) order.  Entries may be any ring elements."""
+    comp: dict[tuple[int, int], list] = {}
+    for i in range(len(x)):
+        comp[(i, i + 1)] = x[i]
+        for j in range(i + 2, len(x) + 1):
+            comp[(i, j)] = linalg.matmul(x[j - 1], comp[(i, j - 1)])
+    return comp
+
+
 def _chain_tangent_conditions_at(
     segs_c: ChainSegs, x: list[linalg.Matrix], dims: tuple[int, ...]
 ) -> list[list[Fraction]]:
@@ -81,42 +93,31 @@ def _chain_tangent_conditions_at(
     for a in arrow_dims:
         offs.append(offs[-1] + a)
     rc = orbits.chain_rank_matrix(segs_c, k)
-
-    comp: dict[tuple[int, int], linalg.Matrix] = {}
-    for i in range(k - 1):
-        comp[(i, i + 1)] = x[i]
-        for j in range(i + 2, k):
-            comp[(i, j)] = linalg.matmul(x[j - 1], comp[(i, j - 1)])
-    rd = {(i, i): dims[i] for i in range(k)}
-    for i in range(k):
-        for j in range(i + 1, k):
-            rd[(i, j)] = linalg.rank(comp[(i, j)])
+    comp = _composites(x)
 
     rows: list[list[Fraction]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            if rd[(i, j)] != rc[(i, j)]:
-                continue
-            c = comp[(i, j)]
-            ker = linalg.nullspace(c)
-            cok = linalg.left_nullspace(c)
-            if not ker or not cok:
-                continue
-            for p in cok:
-                for kv in ker:
-                    row = [Fraction(0)] * ncols
-                    for l in range(i, j):
-                        left = p if l == j - 1 else linalg.matvec(
-                            linalg.transpose(comp[(l + 1, j)]), p
-                        )
-                        right = kv if l == i else linalg.matvec(comp[(i, l)], kv)
-                        base = offs[l]
-                        for a in range(dims[l + 1]):
-                            if left[a]:
-                                for b in range(dims[l]):
-                                    if right[b]:
-                                        row[base + a * dims[l] + b] += left[a] * right[b]
-                    rows.append(row)
+    for (i, j), c in comp.items():
+        if linalg.rank(c) != rc[(i, j)]:
+            continue
+        ker = linalg.nullspace(c)
+        cok = linalg.left_nullspace(c)
+        if not ker or not cok:
+            continue
+        for p in cok:
+            for kv in ker:
+                row = [Fraction(0)] * ncols
+                for l in range(i, j):
+                    left = p if l == j - 1 else linalg.matvec(
+                        linalg.transpose(comp[(l + 1, j)]), p
+                    )
+                    right = kv if l == i else linalg.matvec(comp[(i, l)], kv)
+                    base = offs[l]
+                    for a in range(dims[l + 1]):
+                        if left[a]:
+                            for b in range(dims[l]):
+                                if right[b]:
+                                    row[base + a * dims[l] + b] += left[a] * right[b]
+                rows.append(row)
     return rows
 
 
@@ -270,47 +271,71 @@ def conormal_space(orbit: OrbitRecord) -> list[list[Fraction]]:
                 vec[i] = Fraction(1)
                 basis.append(vec)
         return basis
-    mats = _two_eig_conormal_matrices(v, orbit.rank)
-    n = v.n
-    if v.symmetric_form:
-        return [[m[i][j] for i in range(n) for j in range(i, n)] for m in mats]
-    return [[m[i][j] for i in range(n) for j in range(i + 1, n)] for m in mats]
+    return [orbits._two_eig_coords(v, m) for m in _two_eig_conormal_matrices(v, orbit.rank)]
 
 
 # ---------------------------------------------------------------------------
 # duality: closed forms, and the generic conormal covector as oracle
 
 
-def _reversed_blocks(vec, dims: tuple[int, ...]):
-    """Dual-coordinate vector -> reversed-arrow blocks xi_l: grade l+1 -> l."""
-    blocks = []
-    pos = 0
+def _combination(coeffs, basis, width: int) -> list:
+    """sum of coeffs[i] * basis[i], as a vector of length ``width``."""
+    return [
+        sum((c * bv[t] for c, bv in zip(coeffs, basis) if bv[t]), Fraction(0))
+        for t in range(width)
+    ]
+
+
+def _generic_key(basis, width: int, key_of, rng: random.Random) -> tuple[int, ...]:
+    """Generic value of ``key_of(vec, rank)`` over the span of ``basis``.
+
+    ``key_of`` returns a tuple of ranks, each lower semicontinuous, so the
+    generic key is the entrywise maximum over the span.  Seeded random
+    combinations raise a candidate to that maximum; it is accepted after two
+    further samples confirm it, and after ``MAX_RETRIES`` samples the exact
+    symbolic fallback decides.
+    """
+    best: tuple[int, ...] | None = None
+    confirmations = 0
+    for _ in range(MAX_RETRIES):
+        coeffs = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in basis]
+        key = key_of(_combination(coeffs, basis, width), linalg.rank)
+        if best is None:
+            best = key
+        elif key == best:
+            confirmations += 1
+            if confirmations >= 2:
+                return best
+        elif any(a > b for a, b in zip(key, best)):
+            best = tuple(max(a, b) for a, b in zip(best, key))
+            confirmations = 0
+    return _symbolic_chain_dual(basis, width, key_of)
+
+
+def _symbolic_chain_dual(basis, width: int, key_of) -> tuple[int, ...]:
+    """Exact generic key: ``key_of`` at the generic point of the span, with
+    ranks over the rational function field (serves every shape, not only
+    chains)."""
+    import sympy
+
+    ts = sympy.symbols(f"t0:{len(basis)}")
+    return key_of(_combination(ts, basis, width), lambda m: sympy.Matrix(m).rank())
+
+
+def _chain_rank_key(vec, dims: tuple[int, ...], rank) -> tuple[int, ...]:
+    """Ranks of the composites i -> j (i < j) of a covector of one chain.
+
+    Read in arrow shape, the dual coordinates of a covector give block
+    l = xi_l^T (see :func:`chain_conormal_basis`).  The descending composite
+    xi_i ... xi_{j-1} is the transpose of the forward composite of these
+    blocks, so it has the same rank.
+    """
+    blocks, pos = [], 0
     for l in range(len(dims) - 1):
-        rows_fwd, cols_fwd = dims[l + 1], dims[l]
-        block = [[0] * rows_fwd for _ in range(cols_fwd)]
-        for a in range(rows_fwd):
-            for b in range(cols_fwd):
-                block[b][a] = vec[pos + a * cols_fwd + b]
-        pos += rows_fwd * cols_fwd
-        blocks.append(block)
-    return blocks
-
-
-def _downward_rank_key(blocks, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Rank data of a covector: ranks of the descending composites j -> i."""
-    k = len(dims)
-    comp: dict[tuple[int, int], list] = {}
-    for l in range(k - 1):
-        comp[(l, l + 1)] = linalg.to_fractions(blocks[l])
-    for span in range(2, k):
-        for i in range(k - span):
-            j = i + span
-            comp[(i, j)] = linalg.matmul(comp[(i, j - 1)], linalg.to_fractions(blocks[j - 1]))
-    out = []
-    for i in range(k):
-        for j in range(i, k):
-            out.append(dims[i] if i == j else linalg.rank(comp[(i, j)]))
-    return tuple(out)
+        rows, cols = dims[l + 1], dims[l]
+        blocks.append([vec[pos + a * cols : pos + (a + 1) * cols] for a in range(rows)])
+        pos += rows * cols
+    return tuple(rank(m) for m in _composites(blocks).values())
 
 
 def _generic_chain_dual(
@@ -319,60 +344,15 @@ def _generic_chain_dual(
     k = len(dims)
     if k <= 1:
         return segs
-    basis = chain_conormal_basis(segs, dims)
-    if not basis:
-        # open orbit: the conormal space is zero, the dual is the zero orbit
-        return tuple((i, i) for i in range(k) for _ in range(dims[i]))
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]  # rank key order
-    best: tuple[int, ...] | None = None
-    confirmations = 0
-    for _ in range(MAX_RETRIES):
-        coeffs = [Fraction(rng.randint(-RANDOM_BOUND, RANDOM_BOUND)) for _ in basis]
-        vec = [
-            sum((c * bv[t] for c, bv in zip(coeffs, basis)), Fraction(0))
-            for t in range(len(basis[0]))
-        ]
-        key = _downward_rank_key(_reversed_blocks(vec, dims), dims)
-        if best is None:
-            best = key
-            continue
-        if key == best:
-            confirmations += 1
-            if confirmations >= 2:
-                return classical.segments_from_ranks(dict(zip(pairs, best)), k)
-        elif all(b <= a for a, b in zip(best, key)):
-            continue  # weaker sample, keep the current candidate
-        else:
-            best = tuple(max(a, b) for a, b in zip(best, key))
-            confirmations = 0
-    return classical.segments_from_ranks(dict(zip(pairs, _symbolic_chain_dual(basis, dims))), k)
-
-
-def _symbolic_chain_dual(basis, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact generic rank data over the conormal span, by symbolic ranks over
-    the rational function field."""
-    import sympy
-
-    k = len(dims)
-    ts = sympy.symbols(f"t0:{len(basis)}")
-    vec = [
-        sum((t * sympy.Rational(bv[idx]) for t, bv in zip(ts, basis)), sympy.Integer(0))
-        for idx in range(len(basis[0]))
-    ]
-    blocks = _reversed_blocks(vec, dims)
-    mats = [sympy.Matrix(b) for b in blocks]
-    comp: dict[tuple[int, int], object] = {}
-    for l in range(k - 1):
-        comp[(l, l + 1)] = mats[l]
-    for span in range(2, k):
-        for i in range(k - span):
-            j = i + span
-            comp[(i, j)] = comp[(i, j - 1)] * mats[j - 1]
-    out = []
-    for i in range(k):
-        for j in range(i, k):
-            out.append(dims[i] if i == j else comp[(i, j)].rank())
-    return tuple(out)
+    ranks = _generic_key(
+        chain_conormal_basis(segs, dims),
+        sum(dims[l] * dims[l + 1] for l in range(k - 1)),
+        lambda vec, rank: _chain_rank_key(vec, dims, rank),
+        rng,
+    )
+    r = {(i, i): dims[i] for i in range(k)}
+    r.update(zip(((i, j) for i in range(k) for j in range(i + 1, k)), ranks))
+    return classical.segments_from_ranks(r, k)
 
 
 def pyasetskii_dual(
@@ -407,7 +387,7 @@ def conormal_dual(
     orbit: OrbitRecord, seed: int = 0, dual_table: list[OrbitRecord] | None = None
 ) -> OrbitRecord:
     """Oracle for :func:`pyasetskii_dual`: the orbit of a generic covector in
-    the conormal space, found with seeded random samples."""
+    the conormal space, found by :func:`_generic_key` with seeded samples."""
     v = orbit.variety
     table = dual_table if dual_table is not None else orbits.enumerate_orbits(v)
     rng = random.Random(seed)
@@ -420,37 +400,14 @@ def conormal_dual(
     if v.kind == "steinberg":
         complement = tuple(i for i in range(v.n) if i not in orbit.subset)
         return orbits.orbit_by_key(table, complement)
-    return orbits.orbit_by_key(table, _two_eig_dual_rank(v, orbit.rank, rng))
-
-
-def _two_eig_dual_rank(v: VoganVariety, rank: int, rng: random.Random) -> int:
-    mats = _two_eig_conormal_matrices(v, rank)
-    if not mats:
-        return 0
     n = v.n
-    best = -1
-    confirmations = 0
-    for _ in range(MAX_RETRIES):
-        coeffs = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in mats]
-        m = linalg.zeros(n, n)
-        for cf, bm in zip(coeffs, mats):
-            for i in range(n):
-                for j in range(n):
-                    m[i][j] += cf * bm[i][j]
-        r = linalg.rank(m)
-        if r == best:
-            confirmations += 1
-            if confirmations >= 2:
-                return best
-        elif r > best:
-            best, confirmations = r, 0
-    import sympy
-
-    ts = sympy.symbols(f"t0:{len(mats)}")
-    sym = sympy.zeros(n, n)
-    for t, bm in zip(ts, mats):
-        sym += t * sympy.Matrix([[sympy.Rational(x) for x in row] for row in bm])
-    return sym.rank()
+    (dual_rank,) = _generic_key(
+        [[x for row in m for x in row] for m in _two_eig_conormal_matrices(v, orbit.rank)],
+        n * n,
+        lambda vec, rank: (rank([vec[i * n : (i + 1) * n] for i in range(n)]),),
+        rng,
+    )
+    return orbits.orbit_by_key(table, dual_rank)
 
 
 # ---------------------------------------------------------------------------

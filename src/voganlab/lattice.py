@@ -322,17 +322,3 @@ def builtin_root_datum(family: str, n: int) -> RootDatum:
         roots = tuple(_diff(i, n) for i in range(n - 1)) + (tuple(extra),)
         return RootDatum(n, family, roots, ((half,) * n,))
     raise InputError(f"unknown family {family!r}")
-
-
-def root_datum_from_json(doc: dict) -> RootDatum:
-    """Load a root datum from a JSON document (rank, family, roots, center)."""
-    try:
-        rank = int(doc["rank"])
-        family = doc["family"]
-        roots = tuple(tuple(int(x) for x in r) for r in doc["roots"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad root datum document: {exc}") from exc
-    center = tuple(
-        tuple(Fraction(str(x)) for x in z) for z in doc.get("center", [])
-    )
-    return RootDatum(rank, family, roots, center)

@@ -341,10 +341,6 @@ def representative(orbit: OrbitRecord):
     return two_eig_representative(v, orbit.rank)
 
 
-def orbit_dim(orbit: OrbitRecord) -> int:
-    return orbit.dim
-
-
 def _dominance_key(o: OrbitRecord) -> tuple[int, ...]:
     """Coordinates in which the closure order is entrywise <=: rank data for
     chains, the subset indicator for Steinberg shapes, the rank otherwise."""

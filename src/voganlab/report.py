@@ -50,11 +50,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
     matrix = bridge.multiplicity_matrix(table, below)
     smooth = {o.index: geometry.is_smooth_closure(o, table) for o in table}
     index_of = {o.key: o.index for o in table}
-    rational = {o.index: None for o in table}
-    if matrix["source"] == "kl":
-        # D is rationally smooth iff column D of the KL matrix holds only 0s and 1s
-        entries = matrix["entries"]
-        rational = {o.index: all(row[o.index] in (0, 1) for row in entries) for o in table}
+    rational = bridge.rational_smoothness(matrix)
 
     def per_orbit(o: OrbitRecord, row: dict) -> dict:
         return {

@@ -129,14 +129,6 @@ class VoganVariety:
             return None
         return self.family == SP_DUAL
 
-    def arrow_spaces(self) -> list[tuple[Fraction, Fraction, tuple[int, int]]]:
-        """(source exponent, target exponent, block shape) per arrow."""
-        out = []
-        for c in self.chains:
-            for i in range(c.length - 1):
-                out.append((c.exponent(i), c.exponent(i + 1), (c.dims[i + 1], c.dims[i])))
-        return out
-
     def subspace_basis(self) -> list[list[list[int]]]:
         """Explicit basis of V inside Hom(E_low, E_high) for classical shapes."""
         if self.kind != "two_eigenvalue":
@@ -166,8 +158,7 @@ class VoganVariety:
         for c in self.chains:
             lo, hi = c.exponent(0), c.exponent(c.length - 1)
             parts.append(f"dims {list(c.dims)} at exponents {lo}..{hi}")
-        shape = self.kind if self.kind != "chain" else "chain"
-        return f"{self.family} {shape}: " + "; ".join(parts) if parts else f"{self.family} point"
+        return f"{self.family} {self.kind}: " + "; ".join(parts) if parts else f"{self.family} point"
 
     def spec_dict(self) -> dict:
         return {

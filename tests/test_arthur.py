@@ -6,7 +6,6 @@ import pytest
 from voganlab.arthur import (
     Rectangle,
     brute_force_arthur,
-    grid_symmetric_about_zero,
     is_arthur_type,
     rectangle_multisegment,
     speculation_rows,
@@ -48,7 +47,6 @@ def test_single_column_rectangle_is_centered_singletons():
     for n in (2, 3, 4):
         chain, segs = rectangle_multisegment(1, n, 0)
         assert segs == tuple((i, i) for i in range(n))
-        assert grid_symmetric_about_zero(chain)
 
 
 def test_domino_rectangle_sits_on_half_integers():

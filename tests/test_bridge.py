@@ -15,7 +15,7 @@ from voganlab.bridge import (
     multisegment_to_permutation,
     rationally_smooth,
 )
-from voganlab.errors import UnsupportedFamilyError
+from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.geometry import is_smooth_closure, tangent_smooth_closure
 from voganlab.kl import perm_length
 from voganlab.orbits import closure_leq, enumerate_orbits
@@ -259,6 +259,12 @@ def test_rational_smoothness_needs_chain_variety():
     table = enumerate_orbits(steinberg_variety("sp-dual", 2))
     with pytest.raises(UnsupportedFamilyError):
         rationally_smooth(table[0])
+
+
+def test_rational_smoothness_refuses_chains_beyond_the_kl_range():
+    v = build_variety([Chain(Fraction(0), (1, 2, 2, 2))], "gl")
+    with pytest.raises(InputError):
+        rationally_smooth(enumerate_orbits(v)[0])
 
 
 def test_calibration_survivors():

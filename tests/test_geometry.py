@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from voganlab import linalg
+from voganlab import geometry, linalg
 from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.geometry import (
     chain_tangent_dim_at_point,
@@ -238,6 +238,27 @@ def test_two_eig_duals_match_conormal_route():
             for o in table:
                 assert pyasetskii_dual(o, 0, table).index == conormal_dual(o, 0, table).index, (
                     family, n, o.rank)
+
+
+def test_symbolic_fallback_matches_closed_forms(monkeypatch):
+    # with no random samples every dual comes from the exact symbolic route;
+    # n stays <= 3 for the two-eigenvalue shapes, which grow fast symbolically
+    monkeypatch.setattr(geometry, "MAX_RETRIES", 0)
+    calls = []
+    fallback = geometry._symbolic_chain_dual
+    monkeypatch.setattr(
+        geometry, "_symbolic_chain_dual", lambda *a: calls.append(1) or fallback(*a)
+    )
+    varieties = [gl_chain(dims) for total in range(1, 5) for dims in compositions(total)]
+    varieties += [two_eigenvalue_variety(f, n) for f in ("sp-dual", "so-even") for n in (2, 3)]
+    chain_orbits = 0
+    for v in varieties:
+        table = enumerate_orbits(v)
+        chain_orbits += len(table) if v.kind == "chain" else 0
+        for o in table:
+            assert conormal_dual(o, 0, table).index == pyasetskii_dual(o, 0, table).index
+    assert chain_orbits == 42
+    assert calls  # the fallback really ran
 
 
 def test_duality_on_1_2_1_preserves_a_nested_pair():

@@ -6,9 +6,9 @@ import pytest
 
 from voganlab.errors import InputError
 from voganlab.lattice import (
+    RootDatum,
     builtin_root_datum,
     center_image,
-    root_datum_from_json,
     smith_normal_form,
     stabilizer_component_group,
 )
@@ -170,8 +170,6 @@ def test_component_group_invariant_under_cocharacter_basis_change():
     )
     for subset in ([2], [1, 2], [0, 2]):
         a = stabilizer_component_group(rd, subset)
-        from voganlab.lattice import RootDatum
-
         rd2 = RootDatum(3, rd.family, new_roots, ())
         b = stabilizer_component_group(rd2, subset)
         assert a.elementary_divisors == b.elementary_divisors
@@ -183,21 +181,6 @@ def test_root_index_out_of_range():
         stabilizer_component_group(rd, [5])
 
 
-def test_root_datum_json_roundtrip():
-    doc = {
-        "rank": 2,
-        "family": "Sp_dual_of_SO_odd",
-        "roots": [[1, -1], [0, 2]],
-        "center": [["1/2", "1/2"]],
-    }
-    rd = root_datum_from_json(doc)
-    assert rd.rank == 2
-    assert stabilizer_component_group(rd, [1]).elementary_divisors == (2,)
-    assert rd.center_generators[0] == (Fraction(1, 2), Fraction(1, 2))
-
-
 def test_center_generator_must_pair_integrally():
     with pytest.raises(InputError):
-        root_datum_from_json(
-            {"rank": 2, "family": "GL", "roots": [[1, -1]], "center": [["1/3", "0"]]}
-        )
+        RootDatum(2, "GL", ((1, -1),), ((Fraction(1, 3), Fraction(0)),))

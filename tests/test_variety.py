@@ -107,9 +107,3 @@ def test_json_errors():
         variety_from_json(json.dumps({"family": "e8"}))
     with pytest.raises(InputError):
         variety_from_json(json.dumps({"family": "gl", "chains": [{"dims": [0]}]}))
-
-
-def test_arrow_spaces_listing():
-    v = build_variety([Chain(Fraction(-1, 2), (2, 3))], "gl")
-    arrows = v.arrow_spaces()
-    assert arrows == [(Fraction(-1, 2), Fraction(1, 2), (3, 2))]
