@@ -3,7 +3,7 @@
 the multiplicity matrix of standard modules, and rational smoothness."""
 
 from voganlab import enumerate_orbits, kl_poly, two_eigenvalue_variety
-from voganlab.bridge import multiplicity_matrix, multisegment_to_permutation, rationally_smooth
+from voganlab.bridge import multiplicity_matrix, multisegment_to_permutation, rational_smoothness
 from voganlab.kl import poly_str
 from voganlab.report import format_table
 
@@ -24,11 +24,13 @@ print(f"\nstalk polynomial of the quadric cone at the origin: {poly_str(p)}")
 print("so the irreducible of the middle orbit appears twice in the standard")
 print("module attached to the origin (the value at q = 1).\n")
 
-mm = multiplicity_matrix(table)["entries"]
+matrix = multiplicity_matrix(table)
+mm = matrix["entries"]
 print(format_table(
     ["entry[C][D]"] + [o.label() for o in table],
     [[c.label()] + [mm[c.index][d.index] for d in table] for c in table],
 ))
 
+smooth = rational_smoothness(matrix)
 print("rationally smooth (all stalk polynomials 1):",
-      {o.label(): rationally_smooth(o, table) for o in table})
+      {o.label(): smooth[o.index] for o in table})

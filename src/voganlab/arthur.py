@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import orbits
 from .errors import InputError
@@ -128,36 +129,40 @@ def is_arthur_type(orbit: OrbitRecord) -> ArthurVerdict:
     return ArthurVerdict(True, tuple(rects), per_chain_criterion=len(shadow) > 1)
 
 
+@lru_cache(maxsize=None)
+def _rectangle_expansions(
+    offset: Fraction, length: int, total: int
+) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
+    """Sorted segments of every zero-centered rectangle (d, a) with d * a <=
+    ``total`` that fits on the exponents offset .. offset + length - 1, in
+    the (d, a) order the brute-force search tries them."""
+    out = []
+    for d in range(1, total + 1):
+        for a in range(1, total // d + 1):
+            expanded = tuple(sorted(Rectangle(d, a, Fraction(0)).segments()))
+            lo = min(s for s, _ in expanded)
+            hi = max(e for _, e in expanded)
+            if lo < offset or hi > offset + length - 1:
+                continue
+            out.append(expanded)
+    return tuple(out)
+
+
 def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
     """Independent oracle: search over all multisets of zero-centered
     rectangles with total content equal to the chain coverage."""
     target = sorted((chain.exponent(b), chain.exponent(e)) for b, e in segs)
-
-    def all_rectangles():
-        total = sum(e - b + 1 for b, e in segs)
-        rects = []
-        for d in range(1, total + 1):
-            for a in range(1, total // d + 1):
-                r = Rectangle(d, a, Fraction(0))
-                expanded = r.segments()
-                lo = min(s for s, _ in expanded)
-                hi = max(e for _, e in expanded)
-                if lo < chain.exponent(0) or hi > chain.exponent(chain.length - 1):
-                    continue
-                rects.append(r)
-        return rects
-
-    rects = all_rectangles()
+    total = sum(e - b + 1 for b, e in segs)
+    expansions = _rectangle_expansions(chain.offset, chain.length, total)
 
     def search(remaining: list, idx: int) -> bool:
         if not remaining:
             return True
-        if idx >= len(rects):
+        if idx >= len(expansions):
             return False
-        expansion = sorted(rects[idx].segments())
         rem = list(remaining)
         usable = True
-        for s in expansion:
+        for s in expansions[idx]:
             if s in rem:
                 rem.remove(s)
             else:

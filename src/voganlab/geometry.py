@@ -28,7 +28,10 @@ from first-order data: a pair (i, j) contributes the conditions
 
 exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
-vanish to order >= 2).
+vanish to order >= 2).  The composites at x_D, their ranks and each pair's
+condition rows depend only on the stratum D, so they are computed once per
+stratum and cached; the orbit C only selects the pairs whose rank meets its
+bound.  Every stratum D <= C is still scanned.
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from . import classical, linalg, orbits
 from .errors import InputError, UnsupportedFamilyError
@@ -81,44 +85,68 @@ def _composites(x: list) -> dict[tuple[int, int], list]:
     return comp
 
 
-def _chain_tangent_conditions_at(
-    segs_c: ChainSegs, x: list[linalg.Matrix], dims: tuple[int, ...]
-) -> list[list[Fraction]]:
-    """Rows of first-order conditions on v in the chain coordinates, at the
-    point with arrow matrices x (rank data of the stratum is read off x)."""
-    k = len(dims)
-    arrow_dims = [dims[i] * dims[i + 1] for i in range(k - 1)]
+def _tangent_pairs_at(x: list, dims: tuple[int, ...]) -> tuple:
+    """``(pair, rank, rows)`` for every composite i -> j at the point with
+    arrow matrices x: its rank, and the rows of first-order conditions
+    coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates.  The rows
+    count toward the tangent space of a closure exactly when the rank equals
+    the closure's bound on the pair."""
+    arrow_dims = [dims[i] * dims[i + 1] for i in range(len(dims) - 1)]
     ncols = sum(arrow_dims)
     offs = [0]
     for a in arrow_dims:
         offs.append(offs[-1] + a)
-    rc = orbits.chain_rank_matrix(segs_c, k)
     comp = _composites(x)
 
-    rows: list[list[Fraction]] = []
+    out = []
     for (i, j), c in comp.items():
-        if linalg.rank(c) != rc[(i, j)]:
-            continue
         ker = linalg.nullspace(c)
         cok = linalg.left_nullspace(c)
-        if not ker or not cok:
-            continue
-        for p in cok:
-            for kv in ker:
-                row = [Fraction(0)] * ncols
-                for l in range(i, j):
-                    left = p if l == j - 1 else linalg.matvec(
-                        linalg.transpose(comp[(l + 1, j)]), p
-                    )
-                    right = kv if l == i else linalg.matvec(comp[(i, l)], kv)
-                    base = offs[l]
-                    for a in range(dims[l + 1]):
-                        if left[a]:
-                            for b in range(dims[l]):
-                                if right[b]:
-                                    row[base + a * dims[l] + b] += left[a] * right[b]
-                rows.append(row)
-    return rows
+        rows = []
+        if ker and cok:
+            # the factors of dc(v) on each arrow l: coker . (l+1 -> j) and
+            # (i -> l) . ker
+            lefts = [
+                [p if l == j - 1 else linalg.matvec(linalg.transpose(comp[(l + 1, j)]), p)
+                 for l in range(i, j)]
+                for p in cok
+            ]
+            rights = [
+                [kv if l == i else linalg.matvec(comp[(i, l)], kv) for l in range(i, j)]
+                for kv in ker
+            ]
+            for left_l in lefts:
+                for right_l in rights:
+                    row = [Fraction(0)] * ncols
+                    for l, left, right in zip(range(i, j), left_l, right_l):
+                        base = offs[l]
+                        for a in range(dims[l + 1]):
+                            if left[a]:
+                                for b in range(dims[l]):
+                                    if right[b]:
+                                        row[base + a * dims[l] + b] += left[a] * right[b]
+                    rows.append(tuple(row))
+        # rank = number of columns - nullity
+        out.append(((i, j), len(c[0]) - len(ker), tuple(rows)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
+    """:func:`_tangent_pairs_at` at the canonical representative of the
+    stratum ``segs_d``, computed once per stratum."""
+    x = [linalg.to_fractions(m) for m in orbits.chain_representative(segs_d, dims)]
+    return _tangent_pairs_at(x, dims)
+
+
+def _tangent_dim(pairs: tuple, segs_c: ChainSegs, dims: tuple[int, ...]) -> int:
+    """Tangent dimension of the closure of ``segs_c`` at a point with
+    :func:`_tangent_pairs_at` data ``pairs``: only the pairs whose rank meets
+    the bound r_C contribute condition rows."""
+    rc = orbits.chain_rank_matrix(segs_c, len(dims))
+    rows = [row for pair, r, pair_rows in pairs if r == rc[pair] for row in pair_rows]
+    arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
+    return arrow_dim - (linalg.rank(rows) if rows else 0)
 
 
 def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
@@ -130,24 +158,18 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
         return c.dim  # closures are coordinate subspaces
     if v.kind == "two_eigenvalue":
         return _two_eig_tangent(c, d)
-    total = 0
-    for segs_c, segs_d, chain in zip(c.msegs, d.msegs, v.chains):
-        x = [
-            linalg.to_fractions(m)
-            for m in orbits.chain_representative(segs_d, chain.dims)
-        ]
-        total += chain_tangent_dim_at_point(segs_c, x, chain.dims)
-    return total
+    return sum(
+        _tangent_dim(_stratum_tangent_pairs(segs_d, chain.dims), segs_c, chain.dims)
+        for segs_c, segs_d, chain in zip(c.msegs, d.msegs, v.chains)
+    )
 
 
 def chain_tangent_dim_at_point(
     segs_c: ChainSegs, x: list[linalg.Matrix], dims: tuple[int, ...]
 ) -> int:
     """Tangent dimension of the closure of the orbit of ``segs_c`` at an
-    arbitrary point x of it, given by arrow matrices."""
-    rows = _chain_tangent_conditions_at(segs_c, x, dims)
-    arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
-    return arrow_dim - (linalg.rank(rows) if rows else 0)
+    arbitrary point x of it, given by arrow matrices (not cached)."""
+    return _tangent_dim(_tangent_pairs_at(x, dims), segs_c, dims)
 
 
 def _two_eig_tangent(c: OrbitRecord, d: OrbitRecord) -> int:

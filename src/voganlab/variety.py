@@ -31,6 +31,13 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, InputError
 
+# Largest chain total (sum of dims) a spec file may ask for.  It rejects
+# totals such as dims [10**26] whose list sizes overflow (an OverflowError
+# in the orbit enumeration).  It is no size limit: the orbit count grows
+# fast with the number of grades, so a total far below the bound spread
+# over several grades still does not finish (ROADMAP "Sizes").
+MAX_CHAIN_TOTAL = 1000
+
 GL = "GL"
 SO_EVEN = "SO_even_dual"
 SP_DUAL = "Sp_dual_of_SO_odd"
@@ -284,8 +291,13 @@ def variety_from_dict(doc: dict) -> VoganVariety:
             offset = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad chain entry {rc!r}: {exc}") from exc
-        dims = tuple(rc["dims"])
-        chains.append(Chain(offset, dims))
+        chain = Chain(offset, tuple(rc["dims"]))
+        if chain.total > MAX_CHAIN_TOTAL:
+            raise InputError(
+                f"bad chain entry: dims total {chain.total} exceeds the limit "
+                f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}"
+            )
+        chains.append(chain)
     return build_variety(chains, family)
 
 

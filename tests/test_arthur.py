@@ -5,6 +5,7 @@ import pytest
 
 from voganlab.arthur import (
     Rectangle,
+    _rectangle_expansions,
     brute_force_arthur,
     is_arthur_type,
     rectangle_multisegment,
@@ -149,6 +150,24 @@ def test_agrees_with_brute_force_search():
             for o in table:
                 (chain, segs), = gl_shadow(o)
                 assert brute_force_arthur(chain, segs) == is_arthur_type(o).is_arthur
+
+
+def test_memoised_rectangle_expansions():
+    for total in range(1, 7):
+        for dims in compositions(total):
+            # centered, shifted and one-sided grids, integer and half-integer
+            for offset in (Fraction(-t, 2) for t in range(2 * len(dims) + 1)):
+                lo, hi = offset, offset + len(dims) - 1
+                # exactly the rectangles of content <= total that fit the grid
+                fitting = [
+                    (d, a)
+                    for d in range(1, total + 1)
+                    for a in range(1, total // d + 1)
+                    if all(lo <= s and e <= hi for s, e in Rectangle(d, a, 0).segments())
+                ]
+                assert _rectangle_expansions(offset, len(dims), total) == tuple(
+                    tuple(sorted(Rectangle(d, a, 0).segments())) for d, a in fitting
+                )
 
 
 def test_classical_steinberg_orbits_arthur_iff_extreme():

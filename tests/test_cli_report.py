@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -5,18 +6,23 @@ from pathlib import Path
 import pytest
 
 from voganlab.bridge import rationally_smooth
-from voganlab.cli import main
+from voganlab.cli import main, verify_battery
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
+from voganlab.errors import InputError
 from voganlab.geometry import pyasetskii_dual, tangent_smooth_closure
 from voganlab.orbits import closure_below, enumerate_orbits
 from voganlab.report import assemble_report, hasse_dot, report_json
 from voganlab.variety import (
+    MAX_CHAIN_TOTAL,
     Chain,
     build_variety,
     point_variety,
     steinberg_variety,
     two_eigenvalue_variety,
+    variety_from_dict,
 )
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +220,25 @@ def test_overlong_integer_in_spec_exits_2(tmp_path, capsys):
     assert err.startswith("error: invalid JSON")
 
 
+def test_oversized_chain_total_exits_2(tmp_path, capsys):
+    spec = tmp_path / "huge.json"
+    spec.write_text('{"family": "gl", "chains": [{"dims": [100000000000000000000000000]}]}')
+    for command in ("analyze", "verify", "hasse"):
+        code, out, err = run_cli(capsys, command, "--spec", str(spec))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ")
+        assert "100000000000000000000000000" in err
+        assert f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}" in err
+
+
+def test_chain_total_at_the_bound_is_accepted():
+    doc = {"family": "gl", "chains": [{"dims": [MAX_CHAIN_TOTAL - 1, 1]}]}
+    assert variety_from_dict(doc).chains[0].total == MAX_CHAIN_TOTAL
+    doc["chains"][0]["dims"] = [MAX_CHAIN_TOTAL, 1]
+    with pytest.raises(InputError, match=f"total {MAX_CHAIN_TOTAL + 1}"):
+        variety_from_dict(doc)
+
+
 def test_missing_spec_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "no-such-spec.json"
     code, out, err = run_cli(capsys, "analyze", "--spec", str(missing))
@@ -237,6 +262,28 @@ def test_verify_empty_spec_vacuous(tmp_path, capsys):
     spec.write_text(json.dumps({"family": "gl", "chains": []}))
     code, out, _ = run_cli(capsys, "verify", "--spec", str(spec))
     assert code == 0
+
+
+def benchmark_workloads():
+    """The benchmark's own ``perfbench/workloads.py``, loaded read-only, so
+    the goldens are checked on the varieties they were made from."""
+    path = GOLDEN_DIR.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_verify_rows_match_the_benchmark_goldens(golden):
+    # the goldens are only read here; they hold the (name, passed) rows of
+    # cli.verify_battery, the intended FAIL of the order-reversal row included
+    build = benchmark_workloads().build
+    doc = json.loads(golden.read_text())
+    assert doc["varieties"]
+    for name, entry in sorted(doc["varieties"].items()):
+        rows = verify_battery(build(entry["spec"]), seed=doc["seed"])
+        assert [[row_name, ok] for row_name, ok, _ in rows] == entry["verify"], name
 
 
 def test_verify_reports_order_reversal_failure(tmp_path, capsys):

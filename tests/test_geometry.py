@@ -134,6 +134,35 @@ def test_tangent_dim_constant_on_orbit():
         assert base == tangent_dim_at(c, d)
 
 
+def test_stratum_cache_matches_uncached_point():
+    # tangent_dim_at reads the per-stratum cache; the point route rebuilds
+    # every composite from a fresh Fraction copy of the representative
+    for total in range(1, 6):
+        for dims in compositions(total):
+            table = enumerate_orbits(gl_chain(dims))
+            for d in table:
+                x = [
+                    [[Fraction(e) for e in row] for row in m]
+                    for m in chain_representative(d.msegs[0], dims)
+                ]
+                for c in table:
+                    if closure_leq(d, c):
+                        assert tangent_dim_at(c, d) == chain_tangent_dim_at_point(
+                            c.msegs[0], x, dims
+                        ), (dims, c.index, d.index)
+
+
+def test_stratum_cache_is_immutable():
+    dims = (1, 2, 1)
+    table = enumerate_orbits(gl_chain(dims))
+    for d in table:
+        pairs = geometry._stratum_tangent_pairs(d.msegs[0], dims)
+        assert isinstance(pairs, tuple)
+        for pair, rank, rows in pairs:
+            assert isinstance(rows, tuple)
+            assert all(isinstance(row, tuple) for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # conormal spaces
 
