@@ -40,10 +40,11 @@ the alternatives exist only inside :func:`calibrate`.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 from . import geometry, kl, orbits
 from .errors import InputError, UnsupportedFamilyError
-from .kl import Perm, Poly
+from .kl import Perm
 from .orbits import ChainSegs, OrbitRecord
 
 # frozen bridge convention; see calibrate()
@@ -117,31 +118,16 @@ def multisegment_to_permutation(orbit: OrbitRecord) -> tuple[Perm, ...]:
 # multiplicities
 
 
-def _perms_poly(pc: tuple[Perm, ...], pd: tuple[Perm, ...]) -> Poly:
-    """Product over chains of P_{w(C), w(D)}, given both bridge permutations."""
-    result = kl.ONE
-    for wc, wd in zip(pc, pd):
-        p = kl.kl_poly(wc, wd)
-        if not p:
-            return kl.ZERO
-        result = _poly_mul(result, p)
-    return result
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return kl.ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return kl.poly_trim(out)
+def _perms_value(pc: tuple[Perm, ...], pd: tuple[Perm, ...]) -> int:
+    """Product over chains of P_{w(C), w(D)}(1), given both bridge
+    permutations; evaluation at q = 1 is a ring homomorphism."""
+    return prod(kl.poly_eval_at_one(kl.kl_poly(wc, wd)) for wc, wd in zip(pc, pd))
 
 
 def multiplicity(c: OrbitRecord, d: OrbitRecord) -> int:
     """[standard module of C : irreducible of D], trivial local systems."""
     pc, pd = multisegment_to_permutation(c), multisegment_to_permutation(d)
-    return kl.poly_eval_at_one(_perms_poly(pc, pd))
+    return _perms_value(pc, pd)
 
 
 def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None) -> dict:
@@ -167,7 +153,7 @@ def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None
         for j, down in enumerate(below):
             for i in range(n):
                 if down >> i & 1:
-                    entries[i][j] = kl.poly_eval_at_one(_perms_poly(perms[i], perms[j]))
+                    entries[i][j] = _perms_value(perms[i], perms[j])
         return {"entries": entries, "source": "kl", "complete": True}
     smooth = [geometry.is_smooth_closure(d, table) for d in table]
     entries = [

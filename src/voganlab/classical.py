@@ -36,75 +36,39 @@ def _zero(dim: int) -> list[list[int]]:
     return [[0] * dim for _ in range(dim)]
 
 
-def _weights_and_rho(family: str, n: int):
-    """Weight of each basis vector (as +i / -i / 0) and the coroot-sum pairing."""
-    if family == SP_DUAL:
-        dim = 2 * n
-        weights = list(range(1, n + 1)) + [-(n - i) for i in range(n)]
-        rho = {i: Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1)}
-    elif family == SO_ODD:
-        dim = 2 * n + 1
-        weights = list(range(1, n + 1)) + [0] + [-(n - i) for i in range(n)]
-        rho = {i: Fraction(n - i + 1) for i in range(1, n + 1)}
-    elif family == SO_EVEN:
-        dim = 2 * n
-        weights = list(range(1, n + 1)) + [-(n - i) for i in range(n)]
-        rho = {i: Fraction(n - i) for i in range(1, n + 1)}
-    else:
-        raise UnsupportedFamilyError(f"no classical model for family {family!r}")
-    exps = [rho[w] if w > 0 else (-rho[-w] if w < 0 else Fraction(0)) for w in weights]
-    return dim, weights, exps
-
-
 def simple_root_matrices(family: str, n: int) -> list[list[list[int]]]:
-    """Root vectors for the simple roots, acting on the graded standard rep."""
-    if family == SP_DUAL:
-        dim = 2 * n
-        prime = lambda i: 2 * n + 1 - i  # noqa: E731
-        mats = []
-        for i in range(1, n):  # e_i - e_{i+1}
-            m = _zero(dim)
-            m[i - 1][i] = 1
-            m[prime(i + 1) - 1][prime(i) - 1] = -1
-            mats.append(m)
-        m = _zero(dim)  # 2 e_n
-        m[n - 1][n] = 1
-        mats.append(m)
-        return mats
-    if family == SO_ODD:
-        dim = 2 * n + 1
-        prime = lambda i: 2 * n + 2 - i  # noqa: E731
-        mid = n + 1
-        mats = []
-        for i in range(1, n):
-            m = _zero(dim)
-            m[i - 1][i] = 1
-            m[prime(i + 1) - 1][prime(i) - 1] = -1
-            mats.append(m)
-        m = _zero(dim)  # e_n
-        m[n - 1][mid - 1] = 1
-        m[mid - 1][prime(n) - 1] = -1
-        mats.append(m)
-        return mats
-    if family == SO_EVEN:
-        dim = 2 * n
-        prime = lambda i: 2 * n + 1 - i  # noqa: E731
-        mats = []
-        for i in range(1, n):
-            m = _zero(dim)
-            m[i - 1][i] = 1
-            m[prime(i + 1) - 1][prime(i) - 1] = -1
-            mats.append(m)
-        m = _zero(dim)  # e_{n-1} + e_n
-        m[n - 2][prime(n) - 1] = 1
-        m[n - 1][prime(n - 1) - 1] = -1
-        mats.append(m)
-        return mats
-    raise UnsupportedFamilyError(f"no classical model for family {family!r}")
+    """Root vectors for the simple roots, acting on the graded standard rep:
+    e_i - e_{i+1} (i < n), then the family's last simple root."""
+    if family not in (SP_DUAL, SO_ODD, SO_EVEN):
+        raise UnsupportedFamilyError(f"no classical model for family {family!r}")
+    dim = 2 * n + (family == SO_ODD)
+    prime = lambda i: dim + 1 - i  # noqa: E731  (basis index of weight -e_i)
+
+    def root(*entries: tuple[int, int, int]) -> list[list[int]]:
+        m = _zero(dim)
+        for r, c, x in entries:  # 1-based basis indices
+            m[r - 1][c - 1] = x
+        return m
+
+    mats = [root((i, i + 1, 1), (prime(i + 1), prime(i), -1)) for i in range(1, n)]
+    if family == SP_DUAL:  # 2 e_n
+        mats.append(root((n, n + 1, 1)))
+    elif family == SO_ODD:  # e_n, through the weight-0 middle vector
+        mats.append(root((n, n + 1, 1), (n + 1, n + 2, -1)))
+    else:  # e_{n-1} + e_n
+        mats.append(root((n - 1, n + 1, 1), (n, n + 2, -1)))
+    return mats
 
 
 def graded_exponents(family: str, n: int) -> list[Fraction]:
-    return _weights_and_rho(family, n)[2]
+    """Pairing with the coroot sum of each basis weight e_1..e_n, [0],
+    -e_n..-e_1: e_i pairs to n - i + h, h = 1/2, 1, 0 for Sp(2n),
+    SO(2n+1), SO(2n)."""
+    h = {SP_DUAL: Fraction(1, 2), SO_ODD: Fraction(1), SO_EVEN: Fraction(0)}.get(family)
+    if h is None:
+        raise UnsupportedFamilyError(f"no classical model for family {family!r}")
+    top = [n - i + h for i in range(1, n + 1)]
+    return top + [Fraction(0)] * (family == SO_ODD) + [-e for e in reversed(top)]
 
 
 def subset_point_matrix(family: str, n: int, subset) -> list[list[int]]:

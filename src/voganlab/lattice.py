@@ -2,9 +2,10 @@
 Exact integer-lattice arithmetic and torus-stabilizer component groups.
 
 Smith normal form is computed over Python integers (arbitrary precision, no
-modular shortcuts) with the two unimodular transforms carried along.  On top
-of it sit the finite invariants of diagonalisable stabilizers inside a dual
-torus: the subgroup of a torus cut out by a set of characters has component
+modular shortcuts) with the two unimodular transforms carried along, and the
+inverse of the left one built beside it by the inverse column operations.
+On top of it sit the finite invariants of diagonalisable stabilizers inside a
+dual torus: the subgroup of a torus cut out by a set of characters has component
 group equal to the torsion of the character-lattice cokernel, and torsion
 elements of the torus (given as rational cocharacters) land in explicit
 components.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
+from .variety import GL, SO_EVEN, SO_ODD, SP_DUAL
 
 IntMat = list[list[int]]
 
@@ -42,20 +44,26 @@ def _addmul_col(m: IntMat, dst: int, src: int, c: int) -> None:
         row[dst] += c * row[src]
 
 
-def smith_normal_form(matrix) -> tuple[IntMat, IntMat, IntMat]:
-    """
-    Return (D, U, V) with D = U * M * V, U and V unimodular, D diagonal with
-    non-negative entries satisfying d_1 | d_2 | ...
-
-    >>> D, U, V = smith_normal_form([[2, 4], [6, 8]])
-    >>> [D[0][0], D[1][1]]
-    [2, 4]
-    """
+def _smith(matrix) -> tuple[IntMat, IntMat, IntMat, IntMat]:
+    """(D, U, U^{-1}, V) with D = U * M * V.  Each row operation on U is
+    mirrored by the inverse column operation on U^{-1}."""
     m = [[int(x) for x in row] for row in matrix]
     nr = len(m)
     nc = len(m[0]) if m else 0
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    uinv = [row[:] for row in u]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i: int, j: int) -> None:
+        _swap_rows(m, i, j)
+        _swap_rows(u, i, j)
+        _swap_cols(uinv, i, j)
+
+    def addmul_row(dst: int, src: int, c: int) -> None:
+        # row_dst += c * row_src on the left; col_src -= c * col_dst on U^{-1}
+        _addmul_row(m, dst, src, c)
+        _addmul_row(u, dst, src, c)
+        _addmul_col(uinv, src, dst, -c)
 
     def pivot_smallest(t: int) -> tuple[int, int] | None:
         best = None
@@ -71,8 +79,7 @@ def smith_normal_form(matrix) -> tuple[IntMat, IntMat, IntMat]:
         if pos is None:
             break
         pi, pj = pos
-        _swap_rows(m, t, pi)
-        _swap_rows(u, t, pi)
+        swap_rows(t, pi)
         _swap_cols(m, t, pj)
         _swap_cols(v, t, pj)
         dirty = True
@@ -80,12 +87,9 @@ def smith_normal_form(matrix) -> tuple[IntMat, IntMat, IntMat]:
             dirty = False
             for i in range(t + 1, nr):
                 if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    _addmul_row(m, i, t, -q)
-                    _addmul_row(u, i, t, -q)
+                    addmul_row(i, t, -(m[i][t] // m[t][t]))
                     if m[i][t]:
-                        _swap_rows(m, t, i)
-                        _swap_rows(u, t, i)
+                        swap_rows(t, i)
                         dirty = True
             for j in range(t + 1, nc):
                 if m[t][j]:
@@ -107,8 +111,7 @@ def smith_normal_form(matrix) -> tuple[IntMat, IntMat, IntMat]:
             if bad is not None:
                 break
         if bad is not None:
-            _addmul_row(m, t, bad, 1)
-            _addmul_row(u, t, bad, 1)
+            addmul_row(t, bad, 1)
             continue
         t += 1
 
@@ -116,7 +119,22 @@ def smith_normal_form(matrix) -> tuple[IntMat, IntMat, IntMat]:
         if m[i][i] < 0:
             m[i] = [-x for x in m[i]]
             u[i] = [-x for x in u[i]]
-    return m, u, v
+            for row in uinv:
+                row[i] = -row[i]
+    return m, u, uinv, v
+
+
+def smith_normal_form(matrix) -> tuple[IntMat, IntMat, IntMat]:
+    """
+    Return (D, U, V) with D = U * M * V, U and V unimodular, D diagonal with
+    non-negative entries satisfying d_1 | d_2 | ...
+
+    >>> D, U, V = smith_normal_form([[2, 4], [6, 8]])
+    >>> [D[0][0], D[1][1]]
+    [2, 4]
+    """
+    d, u, _uinv, v = _smith(matrix)
+    return d, u, v
 
 
 def elementary_divisors(matrix) -> list[int]:
@@ -132,7 +150,7 @@ def elementary_divisors(matrix) -> list[int]:
 # ---------------------------------------------------------------------------
 # root data and component groups
 
-FAMILIES = ("GL", "SO_even_dual", "Sp_dual_of_SO_odd", "SO_odd_dual_of_Sp")
+FAMILIES = (GL, SO_EVEN, SP_DUAL, SO_ODD)
 
 
 @dataclass(frozen=True)
@@ -140,13 +158,6 @@ class ComponentGroup:
     """Finite abelian group as a divisor chain; empty list = trivial group."""
 
     elementary_divisors: tuple[int, ...] = ()
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.elementary_divisors:
-            n *= d
-        return n
 
     @property
     def is_trivial(self) -> bool:
@@ -193,41 +204,18 @@ class RootDatum:
             raise InputError(f"root index out of range (have {len(self.roots)} roots)") from None
 
 
-def _int_inverse(u: IntMat) -> IntMat:
-    """Inverse of a unimodular integer matrix (exact, still integral)."""
-    n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(u)]
-    # forward elimination with full pivoting is overkill; plain Gauss-Jordan
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = [[x for x in row[n:]] for row in aug]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
-
-
-def _snf_for_subset(rd: RootDatum, subset) -> tuple[IntMat, IntMat, list[int]]:
+def _snf_for_subset(rd: RootDatum, subset) -> tuple[IntMat, list[int]]:
     """Smith data for the character sublattice spanned by the chosen roots.
 
-    Returns (D, U_inv, divisors) where the adapted basis of the character
+    Returns (U_inv, divisors) where the adapted basis of the character
     lattice is the columns of U_inv: the sublattice is spanned by
     divisor_i * (column i of U_inv).
     """
     rows = rd.root_subset(sorted(set(subset)))
-    identity = [[int(i == j) for j in range(rd.rank)] for i in range(rd.rank)]
-    if not rows:
-        return [], identity, []
-    mt = [[rows[j][i] for j in range(len(rows))] for i in range(rd.rank)]
-    d, u, _v = smith_normal_form(mt)
+    mt = [[r[i] for r in rows] for i in range(rd.rank)]
+    d, _u, uinv, _v = _smith(mt)
     divisors = [d[i][i] for i in range(min(len(d), len(rows))) if d[i][i]]
-    return d, _int_inverse(u), divisors
+    return uinv, divisors
 
 
 def stabilizer_component_group(rd: RootDatum, subset) -> ComponentGroup:
@@ -237,7 +225,7 @@ def stabilizer_component_group(rd: RootDatum, subset) -> ComponentGroup:
     The subset indexes ``rd.roots``.  The answer is the torsion of the
     character-lattice cokernel, read off the Smith form (divisors > 1).
     """
-    _d, _uinv, divisors = _snf_for_subset(rd, subset)
+    _uinv, divisors = _snf_for_subset(rd, subset)
     return ComponentGroup(tuple(d for d in divisors if d > 1))
 
 
@@ -251,7 +239,7 @@ def center_image(rd: RootDatum, subset) -> tuple[dict[int, tuple[int, ...]], boo
     component group (nontrivial local systems then all come from non-split
     forms).
     """
-    _d, uinv, divisors = _snf_for_subset(rd, subset)
+    uinv, divisors = _snf_for_subset(rd, subset)
     torsion = [(i, d) for i, d in enumerate(divisors) if d > 1]
     mapping: dict[int, tuple[int, ...]] = {}
     for gi, z in enumerate(rd.center_generators):
@@ -283,42 +271,34 @@ def center_image(rd: RootDatum, subset) -> tuple[dict[int, tuple[int, ...]], boo
 # built-in root data, parameterised by rank
 
 
-def _e(i: int, n: int) -> list[int]:
+def _vec(n: int, *entries: tuple[int, int]) -> tuple[int, ...]:
+    """Length-n integer vector with the given (index, value) entries."""
     v = [0] * n
-    v[i] = 1
-    return v
-
-
-def _diff(i: int, n: int) -> tuple[int, ...]:
-    v = [0] * n
-    v[i] = 1
-    v[i + 1] = -1
+    for i, x in entries:
+        v[i] = x
     return tuple(v)
 
 
 def builtin_root_datum(family: str, n: int) -> RootDatum:
-    """Simple roots and centre torsion for the four built-in dual groups."""
+    """Simple roots and centre torsion for the four built-in dual groups: the
+    roots e_i - e_{i+1} (i < n), then the family's last simple root."""
     if n < 1:
         raise InputError("rank must be >= 1")
-    half = Fraction(1, 2)
-    if family == "GL":
-        roots = tuple(_diff(i, n) for i in range(n - 1))
-        return RootDatum(n, family, roots, ())
-    if family == "Sp_dual_of_SO_odd":
-        # dual group Sp(2n, C); extra simple root 2 e_n; centre {±1}
-        roots = tuple(_diff(i, n) for i in range(n - 1)) + (tuple(2 * x for x in _e(n - 1, n)),)
-        return RootDatum(n, family, roots, ((half,) * n,))
-    if family == "SO_odd_dual_of_Sp":
-        # dual group SO(2n+1, C); extra simple root e_n; centre trivial
-        roots = tuple(_diff(i, n) for i in range(n - 1)) + (tuple(_e(n - 1, n)),)
-        return RootDatum(n, family, roots, ())
-    if family == "SO_even_dual":
-        # dual group SO(2n, C); extra simple root e_{n-1} + e_n; centre {±1}
+    if family not in FAMILIES:
+        raise InputError(f"unknown family {family!r}")
+    roots = [_vec(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+    if family == SP_DUAL:
+        # dual group Sp(2n, C): 2 e_n
+        roots.append(_vec(n, (n - 1, 2)))
+    elif family == SO_ODD:
+        # dual group SO(2n+1, C): e_n
+        roots.append(_vec(n, (n - 1, 1)))
+    elif family == SO_EVEN:
+        # dual group SO(2n, C): e_{n-1} + e_n
         if n < 2:
             raise InputError("SO_even_dual needs rank >= 2")
-        extra = [0] * n
-        extra[n - 2] = 1
-        extra[n - 1] = 1
-        roots = tuple(_diff(i, n) for i in range(n - 1)) + (tuple(extra),)
-        return RootDatum(n, family, roots, ((half,) * n,))
-    raise InputError(f"unknown family {family!r}")
+        roots.append(_vec(n, (n - 2, 1), (n - 1, 1)))
+    # centre torsion: {±1} for Sp(2n, C) and SO(2n, C), trivial for
+    # SO(2n+1, C); none is recorded for GL
+    center = ((Fraction(1, 2),) * n,) if family in (SP_DUAL, SO_EVEN) else ()
+    return RootDatum(n, family, tuple(roots), center)

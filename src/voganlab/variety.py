@@ -31,11 +31,12 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, InputError
 
-# Largest chain total (sum of dims) a spec file may ask for.  It rejects
-# totals such as dims [10**26] whose list sizes overflow (an OverflowError
-# in the orbit enumeration).  It is no size limit: the orbit count grows
-# fast with the number of grades, so a total far below the bound spread
-# over several grades still does not finish (ROADMAP "Sizes").
+# Largest chain total (sum of dims) a spec file, --steinberg or --two-eig
+# may ask for.  It rejects totals such as dims [10**26] whose list sizes
+# overflow (an OverflowError in the orbit enumeration).  It is no size
+# limit: the orbit count grows fast with the number of grades, so a total
+# far below the bound spread over several grades still does not finish
+# (ROADMAP "Sizes").
 MAX_CHAIN_TOTAL = 1000
 
 GL = "GL"
@@ -53,6 +54,15 @@ FAMILY_ALIASES = {
     SP_DUAL: SP_DUAL,
     SO_ODD: SO_ODD,
 }
+
+
+def _check_total(total: int, what: str) -> None:
+    """Refuse a grading of ``what`` whose dims total exceeds MAX_CHAIN_TOTAL."""
+    if total > MAX_CHAIN_TOTAL:
+        raise InputError(
+            f"{what}: dims total {total} exceeds the limit "
+            f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}"
+        )
 
 
 def canonical_family(tag: str) -> str:
@@ -218,6 +228,8 @@ def steinberg_grading(family: str, n: int) -> Chain:
     family = canonical_family(family)
     if n < 1:
         raise InputError("n must be >= 1")
+    total = n if family == GL else 2 * n + (family == SO_ODD)
+    _check_total(total, f"steinberg grading of rank {n}")
     if family == GL:
         return Chain(Fraction(-(n - 1), 2), (1,) * n)
     if family == SP_DUAL:
@@ -246,6 +258,7 @@ def two_eigenvalue_variety(family: str, n: int) -> VoganVariety:
     family = canonical_family(family)
     if n < 1:
         raise InputError("n must be >= 1")
+    _check_total(2 * n, f"two-eigenvalue grading ({n}, {n})")
     chain = Chain(Fraction(-1, 2), (n, n))
     if family == GL:
         return VoganVariety(GL, "chain", (chain,))
@@ -292,11 +305,7 @@ def variety_from_dict(doc: dict) -> VoganVariety:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad chain entry {rc!r}: {exc}") from exc
         chain = Chain(offset, tuple(rc["dims"]))
-        if chain.total > MAX_CHAIN_TOTAL:
-            raise InputError(
-                f"bad chain entry: dims total {chain.total} exceeds the limit "
-                f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}"
-            )
+        _check_total(chain.total, "bad chain entry")
         chains.append(chain)
     return build_variety(chains, family)
 

@@ -229,6 +229,17 @@ def test_oversized_chain_total_exits_2(tmp_path, capsys):
         assert err.startswith("error: ")
         assert "100000000000000000000000000" in err
         assert f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}" in err
+    huge = str(10**23)
+    for args in (
+        ["--steinberg", huge],
+        ["--family", "sp-dual", "--steinberg", huge],
+        ["--family", "sp-dual", "--two-eig", huge],
+        ["--family", "gl", "--two-eig", huge],
+    ):
+        code, out, err = run_cli(capsys, "analyze", *args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}" in err
 
 
 def test_chain_total_at_the_bound_is_accepted():

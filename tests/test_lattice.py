@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,7 +7,9 @@ import pytest
 
 from voganlab.errors import InputError
 from voganlab.lattice import (
+    FAMILIES,
     RootDatum,
+    _smith,
     builtin_root_datum,
     center_image,
     smith_normal_form,
@@ -34,8 +37,6 @@ def det(m):
 
 def minors_gcd_divisors(m):
     """Independent oracle: d_1 ... d_k = gcd of all k x k minors."""
-    import itertools
-
     nr, nc = len(m), len(m[0])
     out = []
     prev = 1
@@ -52,8 +53,15 @@ def minors_gcd_divisors(m):
     return out
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def check_snf(m):
     d, u, v = smith_normal_form(m)
+    d2, u2, uinv, v2 = _smith(m)
+    assert (d2, u2, v2) == (d, u, v)
+    assert matmul(u, uinv) == identity(len(m))
     assert matmul(matmul(u, m), v) == d
     assert det(u) in (1, -1)
     assert det(v) in (1, -1)
@@ -67,6 +75,7 @@ def check_snf(m):
 
 
 def test_snf_identity():
+    check_snf([[1, 0], [0, 1]])
     d, u, v = smith_normal_form([[1, 0], [0, 1]])
     assert d == [[1, 0], [0, 1]]
     assert u == [[1, 0], [0, 1]]
@@ -74,6 +83,7 @@ def test_snf_identity():
 
 
 def test_snf_1x1():
+    assert check_snf([[2]]) == [2]
     d, _, _ = smith_normal_form([[2]])
     assert d == [[2]]
 
@@ -184,3 +194,42 @@ def test_root_index_out_of_range():
 def test_center_generator_must_pair_integrally():
     with pytest.raises(InputError):
         RootDatum(2, "GL", ((1, -1),), ((Fraction(1, 3), Fraction(0)),))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_snf_inverse_on_every_root_subset(family):
+    # the matrix _snf_for_subset reduces: one column per chosen root
+    for n in range(2 if family == "SO_even_dual" else 1, 7):
+        rd = builtin_root_datum(family, n)
+        for k in range(1, len(rd.roots) + 1):
+            for subset in itertools.combinations(rd.roots, k):
+                check_snf([[r[i] for r in subset] for i in range(n)])
+
+
+def expected_component_group(family, n, subset):
+    """Closed form, independent of the Smith form: the divisors and the
+    centre classes of the stabilizer of the subset."""
+    if family == "Sp_dual_of_SO_odd":
+        disconnected = n - 1 in subset  # the long root 2 e_n
+    elif family == "SO_even_dual":
+        disconnected = {n - 2, n - 1} <= set(subset)
+    else:
+        return (), {}
+    return ((2,), {0: (1,)}) if disconnected else ((), {0: ()})
+
+
+def test_component_groups_match_closed_form_on_every_subset():
+    ranks = {"Sp_dual_of_SO_odd": range(1, 9), "SO_odd_dual_of_Sp": range(1, 9),
+             "SO_even_dual": range(3, 9)}
+    checked = 0
+    for family, ns in ranks.items():
+        for n in ns:
+            rd = builtin_root_datum(family, n)
+            for k in range(n + 1):
+                for subset in itertools.combinations(range(n), k):
+                    classes, surjective = center_image(rd, subset)
+                    got = (stabilizer_component_group(rd, subset).elementary_divisors, classes)
+                    assert got == expected_component_group(family, n, subset), (family, n, subset)
+                    assert surjective
+                    checked += 1
+    assert checked == 1524
