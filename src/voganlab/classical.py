@@ -5,14 +5,12 @@ general-linear realisation of their Steinberg-parameter orbits.
 For each family the standard representation is graded by the pairing of its
 weights with the coroot sum, so every simple root vector raises the grade by
 exactly one.  A subset S of simple roots determines a point x_S (the sum of
-the chosen root vectors); its general-linear shadow is the multisegment read
-off the ranks of the graded powers of x_S.  That shadow is what the
-Arthur-type test consumes.  Grades of these gradings have dimension 1 or 2,
-so x_S is a chain of integer blocks of size at most 2 x 2 between
-consecutive grades; the ranks come from composing those blocks once per
-start grade, and since one end of each composite is a line, its rank is
-whether it is nonzero.  The rank computation on dense powers of x_S is kept
-as the oracle (:func:`graded_power_multisegment`).
+the chosen root vectors); its general-linear shadow is the multisegment of
+x_S on that grading, and it is what the Arthur-type test consumes.  Each
+simple root vector joins weight lines of neighbouring grades, so the
+segments are the maximal runs of grades joined by roots in S
+(:func:`gl_multisegment_of_subset`).  The ranks of the dense graded powers
+of x_S are kept as the oracle (:func:`graded_power_multisegment`).
 
 Matrix conventions (split forms, Gram matrix antidiagonal):
 
@@ -32,10 +30,6 @@ from .errors import InputError, UnsupportedFamilyError
 from .variety import SO_EVEN, SO_ODD, SP_DUAL, Chain, steinberg_grading
 
 
-def _zero(dim: int) -> list[list[int]]:
-    return [[0] * dim for _ in range(dim)]
-
-
 def simple_root_matrices(family: str, n: int) -> list[list[list[int]]]:
     """Root vectors for the simple roots, acting on the graded standard rep:
     e_i - e_{i+1} (i < n), then the family's last simple root."""
@@ -45,7 +39,7 @@ def simple_root_matrices(family: str, n: int) -> list[list[list[int]]]:
     prime = lambda i: dim + 1 - i  # noqa: E731  (basis index of weight -e_i)
 
     def root(*entries: tuple[int, int, int]) -> list[list[int]]:
-        m = _zero(dim)
+        m = [[0] * dim for _ in range(dim)]
         for r, c, x in entries:  # 1-based basis indices
             m[r - 1][c - 1] = x
         return m
@@ -76,12 +70,7 @@ def subset_point_matrix(family: str, n: int, subset) -> list[list[int]]:
     if any(i < 0 or i >= len(mats) for i in subset):
         raise InputError(f"root index out of range (have {len(mats)} simple roots)")
     dim = len(mats[0])
-    x = _zero(dim)
-    for i in subset:
-        for a in range(dim):
-            for b in range(dim):
-                x[a][b] += mats[i][a][b]
-    return x
+    return [[sum(mats[i][a][b] for i in subset) for b in range(dim)] for a in range(dim)]
 
 
 def _graded_subset_point(family: str, n: int, subset):
@@ -118,28 +107,32 @@ def gl_multisegment_of_subset(family: str, n: int, subset) -> tuple[Chain, tuple
     """
     The multisegment of x_S, read on the standard-representation grading.
 
-    Returns (chain, segments) with segments a sorted tuple of (b, e) index
-    pairs on the chain grid.  Segment counts come from the ranks of the
-    graded powers of x_S via inclusion-exclusion; each power from grade a to
-    grade b is the product of the blocks of x_S between consecutive grades.
-    Only the middle grade of the even orthogonal grading has dimension 2, so
-    for a != b one end is a line and the rank is 1 iff the power is nonzero.
+    Returns (chain, segments), segments a sorted tuple of (b, e) index pairs
+    on the chain grid: the maximal runs of positions joined by roots in S.
+    In grade order the weight lines are -e_1, ..., -e_n, [0], e_n, ..., e_1,
+    so root min(p, k - 2 - p, n - 1) joins positions p and p + 1.  The even
+    orthogonal grading has the lines +-e_n in its middle grade m: each half
+    joins m iff root n - 2 or n - 1 is in S, and a run passes through m iff
+    both are, leaving the other line as [m, m].
     """
-    chain, x, buckets = _graded_subset_point(family, n, subset)
-    k = chain.length
-    blocks = [[[x[r][c] for c in buckets[l]] for r in buckets[l + 1]] for l in range(k - 1)]
-    ranks = {}
-    for a in range(k):
-        ranks[(a, a)] = len(buckets[a])
-        power = [[int(r == c) for c in range(len(buckets[a]))] for r in range(len(buckets[a]))]
-        for b in range(a + 1, k):
-            step = blocks[b - 1]
-            power = [
-                [sum(s * p[c] for s, p in zip(row, power)) for c in range(len(power[0]))]
-                for row in step
-            ]
-            ranks[(a, b)] = int(any(any(row) for row in power))
-    return chain, segments_from_ranks(ranks, k)
+    if family not in (SP_DUAL, SO_ODD, SO_EVEN):
+        raise UnsupportedFamilyError(f"no classical model for family {family!r}")
+    chain, s = steinberg_grading(family, n), set(subset)
+    if any(i < 0 or i >= n for i in s):
+        raise InputError(f"root index out of range (have {n} simple roots)")
+    k, m, last = chain.length, n - 1, s & {n - 2, n - 1}
+    joined = [min(p, k - 2 - p, n - 1) in s for p in range(k - 1)]
+    if family == SO_EVEN:  # the middle grade m holds the two lines +-e_n
+        joined[m - 1] = joined[m] = bool(last)
+    starts = [0] + [p + 1 for p, j in enumerate(joined) if not j]
+    segs = [(a, b - 1) for a, b in zip(starts, starts[1:] + [k])]
+    if family == SO_EVEN and len(last) == 1:  # the run through m splits there
+        a, b = next(seg for seg in segs if seg[0] < m < seg[1])
+        segs += [(a, m), (m, b)]
+        segs.remove((a, b))
+    elif family == SO_EVEN:
+        segs.append((m, m))
+    return chain, tuple(sorted(segs))
 
 
 def graded_power_multisegment(family: str, n: int, subset) -> tuple[Chain, tuple]:

@@ -8,7 +8,8 @@ On top of it sit the finite invariants of diagonalisable stabilizers inside a
 dual torus: the subgroup of a torus cut out by a set of characters has component
 group equal to the torsion of the character-lattice cokernel, and torsion
 elements of the torus (given as rational cocharacters) land in explicit
-components.
+components.  Reports use the closed form for the built-in root data
+(:func:`builtin_component_group`); the Smith route is its oracle.
 """
 
 from __future__ import annotations
@@ -302,3 +303,15 @@ def builtin_root_datum(family: str, n: int) -> RootDatum:
     # SO(2n+1, C); none is recorded for GL
     center = ((Fraction(1, 2),) * n,) if family in (SP_DUAL, SO_EVEN) else ()
     return RootDatum(n, family, tuple(roots), center)
+
+
+def builtin_component_group(family: str, n: int, subset) -> tuple[ComponentGroup, dict]:
+    """Closed form of :func:`stabilizer_component_group` and the classes of
+    :func:`center_image` on ``builtin_root_datum(family, n)``: Z/2, generated
+    by the centre, iff S holds the long root 2 e_n of Sp(2n, C) or both roots
+    e_{n-1} -+ e_n of SO(2n, C); connected otherwise."""
+    if family not in (SP_DUAL, SO_EVEN):
+        return ComponentGroup(), {}
+    if ({n - 1} if family == SP_DUAL else {n - 2, n - 1}) <= set(subset):
+        return ComponentGroup((2,)), {0: (1,)}
+    return ComponentGroup(), {0: ()}

@@ -14,7 +14,9 @@ M = sum of segment modules, and dim Hom([b_s, e_s], [b_t, e_t]) is 1 exactly
 when b_t <= b_s <= e_t <= e_s, so the dimension is a count over pairs of
 segments.  The exact rank of the infinitesimal group action at a
 representative (:func:`commutator_orbit_dim`) is kept as the oracle for that
-count; the two-eigenvalue shapes still use the action rank.
+count.  The rank-r two-eigenvalue orbit has dimension n r - r (r - 1) / 2
+(symmetric forms) or n r - r (r + 1) / 2 (antisymmetric), with the action
+rank (:func:`two_eig_orbit_dim`) as the oracle.
 
 Ids are deterministic: orbits are sorted by dimension, then by their rank
 data, so identical inputs always produce identical tables.
@@ -257,8 +259,9 @@ def enumerate_orbits(v: VoganVariety) -> list[OrbitRecord]:
         return _sort_and_finish(v, raw)
     if v.kind == "two_eigenvalue":
         ranks = range(0, v.n + 1) if v.symmetric_form else range(0, v.n + 1, 2)
+        sign = -1 if v.symmetric_form else 1
         raw = [
-            {"rank": r, "dim": two_eig_orbit_dim(v, r), "sort_key": (r,)}
+            {"rank": r, "dim": v.n * r - r * (r + sign) // 2, "sort_key": (r,)}
             for r in ranks
         ]
         return _sort_and_finish(v, raw)
@@ -309,6 +312,7 @@ def two_eig_action_matrix(v: VoganVariety, x) -> list[list]:
 
 
 def two_eig_orbit_dim(v: VoganVariety, rank: int) -> int:
+    """Oracle for the two-eigenvalue dimensions: the rank of the action."""
     x = two_eig_representative(v, rank)
     return linalg.rank(two_eig_action_matrix(v, x))
 

