@@ -16,7 +16,7 @@ rows = []
 for o in table:
     rows.append([o.index, o.label(), o.dim,
                  "open" if o.is_open else ("closed" if o.is_closed else ""),
-                 "smooth" if is_smooth_closure(o, table) else "singular"])
+                 "smooth" if is_smooth_closure(o) else "singular"])
 print(format_table(["id", "multisegment", "dim", "extreme", "closure"], rows))
 
 print("covering relations:", hasse(table))

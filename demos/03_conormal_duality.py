@@ -28,7 +28,7 @@ it, so conormal duality is NOT an anti-automorphism of the closure order.
 """)
 
 a, b = table[1], table[3]
-da, db = pyasetskii_dual(a, 0, table), pyasetskii_dual(b, 0, table)
+da, db = pyasetskii_dual(a, table), pyasetskii_dual(b, table)
 print(f"  {a.label()}  <=  {b.label()}   (nested closures)")
 print(f"  duals: {da.label()}  <=  {db.label()}   (still nested the same way)")
 assert closure_leq(a, b) and closure_leq(da, db)

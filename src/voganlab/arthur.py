@@ -182,7 +182,8 @@ def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
 def speculation_rows(
     table: list[OrbitRecord], smooth_flags: dict[int, bool] | None = None
 ) -> list[dict]:
-    """Rows (orbit, open/closed, smooth closure, arthur, violation)."""
+    """One row per orbit of ``table``, in order: open/closed, smooth closure,
+    arthur, violation."""
     from . import geometry
 
     rows = []
@@ -190,14 +191,12 @@ def speculation_rows(
         smooth = (
             smooth_flags[o.index]
             if smooth_flags is not None
-            else geometry.is_smooth_closure(o, table)
+            else geometry.is_smooth_closure(o)
         )
         verdict = is_arthur_type(o)
         open_or_closed = o.is_open or o.is_closed
         rows.append(
             {
-                "orbit": o.index,
-                "label": o.label(),
                 "open_or_closed": open_or_closed,
                 "smooth_closure": smooth,
                 "arthur": verdict.is_arthur,

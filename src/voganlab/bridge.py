@@ -155,7 +155,7 @@ def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None
                 if down >> i & 1:
                     entries[i][j] = _perms_value(perms[i], perms[j])
         return {"entries": entries, "source": "kl", "complete": True}
-    smooth = [geometry.is_smooth_closure(d, table) for d in table]
+    smooth = [geometry.is_smooth_closure(d) for d in table]
     entries = [
         [
             (1 if smooth[j] else None) if down >> i & 1 else 0
@@ -221,7 +221,7 @@ def _check_convention(conv: dict, table: list[OrbitRecord]) -> bool:
             leq = orbits.closure_leq(c, d)
             if kl.bruhat_leq(perms[c.index], perms[d.index]) != leq:
                 return False
-    smooth = {o.index: geometry.is_smooth_closure(o, table) for o in table}
+    smooth = {o.index: geometry.is_smooth_closure(o) for o in table}
     open_orbit = next(o for o in table if o.is_open)
     for c in table:
         for d in table:

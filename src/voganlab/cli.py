@@ -1,9 +1,14 @@
 """
 Command-line front end.
 
+``analyze`` prints the report of :func:`report.assemble_report`, ``hasse``
+its closure order, and ``verify`` checks that report's fields against
+independent routes (:func:`verify_battery`).
+
 Exit codes: 0 success, 1 property-verification failure, 2 input error,
-3 internal invariant violation.  All randomness sits behind --seed
-(default 0); identical (spec, version, seed) produce byte-identical output.
+3 internal invariant violation.  All randomness sits behind the --seed of
+analyze and verify (default 0); identical (spec, version, seed) produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import arthur, bridge, datasets, geometry, kl, orbits, report
+from . import arthur, datasets, geometry, orbits, report
 from .errors import InputError, InternalInvariantError
 from .variety import (
     VoganVariety,
@@ -33,13 +38,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--steinberg", type=int, metavar="N", help="principal parameter of rank N")
     g.add_argument("--two-eig", type=int, metavar="N", help="two-eigenvalue parameter, grades (N, N)")
     g.add_argument("--spec", metavar="FILE", help="variety spec as a JSON file")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed of the randomized conormal-dual oracle run by verify; "
-        "recorded in reports (default 0)",
-    )
 
 
 def _variety_from_args(args) -> VoganVariety:
@@ -109,96 +107,74 @@ def cmd_verify(args) -> int:
 def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]]:
     """Invariant suite for one variety; returns (name, passed, detail) rows.
 
-    Smoothness and duals come from the linear-algebra oracles (tangent
-    spaces, generic conormal covectors), so the rows that compare them with
-    the KL and greedy routes check independent computations.
+    Builds the report that ``analyze`` prints and checks its fields against
+    independent routes: smoothness and duals from the linear-algebra oracles
+    (tangent spaces, generic conormal covectors), the closure order of
+    :func:`orbits.closure_below` and the brute-force Arthur search.  A row
+    with a detail names its first failure.
     """
+    rep = report.assemble_report(v, seed=seed)
+    rows = rep["orbits"]
     table = orbits.enumerate_orbits(v)
     below = orbits.closure_below(table)
+    ids = range(len(table))
     results: list[tuple[str, bool, str]] = []
 
     def add(name: str, ok: bool, detail: str = "") -> None:
         results.append((name, ok, detail))
 
-    add("unique open and closed orbits",
-        sum(o.is_open for o in table) == 1 and sum(o.is_closed for o in table) == 1)
-
-    mono_ok, mono_detail = True, ""
-    for a, b in orbits.hasse(table, below):
-        if not table[a].dim < table[b].dim:
-            mono_ok, mono_detail = False, f"cover {a} -> {b} without dimension increase"
-            break
-    add("dimension strictly increases along covers", mono_ok, mono_detail)
-
-    smooth = {o.index: geometry.tangent_smooth_closure(o, table) for o in table}
-    add("open and closed closures smooth",
-        smooth[next(o.index for o in table if o.is_open)]
-        and smooth[next(o.index for o in table if o.is_closed)])
-
-    duals = {o.index: geometry.conormal_dual(o, seed=seed, dual_table=table) for o in table}
-    add("duality is an involution",
-        all(duals[duals[o.index].index].index == o.index for o in table))
-    open_o = next(o for o in table if o.is_open)
-    closed_o = next(o for o in table if o.is_closed)
-    add("duality swaps open and closed",
-        duals[open_o.index].index == closed_o.index
-        and duals[closed_o.index].index == open_o.index)
+    def first(failures) -> tuple[bool, str]:
+        detail = next(iter(failures), None)
+        return detail is None, detail or ""
 
     def leq(i: int, j: int) -> bool:
         return bool(below[j] >> i & 1)
 
-    rev_ok, rev_detail = True, ""
-    for a in table:
-        for b in table:
-            if leq(a.index, b.index) and not leq(duals[b.index].index, duals[a.index].index):
-                rev_ok = False
-                rev_detail = f"orbits {a.index} <= {b.index} but duals {duals[b.index].index} !<= {duals[a.index].index}"
-                break
-        if not rev_ok:
-            break
-    add("duality reverses the closure order", rev_ok, rev_detail)
+    open_ids = [r["id"] for r in rows if r["is_open"]]
+    closed_ids = [r["id"] for r in rows if r["is_closed"]]
+    add("unique open and closed orbits", len(open_ids) == 1 and len(closed_ids) == 1)
+    open_id, closed_id = open_ids[0], closed_ids[0]
+
+    add("dimension strictly increases along covers", *first(
+        f"cover {a} -> {b} without dimension increase"
+        for a, b in rep["hasse"] if not rows[a]["dim"] < rows[b]["dim"]
+    ))
+
+    smooth = {o.index: geometry.tangent_smooth_closure(o, table) for o in table}
+    add("open and closed closures smooth", smooth[open_id] and smooth[closed_id])
+
+    duals = [geometry.conormal_dual(o, seed=seed, dual_table=table).index for o in table]
+    add("duality is an involution", all(duals[duals[i]] == i for i in ids))
+    add("duality swaps open and closed",
+        duals[open_id] == closed_id and duals[closed_id] == open_id)
+    add("duality reverses the closure order", *first(
+        f"orbits {a} <= {b} but duals {duals[b]} !<= {duals[a]}"
+        for a in ids for b in ids if leq(a, b) and not leq(duals[b], duals[a])
+    ))
 
     if v.kind == "chain":
         add("greedy involution agrees with the conormal dual",
-            all(geometry.mw_involution(o, table).index == duals[o.index].index for o in table))
-        if all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
-            matrix = bridge.multiplicity_matrix(table, below)
-            rs = bridge.rational_smoothness(matrix)
-            bad = next((o.index for o in table if rs[o.index] != smooth[o.index]), None)
-            add("KL rational smoothness matches the tangent test",
-                bad is None, "" if bad is None else f"orbit {bad}")
-            mult = matrix["entries"]
-            ok, detail = True, ""
-            for d in table:
-                if not smooth[d.index]:
-                    continue
-                for c in table:
-                    expected = 1 if leq(c.index, d.index) else 0
-                    if mult[c.index][d.index] != expected:
-                        ok, detail = False, f"entry[{c.index}][{d.index}]"
-                        break
-                if not ok:
-                    break
-            add("smooth closures force indicator multiplicities", ok, detail)
-            ok = all(
-                (mult[open_o.index][d.index] == (1 if d.index == open_o.index else 0))
-                for d in table
-            )
-            add("open orbit row is the identity row", ok)
+            all(r["dual_orbit"] == duals[i] for i, r in enumerate(rows)))
+    matrix = rep["multiplicity_matrix"]
+    if matrix["source"] == "kl":
+        entries = matrix["entries"]
+        add("KL rational smoothness matches the tangent test", *first(
+            f"orbit {i}" for i, r in enumerate(rows) if r["rationally_smooth"] != smooth[i]
+        ))
+        add("smooth closures force indicator multiplicities", *first(
+            f"entry[{c}][{d}]" for d in ids if smooth[d] for c in ids
+            if entries[c][d] != leq(c, d)
+        ))
+        add("open orbit row is the identity row",
+            all(entries[open_id][d] == (d == open_id) for d in ids))
 
-    rows = arthur.speculation_rows(table, smooth)
-    arthur_ok, arthur_detail = True, ""
-    for o, row in zip(table, rows):
-        for chain, segs in orbits.gl_shadow(o):
-            if arthur.brute_force_arthur(chain, segs) != row["arthur"]:
-                arthur_ok, arthur_detail = False, f"orbit {o.index}"
-                break
-        if not arthur_ok:
-            break
-    add("rectangle search agrees with brute force", arthur_ok, arthur_detail)
-
+    add("rectangle search agrees with brute force", *first(
+        f"orbit {o.index}" for o, r in zip(table, rows)
+        if any(arthur.brute_force_arthur(chain, segs) != r["arthur"]["is_arthur"]
+               for chain, segs in orbits.gl_shadow(o))
+    ))
     add("no violation of the open/closed/singular pattern",
-        not any(r["violation"] for r in rows))
+        not any(r["violation"] for r in arthur.speculation_rows(table, smooth)))
     return results
 
 
@@ -209,13 +185,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full orbit report as JSON")
-    _add_spec_flags(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("hasse", help="closure order as a DOT digraph")
-    _add_spec_flags(p)
-    p.set_defaults(func=cmd_hasse)
+    analyze = sub.add_parser("analyze", help="full orbit report as JSON")
+    analyze.set_defaults(func=cmd_analyze)
+    hasse = sub.add_parser("hasse", help="closure order as a DOT digraph")
+    hasse.set_defaults(func=cmd_hasse)
 
     p = sub.add_parser("dataset", help="curated published tables")
     p.add_argument("name", help=f"one of: {', '.join(datasets.DATASETS)}")
@@ -223,9 +196,18 @@ def main(argv=None) -> int:
     p.add_argument("--check", action="store_true", help="verify the dataset's consistency rule")
     p.set_defaults(func=cmd_dataset)
 
-    p = sub.add_parser("verify", help="run the invariant battery on a variety")
-    _add_spec_flags(p)
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="run the invariant battery on a variety")
+    verify.set_defaults(func=cmd_verify)
+    for p in (analyze, hasse, verify):
+        _add_spec_flags(p)
+    for p in (analyze, verify):
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=0,
+            help="seed of the randomized conormal-dual oracle run by verify; "
+            "recorded in reports (default 0)",
+        )
 
     args = parser.parse_args(argv)
     try:

@@ -2,7 +2,8 @@
 Smoothness of orbit closures, conormal geometry, and duality.
 
 Production routes are closed forms; the exact linear algebra below them is
-kept as their oracle, run by the tests and by ``voganlab verify``.
+kept as their oracle, run by the tests and by ``voganlab verify``, which
+compares the oracles with the fields of the report that ``analyze`` prints.
 
 Smoothness.  Every orbit closure is a cone (the group contains the scalings
 of V), and a cone is smooth exactly when it is a linear space, i.e. equal to
@@ -195,12 +196,8 @@ def _two_eig_tangent(c: OrbitRecord, d: OrbitRecord) -> int:
     return v.total_dim - (linalg.rank(sys_rows) if sys_rows else 0)
 
 
-def is_smooth_closure(c: OrbitRecord, table: list[OrbitRecord] | None = None) -> bool:
-    """True iff the closure of c is smooth: it equals its linear span.
-
-    ``table`` is accepted for the oracle's signature; the closed form does
-    not need it.
-    """
+def is_smooth_closure(c: OrbitRecord) -> bool:
+    """True iff the closure of c is smooth: it equals its linear span."""
     v = c.variety
     if v.kind == "chain":
         span = sum(
@@ -377,15 +374,11 @@ def _generic_chain_dual(
     return classical.segments_from_ranks(r, k)
 
 
-def pyasetskii_dual(
-    orbit: OrbitRecord, seed: int = 0, dual_table: list[OrbitRecord] | None = None
-) -> OrbitRecord:
+def pyasetskii_dual(orbit: OrbitRecord, dual_table: list[OrbitRecord] | None = None) -> OrbitRecord:
     """
     The dual orbit, reported in the canonical table of the same variety
-    (orbits of the opposite-orientation variety carry the same labels).
-
-    Closed forms (:func:`dual_key`); ``seed`` is accepted for the oracle's
-    signature and unused.
+    (orbits of the opposite-orientation variety carry the same labels),
+    by the closed forms of :func:`dual_key`.
     """
     table = dual_table if dual_table is not None else orbits.enumerate_orbits(orbit.variety)
     return orbits.orbit_by_key(table, dual_key(orbit))
@@ -478,9 +471,8 @@ def mw_chain_involution(segs: ChainSegs) -> ChainSegs:
 
 
 def mw_involution(orbit: OrbitRecord, table: list[OrbitRecord] | None = None) -> OrbitRecord:
-    """Greedy involution on multisegments; defined for chain varieties only."""
-    v = orbit.variety
-    if v.kind != "chain":
+    """Greedy involution on multisegments: :func:`pyasetskii_dual`, defined
+    for chain varieties only."""
+    if orbit.variety.kind != "chain":
         raise UnsupportedFamilyError("the multisegment involution needs a chain variety")
-    table = table if table is not None else orbits.enumerate_orbits(v)
-    return orbits.orbit_by_key(table, dual_key(orbit))
+    return pyasetskii_dual(orbit, table)

@@ -46,7 +46,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
     table = orbits.enumerate_orbits(v)
     below = orbits.closure_below(table)
     matrix = bridge.multiplicity_matrix(table, below)
-    smooth = {o.index: geometry.is_smooth_closure(o, table) for o in table}
+    smooth = {o.index: geometry.is_smooth_closure(o) for o in table}
     index_of = {o.key: o.index for o in table}
     rational = bridge.rational_smoothness(matrix)
 

@@ -44,7 +44,7 @@ def test_criterion_1_line_families():
         table = enumerate_orbits(steinberg_variety("gl", n))
         assert len(table) == 2 ** (n - 1)
         for o in table:
-            assert is_smooth_closure(o, table)
+            assert is_smooth_closure(o)
             assert is_arthur_type(o).is_arthur == (o.is_open or o.is_closed)
         agg = speculation_table(speculation_rows(table))
         expected_rest = [] if n == 2 else [
@@ -81,7 +81,7 @@ def test_criterion_3_two_eigenvalue_families():
         assert [o.dim for o in table] == [r * (2 * n - r) for r in range(n + 1)]
         for o in table:
             assert is_arthur_type(o).is_arthur
-            assert is_smooth_closure(o, table) == (o.is_open or o.is_closed)
+            assert is_smooth_closure(o) == (o.is_open or o.is_closed)
         agg = speculation_table(speculation_rows(table))
         expected_rest = [] if n == 1 else [
             {"class": "Non-Open/Closed", "smooth": "No", "arthur_orbit": "Yes", "arthur_rep": "Yes"}
@@ -114,7 +114,7 @@ def test_criterion_5_smooth_closure_multiplicities(chain_suite):
     for dims, v, table in chain_suite:
         mm = multiplicity_matrix(table)["entries"]
         for c in table:
-            if not is_smooth_closure(c, table):
+            if not is_smooth_closure(c):
                 continue
             # the multiplicities of the irreducible of C across all standard
             # modules form the indicator vector of the closure of C
@@ -143,7 +143,7 @@ def test_criterion_7_duality_battery(chain_suite):
     greedy_ok = True
     reversal_violations = []
     for dims, v, table in chain_suite:
-        duals = {o.index: pyasetskii_dual(o, 0, table) for o in table}
+        duals = {o.index: pyasetskii_dual(o, table) for o in table}
         for o in table:
             involution_ok &= duals[duals[o.index].index].index == o.index
             greedy_ok &= mw_involution(o, table).index == duals[o.index].index
@@ -178,7 +178,7 @@ def test_criterion_7_duality_battery(chain_suite):
 def test_criterion_8_smoothness_cross_validation(chain_suite):
     for dims, v, table in chain_suite:
         for o in table:
-            assert rationally_smooth(o, table) == is_smooth_closure(o, table), (dims, o.index)
+            assert rationally_smooth(o, table) == is_smooth_closure(o), (dims, o.index)
     report("8 (closed-form smoothness = KL rational smoothness)", True)
 
 

@@ -252,7 +252,7 @@ def test_rational_smoothness_matches_tangent_test():
         table = enumerate_orbits(gl_chain(dims))
         for o in table:
             assert rationally_smooth(o, table) == tangent_smooth_closure(o, table)
-            assert is_smooth_closure(o, table) == tangent_smooth_closure(o, table)
+            assert is_smooth_closure(o) == tangent_smooth_closure(o, table)
 
 
 def test_rational_smoothness_needs_chain_variety():

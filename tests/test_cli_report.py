@@ -69,8 +69,10 @@ def test_report_json_roundtrip():
 
 
 def test_analyze_has_no_jobs_flag(capsys):
-    # deleted flags are refused by argparse: analyze --jobs and hasse --dot
-    for command, *flag in (["analyze", "--jobs", "2"], ["hasse", "--dot"]):
+    # deleted flags are refused by argparse: analyze --jobs, hasse --dot and
+    # hasse --seed (hasse runs no randomized oracle)
+    deleted = (["analyze", "--jobs", "2"], ["hasse", "--dot"], ["hasse", "--seed", "1"])
+    for command, *flag in deleted:
         with pytest.raises(SystemExit) as exc:
             main([command, *flag, "--family", "gl", "--two-eig", "2"])
         assert exc.value.code == 2
@@ -94,7 +96,7 @@ def test_report_duals_match_pyasetskii_dual(chain_suite):
         table = enumerate_orbits(v)
         rows = assemble_report(v)["orbits"]
         assert [row["dual_orbit"] for row in rows] == [
-            pyasetskii_dual(o, 0, table).index for o in table
+            pyasetskii_dual(o, table).index for o in table
         ]
 
 
@@ -321,6 +323,71 @@ def test_verify_rows_match_the_benchmark_goldens(golden):
     for name, entry in sorted(doc["varieties"].items()):
         rows = verify_battery(build(entry["spec"]), seed=doc["seed"])
         assert [[row_name, ok] for row_name, ok, _ in rows] == entry["verify"], name
+
+
+def _flip_dual(rep):
+    row = rep["orbits"][1]
+    row["dual_orbit"] = (row["dual_orbit"] + 1) % len(rep["orbits"])
+
+
+def _flip_rationally_smooth(rep):
+    rep["orbits"][2]["rationally_smooth"] = not rep["orbits"][2]["rationally_smooth"]
+
+
+def _flip_arthur(rep):
+    verdict = rep["orbits"][3]["arthur"]
+    verdict["is_arthur"] = not verdict["is_arthur"]
+
+
+def _add_flat_cover(rep):
+    assert rep["orbits"][1]["dim"] == rep["orbits"][2]["dim"]
+    rep["hasse"] = sorted(rep["hasse"] + [[1, 2]])
+
+
+@pytest.mark.parametrize("corrupt, row, detail", [
+    (_flip_dual, "greedy involution agrees with the conormal dual", ""),
+    (_flip_rationally_smooth, "KL rational smoothness matches the tangent test", "orbit 2"),
+    (_flip_arthur, "rectangle search agrees with brute force", "orbit 3"),
+    (_add_flat_cover, "dimension strictly increases along covers",
+     "cover 1 -> 2 without dimension increase"),
+])
+def test_verify_checks_the_report(monkeypatch, corrupt, row, detail):
+    # verify must read the fields analyze prints: one corrupted field fails
+    # exactly the row that checks it
+    from voganlab import report
+
+    v = build_variety([Chain(Fraction(-1), (1, 1, 1))], "gl")
+    assert all(ok for _, ok, _ in verify_battery(v))
+    built = report.assemble_report
+
+    def corrupted(*args, **kwargs):
+        rep = built(*args, **kwargs)
+        corrupt(rep)
+        return rep
+
+    monkeypatch.setattr(report, "assemble_report", corrupted)
+    failed = {name: d for name, ok, d in verify_battery(v) if not ok}
+    assert failed == {row: detail}
+
+
+def test_report_formats_each_label_once(monkeypatch):
+    from collections import Counter
+
+    from voganlab.orbits import OrbitRecord
+
+    calls = Counter()
+    label = OrbitRecord.label
+
+    def counted(self):
+        calls[self.index] += 1
+        return label(self)
+
+    monkeypatch.setattr(OrbitRecord, "label", counted)
+    for v in (build_variety([Chain(Fraction(0), (1, 2, 2, 1))], "gl"),
+              steinberg_variety("sp-dual", 4)):
+        calls.clear()
+        count = len(assemble_report(v)["orbits"])
+        assert calls == Counter(range(count))
 
 
 def test_verify_reports_order_reversal_failure(tmp_path, capsys):

@@ -51,7 +51,7 @@ def test_quadric_cone_tangent_at_origin():
     mid = next(o for o in table if o.dim == 3)
     zero = next(o for o in table if o.is_closed)
     assert tangent_dim_at(mid, zero) == 4
-    assert not is_smooth_closure(mid, table)
+    assert not is_smooth_closure(mid)
 
 
 def test_line_orbit_closures_are_smooth():
@@ -60,7 +60,7 @@ def test_line_orbit_closures_are_smooth():
         for d in table:
             if closure_leq(d, c):
                 assert tangent_dim_at(c, d) == c.dim
-        assert is_smooth_closure(c, table)
+        assert is_smooth_closure(c)
 
 
 def test_two_eig_middles_singular_extremes_smooth():
@@ -68,7 +68,7 @@ def test_two_eig_middles_singular_extremes_smooth():
         table = enumerate_orbits(two_eigenvalue_variety("gl", n))
         for o in table:
             expected = o.is_open or o.is_closed
-            assert is_smooth_closure(o, table) == expected
+            assert is_smooth_closure(o) == expected
 
 
 def classical_shapes(max_n=6):
@@ -89,7 +89,7 @@ def test_smoothness_closed_form_matches_tangent_scan(chain_suite):
     checked = 0
     for table in tables:
         for o in table:
-            assert is_smooth_closure(o, table) == tangent_smooth_closure(o, table), (
+            assert is_smooth_closure(o) == tangent_smooth_closure(o, table), (
                 o.variety.describe(), o.label())
             checked += 1
     assert checked == 917
@@ -208,16 +208,16 @@ def test_line_variety_duality_swaps():
     table = enumerate_orbits(steinberg_variety("gl", 2))
     zero = next(o for o in table if o.is_closed)
     top = next(o for o in table if o.is_open)
-    assert pyasetskii_dual(zero, 0, table).index == top.index
-    assert pyasetskii_dual(top, 0, table).index == zero.index
+    assert pyasetskii_dual(zero, table).index == top.index
+    assert pyasetskii_dual(top, table).index == zero.index
 
 
 def test_two_eig_rank_one_pair_swaps():
     table = enumerate_orbits(two_eigenvalue_variety("gl", 1))
     for o in table:
-        d = pyasetskii_dual(o, 0, table)
+        d = pyasetskii_dual(o, table)
         assert d.index != o.index
-        assert pyasetskii_dual(d, 0, table).index == o.index
+        assert pyasetskii_dual(d, table).index == o.index
 
 
 def test_steinberg_duality_is_complementation():
@@ -228,14 +228,14 @@ def test_steinberg_duality_is_complementation():
         return {i for b, e in segs for i in range(b, e)}
 
     for o in table:
-        dual = pyasetskii_dual(o, 0, table)
+        dual = pyasetskii_dual(o, table)
         assert joins(dual) == set(range(3)) - joins(o)
 
 
 def test_classical_steinberg_duality_complements_subsets():
     table = enumerate_orbits(steinberg_variety("sp-dual", 2))
     for o in table:
-        dual = pyasetskii_dual(o, 0, table)
+        dual = pyasetskii_dual(o, table)
         assert set(dual.subset) == set(range(2)) - set(o.subset)
 
 
@@ -251,7 +251,7 @@ def test_duality_battery_small_varieties():
             for o in table:
                 assert duals[duals[o.index].index].index == o.index
                 assert mw_involution(o, table).index == duals[o.index].index
-                assert pyasetskii_dual(o, 0, table).index == duals[o.index].index
+                assert pyasetskii_dual(o, table).index == duals[o.index].index
 
 
 def test_duality_seed_independence():
@@ -265,7 +265,7 @@ def test_two_eig_duals_match_conormal_route():
         for n in range(2, 8):
             table = enumerate_orbits(two_eigenvalue_variety(family, n))
             for o in table:
-                assert pyasetskii_dual(o, 0, table).index == conormal_dual(o, 0, table).index, (
+                assert pyasetskii_dual(o, table).index == conormal_dual(o, 0, table).index, (
                     family, n, o.rank)
 
 
@@ -285,7 +285,7 @@ def test_symbolic_fallback_matches_closed_forms(monkeypatch):
         table = enumerate_orbits(v)
         chain_orbits += len(table) if v.kind == "chain" else 0
         for o in table:
-            assert conormal_dual(o, 0, table).index == pyasetskii_dual(o, 0, table).index
+            assert conormal_dual(o, 0, table).index == pyasetskii_dual(o, table).index
     assert chain_orbits == 42
     assert calls  # the fallback really ran
 
@@ -295,7 +295,7 @@ def test_duality_on_1_2_1_preserves_a_nested_pair():
     # the smallest case and the involution fixes the middle 3-dimensional
     # orbit while swapping the two 2-dimensional ones
     table = enumerate_orbits(gl_chain((1, 2, 1)))
-    duals = {o.index: pyasetskii_dual(o, 0, table).index for o in table}
+    duals = {o.index: pyasetskii_dual(o, table).index for o in table}
     assert duals == {0: 4, 1: 2, 2: 1, 3: 3, 4: 0}
     assert duals == {o.index: conormal_dual(o, 0, table).index for o in table}
     a = table[1]
