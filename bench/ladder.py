@@ -1,0 +1,221 @@
+"""
+Size ladder: cold ``voganlab`` CLI runs on varieties of growing size.
+
+    python3 bench/ladder.py --out BENCH_<n>.json
+
+Run from anywhere; the library is imported from ``src/`` of this checkout.
+Each run of a case is a fresh ``python -m voganlab.cli ...`` process, timed
+from start to exit (interpreter start-up included) and killed after
+``TIMEOUT_S`` seconds.  A case's wall time is the median of ``REPEAT`` runs;
+a run that times out ends the case.  The orbit count comes from a separate,
+untimed process, under the same timeout, that parses the same command line
+and enumerates the orbits.  Both are fixed so that every ``BENCH_<n>.json``
+is measured alike.
+
+The output JSON holds, per case: the command and its flags (``{"dims": ...}``
+for a chain spec), the wall time, the orbit count, the report bytes (stdout
+of ``analyze``) and the exit code.  For the whole run it holds the Python
+version, the platform, the commit, and per ladder family the largest rung
+(by orbit count) that finished within 1 s and within 10 s.  The script then
+prints each case's ratio against the newest earlier ``BENCH_<n>.json`` beside
+the output file.  The ladder records; it gates nothing.
+
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+REPEAT = 3  # runs per case
+TIMEOUT_S = 60  # seconds per run
+
+# (family, name, command, flags); a "dims" entry in place of flags is a gl
+# chain at offset 0, passed as a --spec file.  Families are ladders of
+# growing orbit count.  The list holds the baseline table of ROADMAP.md and
+# rungs between and above its two verify rows.
+CASES = [
+    ("analyze gl", "analyze gl two-eig 2", "analyze", ["--family", "gl", "--two-eig", "2"]),
+    ("analyze gl", "analyze gl (2,2,2)", "analyze", {"dims": [2, 2, 2]}),
+    ("analyze gl", "analyze gl steinberg 6", "analyze", ["--family", "gl", "--steinberg", "6"]),
+    ("analyze gl", "analyze gl (1,2,3,2,1)", "analyze", {"dims": [1, 2, 3, 2, 1]}),
+    ("analyze gl", "analyze gl (2,2,2,2,2,2)", "analyze", {"dims": [2, 2, 2, 2, 2, 2]}),
+    ("analyze gl", "analyze gl (1,2,3,3,2,1)", "analyze", {"dims": [1, 2, 3, 3, 2, 1]}),
+    ("analyze gl", "analyze gl (2,2,2,2,2,2,2)", "analyze", {"dims": [2, 2, 2, 2, 2, 2, 2]}),
+    ("analyze gl", "analyze gl (1,2,3,4,3,2,1)", "analyze", {"dims": [1, 2, 3, 4, 3, 2, 1]}),
+    ("analyze sp-dual steinberg", "analyze sp-dual steinberg 6", "analyze",
+     ["--family", "sp-dual", "--steinberg", "6"]),
+    ("analyze sp-dual steinberg", "analyze sp-dual steinberg 10", "analyze",
+     ["--family", "sp-dual", "--steinberg", "10"]),
+    ("analyze sp-dual steinberg", "analyze sp-dual steinberg 12", "analyze",
+     ["--family", "sp-dual", "--steinberg", "12"]),
+    ("verify gl", "verify gl (1,2,3,2,1)", "verify", {"dims": [1, 2, 3, 2, 1]}),
+    ("verify gl", "verify gl (2,2,2,2,2,2)", "verify", {"dims": [2, 2, 2, 2, 2, 2]}),
+    ("verify gl", "verify gl (1,2,3,3,2,1)", "verify", {"dims": [1, 2, 3, 3, 2, 1]}),
+    ("verify gl", "verify gl (2,2,2,2,2,2,2)", "verify", {"dims": [2, 2, 2, 2, 2, 2, 2]}),
+    ("verify sp-dual steinberg", "verify sp-dual steinberg 6", "verify",
+     ["--family", "sp-dual", "--steinberg", "6"]),
+    ("verify sp-dual steinberg", "verify sp-dual steinberg 8", "verify",
+     ["--family", "sp-dual", "--steinberg", "8"]),
+    ("verify sp-dual steinberg", "verify sp-dual steinberg 10", "verify",
+     ["--family", "sp-dual", "--steinberg", "10"]),
+    ("verify sp-dual steinberg", "verify sp-dual steinberg 12", "verify",
+     ["--family", "sp-dual", "--steinberg", "12"]),
+]
+
+COUNT_ORBITS = (
+    "import sys\n"
+    "from voganlab import cli, orbits\n"
+    "args = cli.build_parser().parse_args(sys.argv[1:])\n"
+    "print(len(orbits.enumerate_orbits(cli.variety_from_args(args))))\n"
+)
+
+
+def case_argv(command: str, flags, spec_dir: Path) -> list[str]:
+    """CLI arguments of a case; a chain case writes its --spec file to
+    ``spec_dir``."""
+    if isinstance(flags, list):
+        return [command, *flags]
+    path = spec_dir / ("chain_" + "_".join(map(str, flags["dims"])) + ".json")
+    doc = {"family": "gl", "chains": [{"offset": "0", "dims": flags["dims"]}]}
+    path.write_text(json.dumps(doc))
+    return [command, "--spec", str(path)]
+
+
+def _env() -> dict:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_case(argv: list[str], cwd: Path) -> dict:
+    walls, out, code = [], b"", None
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "voganlab.cli", *argv], capture_output=True,
+                env=_env(), cwd=cwd, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return {"wall_s": None, "timed_out": True, "exit": None, "report_bytes": None}
+        walls.append(time.perf_counter() - start)
+        out, code = proc.stdout, proc.returncode
+    return {
+        "wall_s": round(statistics.median(walls), 4),
+        "timed_out": False,
+        "exit": code,
+        "report_bytes": len(out) if argv[0] == "analyze" else None,
+    }
+
+
+def count_orbits(argv: list[str], cwd: Path) -> int | None:
+    """The case's orbit count; None when the enumeration fails or times out."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_ORBITS, *argv], capture_output=True, text=True,
+            env=_env(), cwd=cwd, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return int(proc.stdout) if proc.returncode == 0 else None
+
+
+def largest_rungs(cases: list[dict], limit_s: float) -> dict[str, str | None]:
+    """Per family, the case with the most orbits that finished within
+    ``limit_s`` seconds (None when no case did)."""
+    best: dict[str, dict | None] = {}
+    for c in cases:
+        top = best.setdefault(c["family"], None)
+        fits = c["wall_s"] is not None and c["wall_s"] <= limit_s and c["orbits"] is not None
+        if fits and (top is None or c["orbits"] > top["orbits"]):
+            best[c["family"]] = c
+    return {family: c and c["name"] for family, c in best.items()}
+
+
+def _commit() -> str | None:
+    def git(*args):
+        proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=ROOT)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    if head and git("status", "--porcelain", "--untracked-files=no"):
+        head += "-dirty"
+    return head
+
+
+def _bench_number(path: Path) -> int | None:
+    m = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(m.group(1)) if m else None
+
+
+def previous_bench(out: Path) -> Path | None:
+    """The newest BENCH_<n>.json beside ``out`` numbered below it (any
+    number, when ``out`` is not itself so named)."""
+    mine = _bench_number(out)
+    earlier = [
+        (n, p) for p in out.parent.glob("BENCH_*.json")
+        if (n := _bench_number(p)) is not None and p.resolve() != out.resolve()
+        and (mine is None or n < mine)
+    ]
+    return max(earlier)[1] if earlier else None
+
+
+def print_ratios(doc: dict, prev_path: Path | None) -> None:
+    if prev_path is None:
+        print("no earlier BENCH_<n>.json to compare with")
+        return
+    prev = {c["name"]: c for c in json.loads(prev_path.read_text())["cases"]}
+    print(f"ratios against {prev_path.name} (new / old wall time):")
+    for c in doc["cases"]:
+        old = prev.get(c["name"], {}).get("wall_s")
+        ratio = f"{c['wall_s'] / old:.2f}" if c["wall_s"] and old else "-"
+        print(f"  {c['name']:<34} {ratio}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+
+    cases = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for family, name, command, flags in CASES:
+            cli_argv = case_argv(command, flags, tmp)
+            row = {"family": family, "name": name, "command": command, "flags": flags,
+                   "orbits": count_orbits(cli_argv, tmp),
+                   **run_case(cli_argv, tmp)}
+            cases.append(row)
+            wall = "timeout" if row["timed_out"] else f"{row['wall_s']:.3f} s"
+            print(f"{name:<34} {row['orbits']!s:>6} orbits  {wall}", flush=True)
+
+    doc = {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "commit": _commit(),
+        "repeat": REPEAT,
+        "timeout_s": TIMEOUT_S,
+        "cases": cases,
+        "largest_rung_1s": largest_rungs(cases, 1.0),
+        "largest_rung_10s": largest_rungs(cases, 10.0),
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print_ratios(doc, previous_bench(args.out))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

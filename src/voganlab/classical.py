@@ -137,11 +137,11 @@ def gl_multisegment_of_subset(family: str, n: int, subset) -> tuple[Chain, tuple
 
 def graded_power_multisegment(family: str, n: int, subset) -> tuple[Chain, tuple]:
     """Oracle for :func:`gl_multisegment_of_subset`: exact ranks of dense
-    rational powers of x_S, restricted to each pair of grades."""
+    integer powers of x_S, restricted to each pair of grades."""
     chain, x, buckets = _graded_subset_point(family, n, subset)
     k = chain.length
-    x = linalg.to_fractions(x)
-    powers = [linalg.identity(len(x)), x]  # powers[m] = x^m
+    dim = len(x)
+    powers = [[[int(r == c) for c in range(dim)] for r in range(dim)], x]  # powers[m] = x^m
     for _ in range(k - 2):
         powers.append(linalg.matmul(powers[-1], x))
     ranks = {}

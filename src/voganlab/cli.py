@@ -40,7 +40,8 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--spec", metavar="FILE", help="variety spec as a JSON file")
 
 
-def _variety_from_args(args) -> VoganVariety:
+def variety_from_args(args) -> VoganVariety:
+    """The variety named by parsed spec flags (see :func:`build_parser`)."""
     if args.steinberg is not None:
         return steinberg_variety(args.family, args.steinberg)
     if args.two_eig is not None:
@@ -58,14 +59,14 @@ def _variety_from_args(args) -> VoganVariety:
 
 
 def cmd_analyze(args) -> int:
-    v = _variety_from_args(args)
+    v = variety_from_args(args)
     rep = report.assemble_report(v, seed=args.seed)
     sys.stdout.write(report.report_json(rep))
     return 0
 
 
 def cmd_hasse(args) -> int:
-    v = _variety_from_args(args)
+    v = variety_from_args(args)
     sys.stdout.write(report.hasse_dot(v))
     return 0
 
@@ -90,7 +91,7 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    v = _variety_from_args(args)
+    v = variety_from_args(args)
     results = verify_battery(v, seed=args.seed)
     width = max((len(name) for name, _, _ in results), default=0)
     failed = False
@@ -140,7 +141,7 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
         for a, b in rep["hasse"] if not rows[a]["dim"] < rows[b]["dim"]
     ))
 
-    smooth = {o.index: geometry.tangent_smooth_closure(o, table) for o in table}
+    smooth = {o.index: geometry.tangent_smooth_closure(o, table, below) for o in table}
     add("open and closed closures smooth", smooth[open_id] and smooth[closed_id])
 
     duals = [geometry.conormal_dual(o, seed=seed, dual_table=table).index for o in table]
@@ -178,7 +179,7 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
     return results
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voganlab",
         description="Exact orbit geometry of unramified parameter varieties",
@@ -209,7 +210,11 @@ def main(argv=None) -> int:
             "recorded in reports (default 0)",
         )
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -31,8 +31,9 @@ exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
 vanish to order >= 2).  The composites at x_D, their ranks and each pair's
 condition rows depend only on the stratum D, so they are computed once per
-stratum and cached; the orbit C only selects the pairs whose rank meets its
-bound.  Every stratum D <= C is still scanned.
+stratum and cached, over the integers (x_D is a 0/1 point and the kernels of
+:mod:`linalg` are integer vectors); the orbit C only selects the pairs whose
+rank meets its bound.  Every stratum D <= C is still scanned.
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
@@ -45,10 +46,13 @@ the current chain), which Knight and Zelevinsky identify with the generic
 conormal duality (Adv. Math. 117, 1996).  Steinberg duals are subset
 complements, and the dual of the rank-r two-eigenvalue stratum has rank
 n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  The oracle,
-:func:`conormal_dual`, finds the generic rank data over a basis of the
-conormal space with one sampler for chains and two-eigenvalue shapes: seeded
-random covectors with verification retries, then one exact symbolic fallback
-(ranks over the rational function field), which the tests force.
+:func:`conormal_dual`, finds the generic rank data over an integer basis of
+the conormal space with one sampler for chains and two-eigenvalue shapes:
+seeded random covectors with verification retries, then one exact symbolic
+fallback (ranks over the rational function field), which the tests force.
+The basis is the Gauss-Jordan kernel basis over Q times one common positive
+integer, so each seeded covector is that integer times the covector drawn
+over Q, with the same ranks.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -59,7 +63,6 @@ so are their duals, in the same direction.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from . import classical, linalg, orbits
@@ -118,7 +121,7 @@ def _tangent_pairs_at(x: list, dims: tuple[int, ...]) -> tuple:
             ]
             for left_l in lefts:
                 for right_l in rights:
-                    row = [Fraction(0)] * ncols
+                    row = [0] * ncols
                     for l, left, right in zip(range(i, j), left_l, right_l):
                         base = offs[l]
                         for a in range(dims[l + 1]):
@@ -135,9 +138,8 @@ def _tangent_pairs_at(x: list, dims: tuple[int, ...]) -> tuple:
 @lru_cache(maxsize=None)
 def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
     """:func:`_tangent_pairs_at` at the canonical representative of the
-    stratum ``segs_d``, computed once per stratum."""
-    x = [linalg.to_fractions(m) for m in orbits.chain_representative(segs_d, dims)]
-    return _tangent_pairs_at(x, dims)
+    stratum ``segs_d``, computed once per stratum over the integers."""
+    return _tangent_pairs_at(orbits.chain_representative(segs_d, dims), dims)
 
 
 def _tangent_dim(pairs: tuple, segs_c: ChainSegs, dims: tuple[int, ...]) -> int:
@@ -178,19 +180,19 @@ def _two_eig_tangent(c: OrbitRecord, d: OrbitRecord) -> int:
     if d.rank != c.rank:
         # below the rank bound all first-order minor (or pfaffian) data vanishes
         return v.total_dim
-    x = linalg.to_fractions(orbits.two_eig_representative(v, d.rank))
+    x = orbits.two_eig_representative(v, d.rank)
     ker = linalg.nullspace(x)
     cok = linalg.left_nullspace(x)
     if not ker or not cok:
         return v.total_dim
     cond_cols = []
-    for basis_mat in v.subspace_basis():
-        bm = linalg.to_fractions(basis_mat)
+    for bm in v.subspace_basis():
+        bt = linalg.transpose(bm)
         col = []
         for p in cok:
-            pb = linalg.matvec(linalg.transpose(bm), p)
+            pb = linalg.matvec(bt, p)
             for kv in ker:
-                col.append(sum((a * b for a, b in zip(pb, kv)), Fraction(0)))
+                col.append(sum(a * b for a, b in zip(pb, kv)))
         cond_cols.append(col)
     sys_rows = linalg.transpose(cond_cols)
     return v.total_dim - (linalg.rank(sys_rows) if sys_rows else 0)
@@ -212,21 +214,25 @@ def is_smooth_closure(c: OrbitRecord) -> bool:
     return c.is_open or c.is_closed
 
 
-def tangent_smooth_closure(c: OrbitRecord, table: list[OrbitRecord] | None = None) -> bool:
+def tangent_smooth_closure(
+    c: OrbitRecord, table: list[OrbitRecord] | None = None, below: list[int] | None = None
+) -> bool:
     """Oracle for :func:`is_smooth_closure`: tangent dim = dim c at every
-    stratum of the closure."""
+    stratum of the closure.  The strata d <= c are read from the
+    :func:`orbits.closure_below` bitsets of ``table``, which may be passed
+    in as ``below``."""
     table = table if table is not None else orbits.enumerate_orbits(c.variety)
-    return all(
-        tangent_dim_at(c, d) == c.dim for d in table if orbits.closure_leq(d, c)
-    )
+    below = below if below is not None else orbits.closure_below(table)
+    return all(tangent_dim_at(c, table[i]) == c.dim for i in orbits._bits(below[c.index]))
 
 
 # ---------------------------------------------------------------------------
 # conormal spaces
 
 
-def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[Fraction]]:
-    """Basis of { xi : [x, xi] = 0 } in dual coordinates of one chain.
+def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[int]]:
+    """Integer basis of { xi : [x, xi] = 0 } in dual coordinates of one
+    chain: the left kernel of :func:`orbits._commutator_matrix`.
 
     The trace pairing matches the dual coordinate of the arrow entry
     (l; a, b) with the entry (b, a) of the reversed arrow xi_l, with no
@@ -244,30 +250,24 @@ def _two_eig_conormal_matrices(v: VoganVariety, rank: int) -> list[linalg.Matrix
     For both symmetry types the trace pairing reduces the annihilator of the
     tangent space to the single matrix equation x Xi = 0.
     """
-    x = linalg.to_fractions(orbits.two_eig_representative(v, rank))
-    basis = [linalg.to_fractions(b) for b in v.subspace_basis()]
+    x = orbits.two_eig_representative(v, rank)
+    basis = v.subspace_basis()
     n = v.n
     rows = []
     for bm in basis:
         prod = linalg.matmul(x, bm)
         rows.append([prod[i][j] for i in range(n) for j in range(n)])
-    kernel_coeffs = linalg.left_nullspace(rows)
-    out = []
-    for coeffs in kernel_coeffs:
-        m = linalg.zeros(n, n)
-        for cf, bm in zip(coeffs, basis):
-            if cf:
-                for i in range(n):
-                    for j in range(n):
-                        m[i][j] += cf * bm[i][j]
-        out.append(m)
-    return out
+    return [
+        [[sum(cf * bm[i][j] for cf, bm in zip(coeffs, basis) if cf) for j in range(n)]
+         for i in range(n)]
+        for coeffs in linalg.left_nullspace(rows)
+    ]
 
 
-def conormal_space(orbit: OrbitRecord) -> list[list[Fraction]]:
-    """Exact basis of the conormal space at the canonical representative,
-    as coordinate vectors (chain coordinates / root-line coordinates /
-    subspace coordinates)."""
+def conormal_space(orbit: OrbitRecord) -> list[list[int]]:
+    """Exact integer basis of the conormal space at the canonical
+    representative, as coordinate vectors (chain coordinates / root-line
+    coordinates / subspace coordinates)."""
     v = orbit.variety
     if v.kind == "chain":
         widths = [c.arrow_dim for c in v.chains]
@@ -275,7 +275,7 @@ def conormal_space(orbit: OrbitRecord) -> list[list[Fraction]]:
         offset = 0
         for segs, chain, width in zip(orbit.msegs, v.chains, widths):
             for vec in chain_conormal_basis(segs, chain.dims):
-                padded = [Fraction(0)] * sum(widths)
+                padded = [0] * sum(widths)
                 padded[offset : offset + width] = vec
                 out.append(padded)
             offset += width
@@ -286,8 +286,8 @@ def conormal_space(orbit: OrbitRecord) -> list[list[Fraction]]:
         basis = []
         for i in range(v.n):
             if i not in orbit.subset:
-                vec = [Fraction(0)] * v.n
-                vec[i] = Fraction(1)
+                vec = [0] * v.n
+                vec[i] = 1
                 basis.append(vec)
         return basis
     return [orbits._two_eig_coords(v, m) for m in _two_eig_conormal_matrices(v, orbit.rank)]
@@ -299,10 +299,7 @@ def conormal_space(orbit: OrbitRecord) -> list[list[Fraction]]:
 
 def _combination(coeffs, basis, width: int) -> list:
     """sum of coeffs[i] * basis[i], as a vector of length ``width``."""
-    return [
-        sum((c * bv[t] for c, bv in zip(coeffs, basis) if bv[t]), Fraction(0))
-        for t in range(width)
-    ]
+    return [sum(c * bv[t] for c, bv in zip(coeffs, basis) if bv[t]) for t in range(width)]
 
 
 def _generic_key(basis, width: int, key_of, rng: random.Random) -> tuple[int, ...]:

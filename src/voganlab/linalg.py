@@ -2,8 +2,9 @@
 Exact linear algebra over the rationals.
 
 Matrices are plain lists (or tuples) of rows of ``int`` or ``Fraction``
-entries; kernels and echelon forms come back as ``Fraction``.  All ranks,
-kernels and solutions are exact -- no floating point anywhere.
+entries.  Products of integer matrices stay integer, and kernels come back
+as integer vectors; only :func:`_echelon` returns ``Fraction`` rows.  All
+ranks, kernels and solutions are exact -- no floating point anywhere.
 
 Elimination runs on Python ints: each row is scaled by the lcm of its
 denominators, and rows are then combined fraction-free (p * row - f * pivot
@@ -11,8 +12,10 @@ row), each new row divided by the gcd of its entries so the integers stay
 small.
 :func:`rank` needs only the forward pass.  :func:`_echelon`,
 :func:`nullspace` and :func:`left_nullspace` back-substitute to the reduced
-echelon form, which is unique, so they return the same reduced rows and the
-same kernel basis as Gauss-Jordan elimination over Q.
+echelon form, which is unique: :func:`_echelon` returns the reduced rows of
+Gauss-Jordan elimination over Q, and the kernels return its kernel basis
+times one common positive integer (so any combination of the basis vectors
+is that integer times the same combination over Q, with the same ranks).
 """
 
 from __future__ import annotations
@@ -20,29 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Matrix = list[list[Fraction]]
-
-
-def to_fractions(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+Matrix = list[list[int | Fraction]]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch in matmul")
     nb = len(b[0]) if b else 0
-    out = zeros(len(a), nb)
+    out = [[0] * nb for _ in a]
     for i, arow in enumerate(a):
         orow = out[i]
         for k, aik in enumerate(arow):
@@ -54,8 +42,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def matvec(a: Matrix, v: list[Fraction]) -> list[Fraction]:
-    return [sum((aij * vj for aij, vj in zip(row, v) if aij and vj), Fraction(0)) for row in a]
+def matvec(a: Matrix, v: list) -> list:
+    return [sum(aij * vj for aij, vj in zip(row, v) if aij and vj) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -140,27 +128,32 @@ def rank(m) -> int:
     return len(_forward(rows, len(rows[0])))
 
 
-def nullspace(m) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column (deterministic):
-    the vector of free column f has 1 at f, 0 at the other free columns and
-    minus the reduced echelon entry in column f at each pivot column."""
+def nullspace(m) -> list[list[int]]:
+    """Integer basis of the right kernel, one vector per free column
+    (deterministic).  Over Q, the vector of free column f has 1 at f, 0 at
+    the other free columns and minus the reduced echelon entry in column f at
+    each pivot column.  Every vector is returned times the same positive
+    integer, the lcm of the pivot entries of the integer reduced rows, which
+    clears all their denominators."""
     if not m:
         return []
     ncols = len(m[0])
     rows, pivots = _reduced(m)
+    heads = [row[pc] for row, pc in zip(rows, pivots)]
+    common = lcm(*heads)  # positive: the heads are nonzero, and lcm() == 1
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
+        v = [0] * ncols
+        v[fc] = common
+        for row, pc, h in zip(rows, pivots, heads):
             if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
+                v[pc] = -row[fc] * (common // h)
         basis.append(v)
     return basis
 
 
-def left_nullspace(m) -> list[list[Fraction]]:
+def left_nullspace(m) -> list[list[int]]:
     return nullspace(transpose(m))

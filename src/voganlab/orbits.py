@@ -208,9 +208,9 @@ class OrbitRecord:
 def multisegment_str(v: VoganVariety, msegs: tuple[ChainSegs, ...]) -> str:
     parts = []
     for chain, segs in zip(v.chains, msegs):
+        ex = chain.exponent_labels
         for b, e in segs:
-            lo, hi = chain.exponent(b), chain.exponent(e)
-            parts.append(f"[{lo}]" if b == e else f"[{lo}..{hi}]")
+            parts.append(f"[{ex[b]}]" if b == e else f"[{ex[b]}..{ex[e]}]")
     return "{" + ", ".join(parts) + "}" if parts else "{}"
 
 
@@ -308,7 +308,7 @@ def two_eig_action_matrix(v: VoganVariety, x) -> list[list]:
             for i in range(n):
                 img[i][a] += x[i][b]
             cols.append(_two_eig_coords(v, img))
-    return linalg.transpose(linalg.to_fractions(cols))
+    return linalg.transpose(cols)
 
 
 def two_eig_orbit_dim(v: VoganVariety, rank: int) -> int:

@@ -17,7 +17,8 @@ def _multisegment_json(orbit: OrbitRecord) -> list[list[list[str]]] | None:
         return None
     out = []
     for segs, chain in zip(orbit.msegs, orbit.variety.chains):
-        out.append([[str(chain.exponent(b)), str(chain.exponent(e))] for b, e in segs])
+        ex = chain.exponent_labels
+        out.append([[ex[b], ex[e]] for b, e in segs])
     return out
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConfigurationError, InputError
 
@@ -95,6 +96,11 @@ class Chain:
 
     def exponent(self, i: int) -> Fraction:
         return self.offset + i
+
+    @cached_property
+    def exponent_labels(self) -> tuple[str, ...]:
+        """``str(self.exponent(i))`` for every grade i, formatted once."""
+        return tuple(str(self.offset + i) for i in range(self.length))
 
     @property
     def total(self) -> int:

@@ -82,9 +82,11 @@ def test_analyze_has_no_jobs_flag(capsys):
 def test_report_rational_smoothness_matches_oracles(chain_suite):
     for _dims, v, table in chain_suite:
         rows = assemble_report(v)["orbits"]
+        below = closure_below(table)
         for o, row in zip(table, rows):
             assert row["rationally_smooth"] == rationally_smooth(o, table)
             assert row["rationally_smooth"] == tangent_smooth_closure(o, table)
+            assert tangent_smooth_closure(o, table, below) == row["rationally_smooth"]
 
 
 def test_report_duals_match_pyasetskii_dual(chain_suite):

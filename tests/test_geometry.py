@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from voganlab import geometry, linalg
+from voganlab import geometry, linalg, orbits
 from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.geometry import (
     chain_tangent_dim_at_point,
@@ -19,6 +19,8 @@ from voganlab.geometry import (
 )
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
+
+from reference_linalg import common_multiple, reference_nullspace
 
 
 def gl_chain(dims, offset=0):
@@ -123,7 +125,10 @@ def test_tangent_dim_constant_on_orbit():
     for d in table:
         if not closure_leq(d, c):
             continue
-        x = [linalg.to_fractions(m) for m in chain_representative(d.msegs[0], dims)]
+        x = [
+            [[Fraction(e) for e in row] for row in m]
+            for m in chain_representative(d.msegs[0], dims)
+        ]
         base = chain_tangent_dim_at_point(c.msegs[0], x, dims)
         gs = [random_gl(k) for k in dims]
         moved = [
@@ -190,6 +195,26 @@ def test_conormal_of_two_grade_line():
     assert conormal_space(top) == []
     zero = next(o for o in table if o.is_closed)
     assert len(conormal_space(zero)) == 1
+
+
+def test_conormal_bases_fix_the_seeded_draws(chain_suite):
+    # conormal_dual combines these basis vectors with seeded integers: one
+    # common positive multiple of the Gauss-Jordan kernel scales every drawn
+    # covector by that integer and keeps every sampled rank
+    for dims, _v, table in chain_suite:
+        for o in table:
+            segs = o.msegs[0]
+            if len(dims) > 1:
+                action = orbits._commutator_matrix(chain_representative(segs, dims), dims)
+                reference = reference_nullspace(linalg.transpose(action))
+                common_multiple(geometry.chain_conormal_basis(segs, dims), reference)
+            assert all(type(x) is int for vec in conormal_space(o) for x in vec)
+            for _pair, _rank, rows in geometry._stratum_tangent_pairs(segs, dims):
+                assert all(type(x) is int for row in rows for x in row)
+    for family in ("sp-dual", "so-even"):
+        v = two_eigenvalue_variety(family, 4)
+        for o in enumerate_orbits(v):
+            assert all(type(x) is int for vec in conormal_space(o) for x in vec)
 
 
 def test_conormal_dim_for_classical_shapes():

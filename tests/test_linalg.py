@@ -6,51 +6,11 @@ import pytest
 
 from voganlab import linalg
 
+from reference_linalg import common_multiple, reference_nullspace, reference_rref
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-
-
-def reference_rref(m):
-    """Gauss-Jordan elimination on Fractions: (reduced rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in m]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def reference_nullspace(m):
-    if not m:
-        return []
-    ncols = len(m[0])
-    red, pivots = reference_rref(m)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
 
 
 entries = st.one_of(
@@ -91,13 +51,13 @@ def test_integer_elimination_matches_gauss_jordan(m):
     assert linalg._echelon(m) == (red, pivots)
     assert all(type(x) is Fraction for row in linalg._echelon(m)[0] for x in row)
 
+    # kernels: one positive integer times the Gauss-Jordan basis, all ints
     kernel = linalg.nullspace(m)
-    assert kernel == reference_nullspace(m)
-    assert all(type(x) is Fraction for v in kernel for x in v)
+    common_multiple(kernel, reference_nullspace(m))
     assert all(annihilates(m, v) for v in kernel)
 
     left = linalg.left_nullspace(m)
-    assert left == reference_nullspace(transpose(m))
+    common_multiple(left, reference_nullspace(transpose(m)))
     assert all(annihilates(transpose(m), v) for v in left)
     assert len(kernel) + len(pivots) == len(m[0])
     assert len(left) + len(pivots) == len(m)
@@ -111,3 +71,7 @@ def test_degenerate_shapes():
     assert linalg._echelon([]) == ([], [])
     assert linalg.nullspace([[0, 0]]) == [[1, 0], [0, 1]]
     assert linalg.left_nullspace([[0], [0]]) == [[1, 0], [0, 1]]
+    # pivots 2 and 3 give the common multiple 6 (the reference is [-1/2, -1/3, 1])
+    assert linalg.nullspace([[2, 0, 1], [0, 3, 1]]) == [[-3, -2, 6]]
+    assert linalg.nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [[-2, 3]]
+    assert all(type(x) is int for x in linalg.nullspace([[Fraction(1, 2), 1]])[0])

@@ -111,9 +111,9 @@ def composed_ranks(arrows, dims):
     out = {(i, i): dims[i] for i in range(k)}
     comp = {}
     for i in range(k - 1):
-        comp[(i, i + 1)] = linalg.to_fractions(arrows[i])
+        comp[(i, i + 1)] = arrows[i]
         for j in range(i + 2, k):
-            comp[(i, j)] = linalg.matmul(linalg.to_fractions(arrows[j - 1]), comp[(i, j - 1)])
+            comp[(i, j)] = linalg.matmul(arrows[j - 1], comp[(i, j - 1)])
     for i in range(k):
         for j in range(i + 1, k):
             out[(i, j)] = linalg.rank(comp[(i, j)])
