@@ -132,26 +132,26 @@ def is_arthur_type(orbit: OrbitRecord) -> ArthurVerdict:
 @lru_cache(maxsize=None)
 def _rectangle_expansions(
     offset: Fraction, length: int, total: int
-) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
-    """Sorted segments of every zero-centered rectangle (d, a) with d * a <=
-    ``total`` that fits on the exponents offset .. offset + length - 1, in
-    the (d, a) order the brute-force search tries them."""
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sorted segments, as grid-index pairs (exponent - ``offset``), of every
+    zero-centered rectangle (d, a) with d * a <= ``total`` that lies on the
+    grid offset .. offset + length - 1, in the (d, a) order the brute-force
+    search tries them.  Rectangles whose ends fall between grid points are
+    left out: they match no segment."""
     out = []
     for d in range(1, total + 1):
         for a in range(1, total // d + 1):
-            expanded = tuple(sorted(Rectangle(d, a, Fraction(0)).segments()))
-            lo = min(s for s, _ in expanded)
-            hi = max(e for _, e in expanded)
-            if lo < offset or hi > offset + length - 1:
+            spans = [(s - offset, e - offset) for s, e in Rectangle(d, a, Fraction(0)).segments()]
+            lo, hi = spans[0][0], spans[-1][1]
+            if lo.denominator != 1 or lo < 0 or hi > length - 1:
                 continue
-            out.append(expanded)
+            out.append(tuple((int(s), int(e)) for s, e in spans))
     return tuple(out)
 
 
 def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
     """Independent oracle: search over all multisets of zero-centered
     rectangles with total content equal to the chain coverage."""
-    target = sorted((chain.exponent(b), chain.exponent(e)) for b, e in segs)
     total = sum(e - b + 1 for b, e in segs)
     expansions = _rectangle_expansions(chain.offset, chain.length, total)
 
@@ -172,7 +172,7 @@ def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
             return True
         return search(remaining, idx + 1)
 
-    return search(target, 0)
+    return search(sorted(segs), 0)
 
 
 # ---------------------------------------------------------------------------

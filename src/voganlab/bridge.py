@@ -19,8 +19,8 @@ the Kazhdan-Lusztig value
 zero unless C <= D (intersection complexes are supported on closures).  For
 a multi-chain variety the entries multiply over chains.
 
-The matrix is computed over the closure relation of
-:func:`orbits.closure_below`: each orbit's permutation is built once and
+The matrix is computed over the closure relation ``table.below`` of the
+:class:`orbits.OrbitTable`: each orbit's permutation is built once and
 P_{w(C), w(D)} is evaluated only for C <= D, since the bridge embeds the
 closure order into Bruhat order and every other entry is 0.  Because KL
 polynomials have constant term 1 and nonnegative coefficients, P(1) = 1 only
@@ -45,7 +45,7 @@ from math import prod
 from . import geometry, kl, orbits
 from .errors import InputError, UnsupportedFamilyError
 from .kl import Perm
-from .orbits import ChainSegs, OrbitRecord
+from .orbits import ChainSegs, OrbitRecord, OrbitTable
 
 # frozen bridge convention; see calibrate()
 CONVENTION = {"rep": "max", "args": "CD", "table": "cycle"}
@@ -130,7 +130,7 @@ def multiplicity(c: OrbitRecord, d: OrbitRecord) -> int:
     return _perms_value(pc, pd)
 
 
-def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None) -> dict:
+def multiplicity_matrix(table: OrbitTable) -> dict:
     """
     Square multiplicity data over the orbit table.
 
@@ -139,13 +139,12 @@ def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None
     varieties get the entries forced by support and by smooth closures
     (complete for the steinberg shape, partial for two-eigenvalue middles and
     large chains), with a marker for what the source was; undetermined
-    entries are None.  ``below`` is the closure relation of
-    :func:`orbits.closure_below`, if the caller already has it.
+    entries are None.  The pairs C <= D are read from ``table.below``.
     """
     if not table:
         return {"entries": [], "source": "kl", "complete": True}
     v = table[0].variety
-    below = below if below is not None else orbits.closure_below(table)
+    below = table.below
     n = len(table)
     if v.kind == "chain" and all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
         perms = [multisegment_to_permutation(o) for o in table]
@@ -166,8 +165,8 @@ def multiplicity_matrix(table: list[OrbitRecord], below: list[int] | None = None
     source = "smooth-closure-support"
     if v.kind == "chain":
         source += " (chain totals exceed the KL table range)"
-    complete = all(x is not None for row in entries for x in row)
-    return {"entries": entries, "source": source, "complete": complete}
+    # entry (j, j) is 1 or None as D_j is smooth or not, so no None iff all smooth
+    return {"entries": entries, "source": source, "complete": all(smooth)}
 
 
 def rational_smoothness(matrix: dict) -> list[bool | None]:
@@ -183,7 +182,7 @@ def rational_smoothness(matrix: dict) -> list[bool | None]:
     return [all(row[j] in (0, 1) for row in entries) for j in range(len(entries))]
 
 
-def rationally_smooth(c: OrbitRecord, table: list[OrbitRecord] | None = None) -> bool:
+def rationally_smooth(c: OrbitRecord, table: OrbitTable) -> bool:
     """True iff every KL polynomial over strata of the closure of c is 1,
     read off column c of the multiplicity matrix of ``table``."""
     v = c.variety
@@ -191,7 +190,6 @@ def rationally_smooth(c: OrbitRecord, table: list[OrbitRecord] | None = None) ->
         raise UnsupportedFamilyError("rational smoothness via KL needs a chain variety")
     if any(chain.total > kl.KL_TABLE_MAX for chain in v.chains):
         raise InputError(f"rational smoothness via KL needs chain totals <= {kl.KL_TABLE_MAX}")
-    table = table if table is not None else orbits.enumerate_orbits(v)
     return rational_smoothness(multiplicity_matrix(table))[c.index]
 
 
@@ -207,7 +205,7 @@ def _convention_perm(segs: ChainSegs, dims: tuple[int, ...], conv: dict) -> Perm
     return rep(table, dims)
 
 
-def _check_convention(conv: dict, table: list[OrbitRecord]) -> bool:
+def _check_convention(conv: dict, table: OrbitTable) -> bool:
     """A convention must make Bruhat order match closure order and reproduce
     every multiplicity forced by support, smooth closures, the open orbit,
     and the first singular stratum value 2."""
@@ -216,27 +214,27 @@ def _check_convention(conv: dict, table: list[OrbitRecord]) -> bool:
     perms = {
         o.index: _convention_perm(o.msegs[0], chain.dims, conv) for o in table
     }
+    below = table.below
     for c in table:
         for d in table:
-            leq = orbits.closure_leq(c, d)
+            leq = bool(below[d.index] >> c.index & 1)
             if kl.bruhat_leq(perms[c.index], perms[d.index]) != leq:
                 return False
     smooth = {o.index: geometry.is_smooth_closure(o) for o in table}
     open_orbit = next(o for o in table if o.is_open)
     for c in table:
         for d in table:
+            leq = below[d.index] >> c.index & 1
             u, w = perms[c.index], perms[d.index]
             if conv["args"] == "DC":
                 u, w = w, u
             value = kl.poly_eval_at_one(kl.kl_poly(u, w))
             if c.index == d.index and value != 1:
                 return False
-            if not orbits.closure_leq(c, d) and value != 0:
+            if not leq and value != 0:
                 return False
-            if smooth[d.index]:
-                expected = 1 if orbits.closure_leq(c, d) else 0
-                if value != expected:
-                    return False
+            if smooth[d.index] and value != leq:
+                return False
             if c.index == open_orbit.index:
                 if value != (1 if d.index == c.index else 0):
                     return False

@@ -67,7 +67,7 @@ from functools import lru_cache
 
 from . import classical, linalg, orbits
 from .errors import InputError, UnsupportedFamilyError
-from .orbits import ChainSegs, OrbitRecord
+from .orbits import ChainSegs, OrbitRecord, OrbitTable
 from .variety import VoganVariety
 
 RANDOM_BOUND = 1 << 16
@@ -214,16 +214,10 @@ def is_smooth_closure(c: OrbitRecord) -> bool:
     return c.is_open or c.is_closed
 
 
-def tangent_smooth_closure(
-    c: OrbitRecord, table: list[OrbitRecord] | None = None, below: list[int] | None = None
-) -> bool:
+def tangent_smooth_closure(c: OrbitRecord, table: OrbitTable) -> bool:
     """Oracle for :func:`is_smooth_closure`: tangent dim = dim c at every
-    stratum of the closure.  The strata d <= c are read from the
-    :func:`orbits.closure_below` bitsets of ``table``, which may be passed
-    in as ``below``."""
-    table = table if table is not None else orbits.enumerate_orbits(c.variety)
-    below = below if below is not None else orbits.closure_below(table)
-    return all(tangent_dim_at(c, table[i]) == c.dim for i in orbits._bits(below[c.index]))
+    stratum of the closure, the strata d <= c read from ``table.below``."""
+    return all(tangent_dim_at(c, table[i]) == c.dim for i in orbits._bits(table.below[c.index]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +365,13 @@ def _generic_chain_dual(
     return classical.segments_from_ranks(r, k)
 
 
-def pyasetskii_dual(orbit: OrbitRecord, dual_table: list[OrbitRecord] | None = None) -> OrbitRecord:
+def pyasetskii_dual(orbit: OrbitRecord, table: OrbitTable) -> OrbitRecord:
     """
-    The dual orbit, reported in the canonical table of the same variety
-    (orbits of the opposite-orientation variety carry the same labels),
-    by the closed forms of :func:`dual_key`.
+    The dual orbit, looked up in ``table``, the canonical table of the same
+    variety (orbits of the opposite-orientation variety carry the same
+    labels), by the closed forms of :func:`dual_key`.
     """
-    table = dual_table if dual_table is not None else orbits.enumerate_orbits(orbit.variety)
-    return orbits.orbit_by_key(table, dual_key(orbit))
+    return table.by_key[dual_key(orbit)]
 
 
 def dual_key(orbit: OrbitRecord):
@@ -395,23 +388,21 @@ def dual_key(orbit: OrbitRecord):
     return 2 * ((v.n - orbit.rank) // 2)
 
 
-def conormal_dual(
-    orbit: OrbitRecord, seed: int = 0, dual_table: list[OrbitRecord] | None = None
-) -> OrbitRecord:
+def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitRecord:
     """Oracle for :func:`pyasetskii_dual`: the orbit of a generic covector in
-    the conormal space, found by :func:`_generic_key` with seeded samples."""
+    the conormal space, found by :func:`_generic_key` with seeded samples and
+    looked up in ``table``."""
     v = orbit.variety
-    table = dual_table if dual_table is not None else orbits.enumerate_orbits(v)
     rng = random.Random(seed)
     if v.kind == "chain":
         dual_msegs = tuple(
             _generic_chain_dual(segs, chain.dims, rng)
             for segs, chain in zip(orbit.msegs, v.chains)
         )
-        return orbits.orbit_by_key(table, dual_msegs)
+        return table.by_key[dual_msegs]
     if v.kind == "steinberg":
         complement = tuple(i for i in range(v.n) if i not in orbit.subset)
-        return orbits.orbit_by_key(table, complement)
+        return table.by_key[complement]
     n = v.n
     (dual_rank,) = _generic_key(
         [[x for row in m for x in row] for m in _two_eig_conormal_matrices(v, orbit.rank)],
@@ -419,7 +410,7 @@ def conormal_dual(
         lambda vec, rank: (rank([vec[i * n : (i + 1) * n] for i in range(n)]),),
         rng,
     )
-    return orbits.orbit_by_key(table, dual_rank)
+    return table.by_key[dual_rank]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +458,7 @@ def mw_chain_involution(segs: ChainSegs) -> ChainSegs:
     return tuple(sorted(out))
 
 
-def mw_involution(orbit: OrbitRecord, table: list[OrbitRecord] | None = None) -> OrbitRecord:
+def mw_involution(orbit: OrbitRecord, table: OrbitTable) -> OrbitRecord:
     """Greedy involution on multisegments: :func:`pyasetskii_dual`, defined
     for chain varieties only."""
     if orbit.variety.kind != "chain":

@@ -6,8 +6,9 @@ the chain grid whose coverage at every grade equals the dimension there.  The
 complete orbit invariant is the rank matrix r[i][j] = number of segments
 containing [i, j], which equals the rank of the composed arrow maps at any
 orbit point.  The closure order is entrywise rank dominance (smaller orbit =
-smaller ranks); :func:`closure_below` computes it once per table as integer
-bitsets, from which :func:`hasse` takes the transitive reduction.
+smaller ranks); :func:`closure_below` computes it as integer bitsets, once per
+:class:`OrbitTable` (its ``below``), and :func:`hasse` takes their transitive
+reduction.
 
 A chain orbit's dimension is dim H - dim End(M) for its multisegment module
 M = sum of segment modules, and dim Hom([b_s, e_s], [b_t, e_t]) is 1 exactly
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import classical, linalg
 from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
@@ -197,6 +199,22 @@ class OrbitRecord:
             return self.subset
         return self.rank
 
+    @cached_property
+    def dominance_key(self) -> tuple[int, ...]:
+        """Coordinates in which the closure order is entrywise <=: rank data
+        for chains, the subset indicator for Steinberg shapes, the rank
+        otherwise."""
+        v = self.variety
+        if v.kind == "chain":
+            return tuple(
+                x
+                for segs, chain in zip(self.msegs, v.chains)
+                for x in rank_key(segs, chain.length)
+            )
+        if v.kind == "steinberg":
+            return tuple(int(i in self.subset) for i in range(v.n))
+        return (self.rank,)
+
     def label(self) -> str:
         if self.msegs is not None:
             return multisegment_str(self.variety, self.msegs)
@@ -214,10 +232,24 @@ def multisegment_str(v: VoganVariety, msegs: tuple[ChainSegs, ...]) -> str:
     return "{" + ", ".join(parts) + "}" if parts else "{}"
 
 
-def _sort_and_finish(v: VoganVariety, raw: list[dict]) -> list[OrbitRecord]:
+class OrbitTable(tuple):
+    """The orbit records of one variety, in id order, with the closure order
+    (``below``, the :func:`closure_below` bitsets) and the lookup ``key`` ->
+    record (``by_key``), each computed on first use."""
+
+    @cached_property
+    def below(self) -> list[int]:
+        return closure_below(self)
+
+    @cached_property
+    def by_key(self) -> dict:
+        return {o.key: o for o in self}
+
+
+def _sort_and_finish(v: VoganVariety, raw: list[dict]) -> OrbitTable:
     raw.sort(key=lambda o: (o["dim"], o["sort_key"]))
     total = v.total_dim
-    records = [
+    records = OrbitTable(
         OrbitRecord(
             variety=v,
             index=i,
@@ -229,13 +261,13 @@ def _sort_and_finish(v: VoganVariety, raw: list[dict]) -> list[OrbitRecord]:
             rank=o.get("rank"),
         )
         for i, o in enumerate(raw)
-    ]
+    )
     if sum(r.is_open for r in records) != 1 or sum(r.is_closed for r in records) != 1:
         raise InternalInvariantError("expected exactly one open and one closed orbit")
     return records
 
 
-def enumerate_orbits(v: VoganVariety) -> list[OrbitRecord]:
+def enumerate_orbits(v: VoganVariety) -> OrbitTable:
     """Complete, duplicate-free orbit list with deterministic ids."""
     if v.kind == "chain":
         per_chain = [chain_multisegments(c.dims) for c in v.chains]
@@ -345,26 +377,11 @@ def representative(orbit: OrbitRecord):
     return two_eig_representative(v, orbit.rank)
 
 
-def _dominance_key(o: OrbitRecord) -> tuple[int, ...]:
-    """Coordinates in which the closure order is entrywise <=: rank data for
-    chains, the subset indicator for Steinberg shapes, the rank otherwise."""
-    v = o.variety
-    if v.kind == "chain":
-        return tuple(
-            x
-            for segs, chain in zip(o.msegs, v.chains)
-            for x in rank_key(segs, chain.length)
-        )
-    if v.kind == "steinberg":
-        return tuple(int(i in o.subset) for i in range(v.n))
-    return (o.rank,)
-
-
 def closure_leq(a: OrbitRecord, b: OrbitRecord) -> bool:
     """a <= b iff a lies in the closure of b (entrywise rank dominance)."""
     if a.variety != b.variety:
         raise InputError("closure comparison across different varieties")
-    return all(x <= y for x, y in zip(_dominance_key(a), _dominance_key(b)))
+    return all(x <= y for x, y in zip(a.dominance_key, b.dominance_key))
 
 
 def _bits(mask: int):
@@ -375,9 +392,9 @@ def _bits(mask: int):
         mask ^= low
 
 
-def closure_below(table: list[OrbitRecord]) -> list[int]:
+def closure_below(table: Sequence[OrbitRecord]) -> list[int]:
     """The closure order as bitsets: bit i of ``below[j]`` is set iff
-    table[i] <= table[j].
+    table[i] <= table[j].  Read it as :attr:`OrbitTable.below`.
 
     Each orbit's dominance key is packed into one integer, a field per entry
     with a guard bit on top; then a <= b entrywise iff subtracting a's packed
@@ -389,7 +406,7 @@ def closure_below(table: list[OrbitRecord]) -> list[int]:
     v = table[0].variety
     if any(o.variety != v for o in table):
         raise InputError("closure comparison across different varieties")
-    keys = [_dominance_key(o) for o in table]
+    keys = [o.dominance_key for o in table]
     width = max((x for key in keys for x in key), default=0).bit_length() + 1
     guard = sum(1 << (t * width + width - 1) for t in range(len(keys[0])))
     packed = [sum(x << (t * width) for t, x in enumerate(key)) for key in keys]
@@ -406,13 +423,13 @@ def closure_below(table: list[OrbitRecord]) -> list[int]:
     return below
 
 
-def hasse(orbits: list[OrbitRecord], below: list[int] | None = None) -> list[tuple[int, int]]:
+def hasse(table: OrbitTable) -> list[tuple[int, int]]:
     """Covering relations (a, b): orbit a is covered by orbit b.
 
-    The transitive reduction of :func:`closure_below`, which may be passed in
-    when the caller already has it.
+    The transitive reduction of ``table.below``; a and b are positions in
+    ``table``.
     """
-    below = below if below is not None else closure_below(orbits)
+    below = table.below
     edges = []
     for j, down in enumerate(below):
         strict = down & ~(1 << j)
@@ -421,13 +438,6 @@ def hasse(orbits: list[OrbitRecord], below: list[int] | None = None) -> list[tup
             reached |= below[i] & ~(1 << i)
         edges.extend((i, j) for i in _bits(strict & ~reached))
     return sorted(edges)
-
-
-def orbit_by_key(orbits: list[OrbitRecord], key) -> OrbitRecord:
-    for o in orbits:
-        if o.key == key:
-            return o
-    raise InputError(f"no orbit with key {key!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,8 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
     from . import __version__
 
     table = orbits.enumerate_orbits(v)
-    below = orbits.closure_below(table)
-    matrix = bridge.multiplicity_matrix(table, below)
+    matrix = bridge.multiplicity_matrix(table)
     smooth = {o.index: geometry.is_smooth_closure(o) for o in table}
-    index_of = {o.key: o.index for o in table}
     rational = bridge.rational_smoothness(matrix)
 
     def per_orbit(o: OrbitRecord, row: dict) -> dict:
@@ -64,7 +62,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "smooth_closure": smooth[o.index],
             "rationally_smooth": rational[o.index],
             "arthur": row["arthur_verdict"].as_dict(),
-            "dual_orbit": index_of[geometry.dual_key(o)],
+            "dual_orbit": table.by_key[geometry.dual_key(o)].index,
             "component_group": _component_group_json(o),
             "representative": orbits.representative(o),
             "violation": row["violation"],
@@ -89,7 +87,7 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
         },
         "orbits": orbit_rows,
         "multiplicity_matrix": matrix,
-        "hasse": [list(e) for e in orbits.hasse(table, below)],
+        "hasse": [list(e) for e in orbits.hasse(table)],
     }
     return report
 

@@ -166,15 +166,18 @@ def test_memoised_rectangle_expansions():
             # centered, shifted and one-sided grids, integer and half-integer
             for offset in (Fraction(-t, 2) for t in range(2 * len(dims) + 1)):
                 lo, hi = offset, offset + len(dims) - 1
-                # exactly the rectangles of content <= total that fit the grid
+                # exactly the rectangles of content <= total that lie on the
+                # grid points, as grid indices (exponent - offset)
                 fitting = [
                     (d, a)
                     for d in range(1, total + 1)
                     for a in range(1, total // d + 1)
-                    if all(lo <= s and e <= hi for s, e in Rectangle(d, a, 0).segments())
+                    if all(lo <= s and e <= hi and (s - lo).denominator == 1
+                           for s, e in Rectangle(d, a, 0).segments())
                 ]
                 assert _rectangle_expansions(offset, len(dims), total) == tuple(
-                    tuple(sorted(Rectangle(d, a, 0).segments())) for d, a in fitting
+                    tuple(sorted((s - lo, e - lo) for s, e in Rectangle(d, a, 0).segments()))
+                    for d, a in fitting
                 )
 
 

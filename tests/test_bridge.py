@@ -258,13 +258,14 @@ def test_rational_smoothness_matches_tangent_test():
 def test_rational_smoothness_needs_chain_variety():
     table = enumerate_orbits(steinberg_variety("sp-dual", 2))
     with pytest.raises(UnsupportedFamilyError):
-        rationally_smooth(table[0])
+        rationally_smooth(table[0], table)
 
 
 def test_rational_smoothness_refuses_chains_beyond_the_kl_range():
     v = build_variety([Chain(Fraction(0), (1, 2, 2, 2))], "gl")
     with pytest.raises(InputError):
-        rationally_smooth(enumerate_orbits(v)[0])
+        table = enumerate_orbits(v)
+        rationally_smooth(table[0], table)
 
 
 def test_calibration_survivors():

@@ -82,15 +82,14 @@ def test_analyze_has_no_jobs_flag(capsys):
 def test_report_rational_smoothness_matches_oracles(chain_suite):
     for _dims, v, table in chain_suite:
         rows = assemble_report(v)["orbits"]
-        below = closure_below(table)
+        assert table.below == closure_below(table)
         for o, row in zip(table, rows):
             assert row["rationally_smooth"] == rationally_smooth(o, table)
             assert row["rationally_smooth"] == tangent_smooth_closure(o, table)
-            assert tangent_smooth_closure(o, table, below) == row["rationally_smooth"]
 
 
 def test_report_duals_match_pyasetskii_dual(chain_suite):
-    # the report looks duals up by key; pyasetskii_dual scans the table
+    # the report looks duals up in its own table; pyasetskii_dual in this one
     classical = [steinberg_variety(family, 4) for family in ("sp-dual", "so-even", "so-odd-dual")]
     classical += [two_eigenvalue_variety(family, 5) for family in ("sp-dual", "so-even")]
     cases = [v for _dims, v, _table in chain_suite] + classical
@@ -325,6 +324,56 @@ def test_verify_rows_match_the_benchmark_goldens(golden):
     for name, entry in sorted(doc["varieties"].items()):
         rows = verify_battery(build(entry["spec"]), seed=doc["seed"])
         assert [[row_name, ok] for row_name, ok, _ in rows] == entry["verify"], name
+
+
+def test_cross_check_runs_on_the_smallest_variety_of_each_workload(monkeypatch):
+    # perfbench/answers.py calls mw_involution and rationally_smooth under
+    # --self-check; loaded read-only, so a signature change fails here too
+    workloads = benchmark_workloads()
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    path = GOLDEN_DIR.parent / "answers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_answers", path)
+    answers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(answers)
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        v = min(
+            (workloads.build(s) for s in workload["varieties"]),
+            key=lambda v: len(enumerate_orbits(v)),
+        )
+        ans = answers.extract(json.loads(report_json(assemble_report(v, seed=0))))
+        assert answers.cross_check(v, ans) == [], name
+
+
+@pytest.mark.parametrize("dims, detail", [
+    ((1, 2, 3, 2, 1), "orbits 1 <= 6 but duals 75 !<= 80"),
+    ((1, 2, 2, 2, 2, 1), "orbits 1 <= 6 but duals 225 !<= 226"),
+])
+def test_order_reversal_names_the_least_failing_pair(dims, detail):
+    v = build_variety([Chain(Fraction(0), dims)], "gl")
+    rows = {name: (ok, d) for name, ok, d in verify_battery(v)}
+    assert rows["duality reverses the closure order"] == (False, detail)
+
+
+def test_report_computes_the_closure_order_once(monkeypatch):
+    from voganlab import orbits
+
+    calls = []
+    real = orbits.closure_below
+
+    def counted(table):
+        calls.append(len(table))
+        return real(table)
+
+    monkeypatch.setattr(orbits, "closure_below", counted)
+    for v in [
+        build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(10), (2, 1))], "gl"),
+        build_variety([Chain(Fraction(0), (1, 2, 2, 2))], "gl"),
+        steinberg_variety("sp-dual", 4),
+        two_eigenvalue_variety("so-even", 4),
+    ]:
+        calls.clear()
+        rep = assemble_report(v)
+        assert calls == [len(rep["orbits"])]
 
 
 def _flip_dual(rep):

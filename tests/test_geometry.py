@@ -346,7 +346,7 @@ def test_greedy_merges_all_singletons():
 def test_greedy_needs_chain_variety():
     table = enumerate_orbits(steinberg_variety("sp-dual", 2))
     with pytest.raises(UnsupportedFamilyError):
-        mw_involution(table[0])
+        mw_involution(table[0], table)
 
 
 def test_greedy_is_an_involution_on_small_multisegments():

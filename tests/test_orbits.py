@@ -7,6 +7,7 @@ import pytest
 from voganlab import linalg
 from voganlab.errors import InputError
 from voganlab.orbits import (
+    OrbitTable,
     chain_multisegments,
     chain_orbit_dim,
     chain_rank_matrix,
@@ -290,7 +291,21 @@ def test_bitset_relation_and_hasse_match_the_definition(make):
     # edges are list positions; the relation must not rely on a dimension-sorted list
     shuffled = list(table)
     random.Random(5).shuffle(shuffled)
-    assert hasse(shuffled) == reference_hasse(shuffled)
+    assert hasse(OrbitTable(shuffled)) == reference_hasse(shuffled)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gl_chain((1, 2, 2, 1)),
+    lambda: build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(7), (2, 2))], "gl"),
+    lambda: steinberg_variety("sp-dual", 4),
+    lambda: two_eigenvalue_variety("so-even", 5),
+])
+def test_orbit_table_by_key_maps_every_key_to_its_record(make):
+    table = enumerate_orbits(make())
+    assert isinstance(table, OrbitTable)
+    assert len(table.by_key) == len(table)
+    for o in table:
+        assert table.by_key[o.key] is o
 
 
 def test_closure_relation_needs_same_variety():
