@@ -3,8 +3,7 @@
 root, orbits indexed by subsets, closures all smooth."""
 
 from voganlab import enumerate_orbits, hasse, is_smooth_closure, steinberg_variety
-from voganlab.arthur import speculation_rows, speculation_table
-from voganlab.report import format_table
+from voganlab.report import format_table, speculation_table, table_report
 
 v = steinberg_variety("gl", 4)
 table = enumerate_orbits(v)
@@ -22,4 +21,4 @@ print(format_table(["id", "multisegment", "dim", "extreme", "closure"], rows))
 print("covering relations:", hasse(table))
 print()
 print("speculation summary (smooth / Arthur orbit / Arthur representation):")
-print(speculation_table(speculation_rows(table)))
+print(speculation_table(table_report(table)["orbits"]))

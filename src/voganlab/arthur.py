@@ -8,14 +8,16 @@ untwisted chain decomposes into rectangles centered at exponent 0, so an
 orbit is of Arthur type exactly when its multisegment splits into
 zero-centered rectangles on the true exponent grid.
 
-Decompositions are found by forced greedy extraction: rectangles never mix
-segment lengths, and within a length class the leftmost remaining start must
-open a run whose width is pinned by the zero-center condition, so the search
-needs no backtracking (large lengths are processed first; the verdict is the
-contract, the decomposition is a witness).  Classical-family orbits are
-tested through their general-linear realisation.  For varieties with several
-chains the criterion is applied per chain and the verdict carries a caveat
-flag, since the boundedness analysis is per-twist.
+Decompositions are found by forced greedy extraction on grid indices:
+rectangles never mix segment lengths, and within a length class the leftmost
+remaining start b must open a run whose width a = 2 - d - 2 offset - 2b is
+pinned by the zero-center condition, so the search needs no backtracking
+(large lengths are processed first; the verdict is the contract, the
+decomposition is a witness).  Classical-family orbits are tested through
+their general-linear realisation.  For varieties with several chains the
+criterion is applied per chain and the verdict carries a caveat flag, since
+the boundedness analysis is per-twist.  This module classifies only; the
+report row (:mod:`report`) pairs each verdict with smoothness.
 """
 
 from __future__ import annotations
@@ -91,22 +93,22 @@ class ArthurVerdict:
 
 def _chain_rectangles(chain: Chain, segs: ChainSegs) -> list[Rectangle] | None:
     """Partition one chain's segments into zero-centered rectangles."""
-    by_length: dict[int, list[Fraction]] = {}
+    by_length: dict[int, list[int]] = {}
     for b, e in segs:
-        by_length.setdefault(e - b + 1, []).append(chain.exponent(b))
+        by_length.setdefault(e - b + 1, []).append(b)
+    twice_offset = int(2 * chain.offset)
     out: list[Rectangle] = []
     for d in sorted(by_length, reverse=True):
         starts = sorted(by_length[d])
         while starts:
-            s0 = starts[0]
-            a = 2 - d - 2 * s0  # forced by center 0: s0 = 1 - (d + a)/2
-            if a.denominator != 1 or a < 1:
+            b = starts[0]
+            # forced by center 0: offset + b = 1 - (d + a)/2
+            a = 2 - d - twice_offset - 2 * b
+            if a < 1:
                 return None
-            a = int(a)
-            run = [s0 + i for i in range(a)]
-            for r in run:
+            for s in range(b, b + a):
                 try:
-                    starts.remove(r)
+                    starts.remove(s)
                 except ValueError:
                     return None
             out.append(Rectangle(d, a, Fraction(0)))
@@ -173,68 +175,3 @@ def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
         return search(remaining, idx + 1)
 
     return search(sorted(segs), 0)
-
-
-# ---------------------------------------------------------------------------
-# the per-orbit speculation report
-
-
-def speculation_rows(
-    table: list[OrbitRecord], smooth_flags: dict[int, bool] | None = None
-) -> list[dict]:
-    """One row per orbit of ``table``, in order: open/closed, smooth closure,
-    arthur, violation."""
-    from . import geometry
-
-    rows = []
-    for o in table:
-        smooth = (
-            smooth_flags[o.index]
-            if smooth_flags is not None
-            else geometry.is_smooth_closure(o)
-        )
-        verdict = is_arthur_type(o)
-        open_or_closed = o.is_open or o.is_closed
-        rows.append(
-            {
-                "open_or_closed": open_or_closed,
-                "smooth_closure": smooth,
-                "arthur": verdict.is_arthur,
-                "arthur_verdict": verdict,
-                "violation": verdict.is_arthur and not open_or_closed and smooth,
-            }
-        )
-    return rows
-
-
-def speculation_table(rows: list[dict]) -> list[dict]:
-    """Aggregate rows into the two-line open/closed vs rest summary.
-
-    The representation-level column repeats the orbit column for the built-in
-    families: their nontrivial local systems either do not exist or belong to
-    non-split forms, so they contribute no further Arthur members.
-    """
-    out = []
-    for cls, name in ((True, "Open/Closed"), (False, "Non-Open/Closed")):
-        group = [r for r in rows if r["open_or_closed"] == cls]
-        if not group:
-            continue
-        smooth_vals = {r["smooth_closure"] for r in group}
-        arthur_vals = {r["arthur"] for r in group}
-        out.append(
-            {
-                "class": name,
-                "smooth": _summarise(smooth_vals),
-                "arthur_orbit": _summarise(arthur_vals),
-                "arthur_rep": _summarise(arthur_vals),
-            }
-        )
-    return out
-
-
-def _summarise(values: set) -> str:
-    if values == {True}:
-        return "Yes"
-    if values == {False}:
-        return "No"
-    return "Mixed"

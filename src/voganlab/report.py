@@ -2,6 +2,9 @@
 Orbit reports: one self-contained record of everything the library computes
 about a variety, serialisable to stable JSON (byte-identical across runs for
 the same spec, version, and seed) and to a DOT digraph for the closure order.
+Each orbit row is the only per-orbit record: it carries every verdict,
+including the ``violation`` flag of the paper's closing speculation, which
+:func:`speculation_table` aggregates.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import json
 
 from . import arthur, bridge, geometry, lattice, orbits
-from .orbits import OrbitRecord
+from .orbits import OrbitRecord, OrbitTable
 from .variety import VoganVariety
 
 def _multisegment_json(orbit: OrbitRecord) -> list[list[list[str]]] | None:
@@ -39,17 +42,24 @@ def _component_group_json(orbit: OrbitRecord):
 
 
 def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
-    """The report of ``v``.  ``jobs`` is accepted and ignored: the per-orbit
-    rows come from one serial loop, since a thread pool over this pure-Python
-    work measured no gain, and the keyword stays for callers that pass it."""
+    """The report of ``v``: :func:`table_report` of its orbit table.  ``jobs``
+    is accepted and ignored: the per-orbit rows come from one serial loop,
+    since a thread pool over this pure-Python work measured no gain, and the
+    keyword stays for callers that pass it."""
+    return table_report(orbits.enumerate_orbits(v), seed)
+
+
+def table_report(table: OrbitTable, seed: int = 0) -> dict:
+    """The report of the variety whose orbit table is ``table``."""
     from . import __version__
 
-    table = orbits.enumerate_orbits(v)
+    v = table[0].variety
     matrix = bridge.multiplicity_matrix(table)
-    smooth = {o.index: geometry.is_smooth_closure(o) for o in table}
     rational = bridge.rational_smoothness(matrix)
 
-    def per_orbit(o: OrbitRecord, row: dict) -> dict:
+    def per_orbit(o: OrbitRecord) -> dict:
+        verdict = arthur.is_arthur_type(o)
+        smooth = geometry.is_smooth_closure(o)
         return {
             "id": o.index,
             "label": o.label(),
@@ -59,20 +69,16 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "dim": o.dim,
             "is_open": o.is_open,
             "is_closed": o.is_closed,
-            "smooth_closure": smooth[o.index],
+            "smooth_closure": smooth,
             "rationally_smooth": rational[o.index],
-            "arthur": row["arthur_verdict"].as_dict(),
+            "arthur": verdict.as_dict(),
             "dual_orbit": table.by_key[geometry.dual_key(o)].index,
             "component_group": _component_group_json(o),
             "representative": orbits.representative(o),
-            "violation": row["violation"],
+            "violation": verdict.is_arthur and not (o.is_open or o.is_closed) and smooth,
         }
 
-    orbit_rows = [
-        per_orbit(o, row) for o, row in zip(table, arthur.speculation_rows(table, smooth))
-    ]
-
-    report = {
+    return {
         "tool": {"name": "voganlab", "version": __version__},
         "seed": seed,
         "conventions": {
@@ -85,11 +91,10 @@ def assemble_report(v: VoganVariety, seed: int = 0, jobs: int = 1) -> dict:
             "total_dim": v.total_dim,
             "group_dim": v.group_dim,
         },
-        "orbits": orbit_rows,
+        "orbits": [per_orbit(o) for o in table],
         "multiplicity_matrix": matrix,
         "hasse": [list(e) for e in orbits.hasse(table)],
     }
-    return report
 
 
 def report_json(report: dict) -> str:
@@ -119,3 +124,36 @@ def format_table(header: list[str], body: list[list[str]]) -> str:
     lines = [fmt(header), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in body)
     return "\n".join(lines) + "\n"
+
+
+def speculation_table(rows: list[dict]) -> list[dict]:
+    """Aggregate report orbit rows into the two-line open/closed vs rest
+    summary.
+
+    The representation-level column repeats the orbit column for the built-in
+    families: their nontrivial local systems either do not exist or belong to
+    non-split forms, so they contribute no further Arthur members.
+    """
+    out = []
+    for cls, name in ((True, "Open/Closed"), (False, "Non-Open/Closed")):
+        group = [r for r in rows if (r["is_open"] or r["is_closed"]) == cls]
+        if not group:
+            continue
+        arthur_vals = {r["arthur"]["is_arthur"] for r in group}
+        out.append(
+            {
+                "class": name,
+                "smooth": _summarise({r["smooth_closure"] for r in group}),
+                "arthur_orbit": _summarise(arthur_vals),
+                "arthur_rep": _summarise(arthur_vals),
+            }
+        )
+    return out
+
+
+def _summarise(values: set) -> str:
+    if values == {True}:
+        return "Yes"
+    if values == {False}:
+        return "No"
+    return "Mixed"

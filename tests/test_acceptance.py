@@ -21,13 +21,14 @@ from fractions import Fraction
 import pytest
 
 from voganlab import kl
-from voganlab.arthur import brute_force_arthur, is_arthur_type, speculation_rows, speculation_table
+from voganlab.arthur import brute_force_arthur, is_arthur_type
 from voganlab.bridge import multiplicity_matrix, rationally_smooth
 from voganlab.cli import main
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
 from voganlab.geometry import conormal_dual, is_smooth_closure, mw_involution, pyasetskii_dual
 from voganlab.lattice import builtin_root_datum, center_image, stabilizer_component_group
 from voganlab.orbits import closure_leq, enumerate_orbits, gl_shadow
+from voganlab.report import speculation_table, table_report
 from voganlab.variety import steinberg_variety, two_eigenvalue_variety
 
 
@@ -46,7 +47,7 @@ def test_criterion_1_line_families():
         for o in table:
             assert is_smooth_closure(o)
             assert is_arthur_type(o).is_arthur == (o.is_open or o.is_closed)
-        agg = speculation_table(speculation_rows(table))
+        agg = speculation_table(table_report(table)["orbits"])
         expected_rest = [] if n == 2 else [
             {"class": "Non-Open/Closed", "smooth": "Yes", "arthur_orbit": "No", "arthur_rep": "No"}
         ]
@@ -82,7 +83,7 @@ def test_criterion_3_two_eigenvalue_families():
         for o in table:
             assert is_arthur_type(o).is_arthur
             assert is_smooth_closure(o) == (o.is_open or o.is_closed)
-        agg = speculation_table(speculation_rows(table))
+        agg = speculation_table(table_report(table)["orbits"])
         expected_rest = [] if n == 1 else [
             {"class": "Non-Open/Closed", "smooth": "No", "arthur_orbit": "Yes", "arthur_rep": "Yes"}
         ]

@@ -9,12 +9,11 @@ from voganlab.arthur import (
     brute_force_arthur,
     is_arthur_type,
     rectangle_multisegment,
-    speculation_rows,
-    speculation_table,
 )
 from voganlab.classical import gl_multisegment_of_subset, graded_power_multisegment
 from voganlab.errors import InputError
 from voganlab.orbits import enumerate_orbits, gl_shadow
+from voganlab.report import speculation_table, table_report
 from voganlab.variety import (
     SO_EVEN,
     SO_ODD,
@@ -152,12 +151,15 @@ def test_decomposition_expands_to_the_multisegment():
 
 
 def test_agrees_with_brute_force_search():
-    for total in range(1, 6):
-        for dims in compositions(total):
-            table = enumerate_orbits(centered_gl_chain(dims))
-            for o in table:
-                (chain, segs), = gl_shadow(o)
-                assert brute_force_arthur(chain, segs) == is_arthur_type(o).is_arthur
+    for total in range(1, 7):
+        for dims in compositions(total, maxparts=total):
+            # centered, shifted and one-sided grids, integer and half-integer
+            for offset in (Fraction(-t, 2) for t in range(2 * len(dims) + 1)):
+                v = build_variety([Chain(offset, dims)], "gl")
+                for o in enumerate_orbits(v):
+                    (chain, segs), = gl_shadow(o)
+                    assert brute_force_arthur(chain, segs) == is_arthur_type(o).is_arthur, (
+                        offset, dims, segs)
 
 
 def test_memoised_rectangle_expansions():
@@ -215,7 +217,7 @@ def test_steinberg_shadow_rejects_root_index_out_of_range(family):
 
 def test_line_family_speculation_table():
     table = enumerate_orbits(steinberg_variety("gl", 4))
-    agg = speculation_table(speculation_rows(table))
+    agg = speculation_table(table_report(table)["orbits"])
     assert agg == [
         {"class": "Open/Closed", "smooth": "Yes", "arthur_orbit": "Yes", "arthur_rep": "Yes"},
         {"class": "Non-Open/Closed", "smooth": "Yes", "arthur_orbit": "No", "arthur_rep": "No"},
@@ -224,7 +226,7 @@ def test_line_family_speculation_table():
 
 def test_two_eig_family_speculation_table():
     table = enumerate_orbits(two_eigenvalue_variety("gl", 3))
-    agg = speculation_table(speculation_rows(table))
+    agg = speculation_table(table_report(table)["orbits"])
     assert agg == [
         {"class": "Open/Closed", "smooth": "Yes", "arthur_orbit": "Yes", "arthur_rep": "Yes"},
         {"class": "Non-Open/Closed", "smooth": "No", "arthur_orbit": "Yes", "arthur_rep": "Yes"},
@@ -241,4 +243,4 @@ def test_no_violations_on_builtin_families():
     ]
     for v in varieties:
         table = enumerate_orbits(v)
-        assert not any(r["violation"] for r in speculation_rows(table))
+        assert not any(r["violation"] for r in table_report(table)["orbits"])

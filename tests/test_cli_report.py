@@ -101,6 +101,17 @@ def test_report_duals_match_pyasetskii_dual(chain_suite):
         ]
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Patch ``module.name`` to add one to ``calls[name]`` per call."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_report_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
     from voganlab import bridge, kl
 
@@ -109,17 +120,8 @@ def test_report_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
     related = sum(bin(down).count("1") for down in closure_below(table))
     calls = {"max_coset_rep": 0, "kl_poly": 0}
 
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(bridge, "max_coset_rep")
-    counted(kl, "kl_poly")
+    count_calls(monkeypatch, calls, bridge, "max_coset_rep")
+    count_calls(monkeypatch, calls, kl, "kl_poly")
     assemble_report(v)
     assert calls == {"max_coset_rep": 2 * len(table), "kl_poly": 2 * related}
 
@@ -376,6 +378,24 @@ def test_report_computes_the_closure_order_once(monkeypatch):
         assert calls == [len(rep["orbits"])]
 
 
+def test_verify_builds_one_table_and_one_arthur_pass(monkeypatch):
+    from voganlab import arthur, orbits
+
+    calls = {"enumerate_orbits": 0, "is_arthur_type": 0}
+
+    count_calls(monkeypatch, calls, orbits, "enumerate_orbits")
+    count_calls(monkeypatch, calls, arthur, "is_arthur_type")
+    for v in [
+        build_variety([Chain(Fraction(-1, 2), (1, 1)), Chain(Fraction(-1), (1, 1, 1))], "gl"),
+        steinberg_variety("sp-dual", 4),
+        two_eigenvalue_variety("so-even", 4),
+    ]:
+        count = len(enumerate_orbits(v))  # the unpatched import: not counted
+        calls.update(enumerate_orbits=0, is_arthur_type=0)
+        verify_battery(v)
+        assert calls == {"enumerate_orbits": 1, "is_arthur_type": count}
+
+
 def _flip_dual(rep):
     row = rep["orbits"][1]
     row["dual_orbit"] = (row["dual_orbit"] + 1) % len(rep["orbits"])
@@ -395,12 +415,18 @@ def _add_flat_cover(rep):
     rep["hasse"] = sorted(rep["hasse"] + [[1, 2]])
 
 
+def _flag_violation(rep):
+    assert not rep["orbits"][1]["violation"]
+    rep["orbits"][1]["violation"] = True
+
+
 @pytest.mark.parametrize("corrupt, row, detail", [
     (_flip_dual, "greedy involution agrees with the conormal dual", ""),
     (_flip_rationally_smooth, "KL rational smoothness matches the tangent test", "orbit 2"),
     (_flip_arthur, "rectangle search agrees with brute force", "orbit 3"),
     (_add_flat_cover, "dimension strictly increases along covers",
      "cover 1 -> 2 without dimension increase"),
+    (_flag_violation, "no violation of the open/closed/singular pattern", ""),
 ])
 def test_verify_checks_the_report(monkeypatch, corrupt, row, detail):
     # verify must read the fields analyze prints: one corrupted field fails
@@ -409,14 +435,14 @@ def test_verify_checks_the_report(monkeypatch, corrupt, row, detail):
 
     v = build_variety([Chain(Fraction(-1), (1, 1, 1))], "gl")
     assert all(ok for _, ok, _ in verify_battery(v))
-    built = report.assemble_report
+    built = report.table_report
 
     def corrupted(*args, **kwargs):
         rep = built(*args, **kwargs)
         corrupt(rep)
         return rep
 
-    monkeypatch.setattr(report, "assemble_report", corrupted)
+    monkeypatch.setattr(report, "table_report", corrupted)
     failed = {name: d for name, ok, d in verify_battery(v) if not ok}
     assert failed == {row: detail}
 

@@ -32,3 +32,31 @@ def test_every_parameter_is_read():
     found = set().union(*(unread_parameters(path) for path in sorted(SRC.glob("*.py"))))
     assert found == ALLOWED
 
+
+
+# argv=None lets argparse read sys.argv
+NONE_DEFAULT_ALLOWED = {("cli.py", "main", "argv")}
+
+
+def none_default_parameters(path: Path) -> set[tuple[str, str, str]]:
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                 *zip(a.kwonlyargs, a.kw_defaults)]
+        name = getattr(node, "name", f"<lambda at line {node.lineno}>")
+        out |= {
+            (path.name, name, p.arg) for p, d in pairs
+            if isinstance(d, ast.Constant) and d.value is None
+        }
+    return out
+
+
+def test_no_parameter_defaults_to_none():
+    # a None default invites compute-if-absent branches: a second route to a
+    # value that the caller already has
+    found = set().union(*(none_default_parameters(path) for path in sorted(SRC.glob("*.py"))))
+    assert found == NONE_DEFAULT_ALLOWED
