@@ -22,11 +22,17 @@ a multi-chain variety the entries multiply over chains.
 The matrix is computed over the closure relation ``table.below`` of the
 :class:`orbits.OrbitTable`: each orbit's permutation is built once and
 P_{w(C), w(D)} is evaluated only for C <= D, since the bridge embeds the
-closure order into Bruhat order and every other entry is 0.  Because KL
-polynomials have constant term 1 and nonnegative coefficients, P(1) = 1 only
-when P = 1; so D is rationally smooth exactly when column D of the matrix
-holds only 0s and 1s.  :func:`rational_smoothness` reads that flag off the
-matrix for the report, ``verify`` and :func:`rationally_smooth`.
+closure order into Bruhat order and every other entry is 0.  Each w(D) is
+longest in its double coset, so every simple reflection of W_d is a left
+descent of it, and :func:`kl.kl_poly` reads P_{w(C), w(D)} from the column of
+w(D) over the maxima of the left cosets of its left descents (Deodhar 1987;
+Kazhdan-Lusztig 1979, (2.3.g)): the coarser d is, the fewer entries and
+columns a chain needs.  Because KL polynomials have constant term 1 and
+nonnegative coefficients, P(1) = 1 only when P = 1; so D is rationally smooth
+exactly when column D of the matrix holds only 0s and 1s.
+:func:`rational_smoothness` reads that flag off the matrix for the report and
+``verify``; :func:`rationally_smooth` evaluates column D alone, for callers
+that ask orbit by orbit.
 
 Convention: of the eight a-priori conventions (min vs max length coset
 representative, argument order, table vs its transpose) exactly two survive
@@ -183,14 +189,20 @@ def rational_smoothness(matrix: dict) -> list[bool | None]:
 
 
 def rationally_smooth(c: OrbitRecord, table: OrbitTable) -> bool:
-    """True iff every KL polynomial over strata of the closure of c is 1,
-    read off column c of the multiplicity matrix of ``table``."""
+    """True iff every KL polynomial over strata of the closure of c is 1:
+    column c of the multiplicity matrix, evaluated on ``table.below[c]`` only."""
     v = c.variety
     if v.kind != "chain":
         raise UnsupportedFamilyError("rational smoothness via KL needs a chain variety")
     if any(chain.total > kl.KL_TABLE_MAX for chain in v.chains):
         raise InputError(f"rational smoothness via KL needs chain totals <= {kl.KL_TABLE_MAX}")
-    return rational_smoothness(multiplicity_matrix(table))[c.index]
+    down = table.below[c.index]
+    pd = multisegment_to_permutation(c)
+    return all(
+        _perms_value(multisegment_to_permutation(o), pd) == 1
+        for o in table
+        if down >> o.index & 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,29 @@ Permutations are tuples in one-line notation on ``{1..N}``, e.g. ``(3,4,1,2)``.
 Polynomials in q are tuples of integer coefficients, constant term first, with
 no trailing zeros; the zero polynomial is the empty tuple.
 
-``kl_poly(u, w)`` reads P_{u,w} from the column of w, ``{x: P_{x,w}}`` over
-the lower Bruhat interval [e, w].  A column is built by the classical
-recursion on the first right descent s of w: with v = ws, [e, w] is
-[e, v] ∪ [e, v]·s, and every term of the recursion is read from complete
-columns of shorter elements (P_{xs,v} and P_{x,v} from column v, mu(z, v) from
-column v, P_{x,z} from column z), so no mu-term is ever dropped.  Columns are
-memoised in memory for the life of the process; only the columns an orbit
-table asks for, and those their recursion reaches, are built.
-N is capped at ``KL_TABLE_MAX`` = 6 for size: |[e, w]| grows up to N!, so a
-column of S_7 may hold 5,040 polynomials.  The route for larger N is ROADMAP
-item 3.  ``_kl_table`` builds the whole S_N table bottom-up by index and stays
-as an independent oracle for the tests.
+``kl_poly(u, w)`` reads P_{u,w} from the column of w.  P_{x,w} = P_{tx,w}
+for every left descent t of w (Kazhdan-Lusztig, Invent. Math. 1979, (2.3.g)),
+so P_{., w} is constant on the left cosets W_I x, I the left descent set of
+w, and the column holds only the coset maxima: ``{x: P_{x,w}}`` over the
+x <= w that are longest in W_I x, and u is read at the maximum of W_I u.  On
+the values 1..N, W_I acts by the blocks of :func:`_value_blocks`.  This is
+Deodhar's parabolic reduction (*On some geometric aspects of Bruhat
+orderings II*, J. Algebra 1987).
+
+A column is built by the classical recursion on the first right descent s of
+w that moves values of two blocks: with v = ws, [e, w] is [e, v] ∪ [e, v]·s,
+the reflections inside each block stay left descents of v, and every term is
+read from columns over the same blocks (P_{xs,v} and P_{x,v} from column v, mu(z, v) from column v,
+P_{x,z} from column z).  The mu-terms the reduced column omits vanish: a z
+that is not a coset maximum has t·z > z, so mu(z, v) != 0 forces z = t·v
+(KL (2.3.e)), and then zs > z leaves it out of the sum.  With trivial blocks
+this is the recursion over all of [e, w].  Columns are memoised in memory for
+the life of the process; only the columns an orbit table asks for, and those
+their recursion reaches, are built.
+N is capped at ``KL_TABLE_MAX`` = 6, the range in which the tests confirm
+every pair against ``_kl_table``, which builds the whole S_N table bottom-up
+by index and stays as an independent oracle; beyond it, the tests check the
+columns of every chain of total 7 against the trivial-block recursion.
 
 >>> kl_poly((1, 2, 3, 4), (3, 4, 1, 2))
 (1, 1)
@@ -138,7 +149,7 @@ def poly_str(a: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# KL columns over lower Bruhat intervals (the production route)
+# KL columns over left-coset maxima (the production route)
 
 
 @lru_cache(maxsize=None)
@@ -146,48 +157,95 @@ def _length(x: Perm) -> int:
     return perm_length(x)
 
 
-def _first_descent(w: Perm) -> int | None:
-    """The smallest k with w[k] > w[k+1] (0-based), i.e. w * s_k < w."""
-    return next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+@lru_cache(maxsize=None)
+def _value_blocks(w: Perm) -> tuple[int, ...]:
+    """Block label of each value 1..N: the maximal runs i, i+1, ... in which
+    every i+1 stands before i in w, i.e. the orbits on values of W_I for I
+    the left descent set of w.  ``blk[i - 1]`` is the label of value i."""
+    pos = perm_inverse(w)
+    blk = [0]
+    for i in range(1, len(w)):
+        blk.append(blk[-1] + (pos[i] > pos[i - 1]))
+    return tuple(blk)
 
 
 @lru_cache(maxsize=None)
-def _lower_interval(w: Perm) -> tuple[Perm, ...]:
-    """[e, w] in decreasing length, by lifting: [e, w] = [e, ws] ∪ [e, ws]·s
-    for the first right descent s of w."""
-    k = _first_descent(w)
+def _left_max(u: Perm, blk: tuple[int, ...]) -> Perm:
+    """The longest element of the left coset W_blk·u: within each block, the
+    larger values take the earlier positions."""
+    slots: dict[int, list[int]] = {}
+    for i, x in enumerate(u):
+        slots.setdefault(blk[x - 1], []).append(i)
+    out = list(u)
+    for positions in slots.values():
+        for i, x in zip(positions, sorted((u[i] for i in positions), reverse=True)):
+            out[i] = x
+    return tuple(out)
+
+
+def _split_descent(w: Perm, blk: tuple[int, ...]) -> int | None:
+    """The smallest k with w[k] > w[k+1] (0-based) whose two values lie in
+    different blocks; None when w is the longest element of W_blk."""
+    return next(
+        (
+            k
+            for k in range(len(w) - 1)
+            if w[k] > w[k + 1] and blk[w[k] - 1] != blk[w[k + 1] - 1]
+        ),
+        None,
+    )
+
+
+@lru_cache(maxsize=None)
+def _lower_interval(w: Perm, blk: tuple[int, ...]) -> tuple[Perm, ...]:
+    """The W_blk-maximal elements of [e, w] in decreasing length, by lifting
+    along the descent s of :func:`_split_descent`: [e, w] = [e, ws] ∪ [e, ws]·s,
+    and x·s is W_blk-maximal for maximal x iff x moves values of two blocks."""
+    k = _split_descent(w, blk)
     if k is None:
         return (w,)
-    below = _lower_interval(right_mult_s(w, k))
+    below = _lower_interval(right_mult_s(w, k), blk)
     items = set(below)
-    items.update(right_mult_s(x, k) for x in below)
+    items.update(
+        right_mult_s(x, k) for x in below if blk[x[k] - 1] != blk[x[k + 1] - 1]
+    )
     return tuple(sorted(items, key=_length, reverse=True))
 
 
 @lru_cache(maxsize=None)
-def _column(w: Perm) -> dict[Perm, Poly]:
-    """{x: P_{x,w} for x <= w}, by the recursion on the first right descent.
+def _column(w: Perm, blk: tuple[int, ...]) -> dict[Perm, Poly]:
+    """{x: P_{x,w}} over the W_blk-maximal x <= w, where every simple
+    reflection inside a block is a left descent of w.
 
-    The memoised dict is shared by every caller; read it, never mutate it.
+    The recursion on the descent s of :func:`_split_descent` keeps blk valid
+    for v = ws, and every z it corrects by is W_blk-maximal, so columns v and
+    z come over the same blocks.  With trivial blocks this is the classical
+    recursion over all of [e, w].  The memoised dict is shared by every
+    caller; read it, never mutate it.
     """
-    k = _first_descent(w)
+    k = _split_descent(w, blk)
     if k is None:
         return {w: ONE}
     v = right_mult_s(w, k)
-    col_v = _column(v)
+    col_v = _column(v, blk)
     lw = _length(w)
-    # mu(z, v) * q^((l(w) - l(z)) / 2) * P_{x,z} over z < v with zs < z
+    # mu(z, v) * q^((l(w) - l(z)) / 2) * P_{x,z} over z < v with zs < z; a z
+    # outside col_v has t·z > z for a reflection t inside a block, a left
+    # descent of v, so mu(z, v) != 0 forces z = t·v (KL 2.3.e) and then zs > z
     corrections = []
     for z, p in col_v.items():
         d = lw - 1 - _length(z)
         if z[k] > z[k + 1] and d % 2 == 1 and len(p) == (d + 1) // 2:
-            corrections.append((_column(z), (d + 1) // 2, p[-1]))
+            corrections.append((_column(z, blk), (d + 1) // 2, p[-1]))
     col: dict[Perm, Poly] = {}
-    for x in _lower_interval(w):
-        xs = right_mult_s(x, k)
-        if x[k] < x[k + 1]:  # xs > x, so xs <= w is longer and already filled
-            col[x] = col[xs]
-            continue
+    for x in _lower_interval(w, blk):
+        if blk[x[k] - 1] == blk[x[k + 1] - 1]:
+            xs = x  # x·s lies in the coset of x, whose maximum is x
+        else:
+            xs = right_mult_s(x, k)
+            if x[k] < x[k + 1]:  # xs > x, so xs <= w is longer and already filled
+                col[x] = col[xs]
+                continue
         val = poly_add(col_v[xs], poly_shift(col_v.get(x, ZERO), 1))
         for col_z, shift, m in corrections:
             pxz = col_z.get(x)
@@ -204,9 +262,7 @@ def _check_pair(u, w, name: str) -> tuple[Perm, Perm]:
     n = len(u)
     if n > KL_TABLE_MAX:
         raise InputError(
-            f"{name} supports S_N for N <= {KL_TABLE_MAX}; got N = {n} "
-            "(the interval [e, w] grows up to N! elements; the route for larger N "
-            "is ROADMAP item 3)"
+            f"{name} supports S_N for N <= {KL_TABLE_MAX}; got N = {n}"
         )
     return u, w
 
@@ -216,7 +272,8 @@ def kl_poly(u, w) -> Poly:
     u, w = _check_pair(u, w, "kl_poly")
     if u == w:
         return ONE
-    return _column(w).get(u, ZERO)
+    blk = _value_blocks(w)
+    return _column(w, blk).get(_left_max(u, blk), ZERO)
 
 
 def mu_coeff(u, w) -> int:
@@ -225,7 +282,8 @@ def mu_coeff(u, w) -> int:
     d = perm_length(w) - perm_length(u)
     if d <= 0 or d % 2 == 0:
         return 0
-    p = _column(w).get(u, ZERO)
+    blk = _value_blocks(w)
+    p = _column(w, blk).get(_left_max(u, blk), ZERO)
     return p[-1] if p and len(p) == (d - 1) // 2 + 1 else 0
 
 

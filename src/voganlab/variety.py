@@ -35,9 +35,10 @@ from .errors import ConfigurationError, InputError
 # Largest chain total (sum of dims) a spec file, --steinberg or --two-eig
 # may ask for: it rejects totals such as dims [10**26] whose list sizes
 # overflow.  It is no size limit, since a far smaller total spread over
-# several grades still does not finish.  A Steinberg grading of rank N is
-# also refused, before enumerating, when its predicted orbit count 2**N
-# (2**(N-1) for GL) exceeds MAX_ORBITS.
+# several grades still does not finish.  A variety is also refused, before
+# enumerating, when its predicted orbit count exceeds MAX_ORBITS: 2**N
+# (2**(N-1) for GL) for a Steinberg grading of rank N, and the product of
+# the multisegment counts (chain_orbit_count) for chains.
 MAX_CHAIN_TOTAL = 1000
 MAX_ORBITS = 8192
 
@@ -65,6 +66,51 @@ def _check_total(total: int, what: str) -> None:
             f"{what}: dims total {total} exceeds the limit "
             f"MAX_CHAIN_TOTAL = {MAX_CHAIN_TOTAL}"
         )
+
+
+def _kept(state: tuple[tuple[int, int], ...], cap: int):
+    """Every sub-multiset of ``state`` ((start, count) pairs) of size <= cap."""
+    if not state:
+        yield ()
+        return
+    (b, n), rest = state[0], state[1:]
+    for c in range(min(n, cap) + 1):
+        for tail in _kept(rest, cap - c):
+            yield ((b, c),) + tail if c else tail
+
+
+def chain_orbit_count(dims: tuple[int, ...], limit: int) -> tuple[int, bool]:
+    """(count, exact): the number of multisegments covering ``dims``, i.e. the
+    Kostant partition function of the dimension vector, which counts the
+    orbits of the chain.
+
+    Dynamic programming over the grades: a state is the multiset of starts of
+    the segments covering the current grade, weighted by the number of
+    partial multisegments reaching it.  At the next grade each state keeps a
+    sub-multiset of its segments and starts the rest anew.  Every partial
+    multisegment extends, so the weights of any grade bound the count from
+    below; once they, or one grade's moves, pass ``limit`` the function stops
+    and returns such a bound, with ``exact`` False.
+    """
+    if not dims:
+        return 1, True
+    paths = {((0, dims[0]),): 1}
+    for i, d in enumerate(dims[1:], 1):
+        count = sum(paths.values())
+        if count > limit:
+            return count, False
+        nxt: dict[tuple[tuple[int, int], ...], int] = {}
+        moves = 0
+        for state, ways in paths.items():
+            for kept in _kept(state, d):
+                fresh = d - sum(c for _, c in kept)
+                key = kept + ((i, fresh),) if fresh else kept
+                nxt[key] = nxt.get(key, 0) + ways
+                moves += 1
+                if moves > limit:
+                    return sum(nxt.values()), False
+        paths = nxt
+    return sum(paths.values()), True
 
 
 def canonical_family(tag: str) -> str:
@@ -204,6 +250,16 @@ def build_variety(chains, family: str) -> VoganVariety:
     family = canonical_family(family)
     chains = tuple(chains)
     if family == GL:
+        count, exact = 1, True
+        for c in chains:
+            n, n_exact = chain_orbit_count(c.dims, MAX_ORBITS)
+            count, exact = count * n, exact and n_exact
+        if count > MAX_ORBITS:
+            dims = ", ".join(str(list(c.dims)) for c in chains)
+            raise InputError(
+                f"chains with dims {dims}: {'' if exact else 'at least '}{count} orbits "
+                f"predicted, over MAX_ORBITS = {MAX_ORBITS}"
+            )
         return VoganVariety(GL, "chain", chains)
     return _recognise_classical(chains, family)
 

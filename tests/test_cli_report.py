@@ -13,13 +13,14 @@ from voganlab.cli import main, verify_battery
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
 from voganlab.errors import InputError
 from voganlab.geometry import pyasetskii_dual, tangent_smooth_closure
-from voganlab.orbits import closure_below, enumerate_orbits
+from voganlab.orbits import chain_multisegments, closure_below, enumerate_orbits
 from voganlab.report import assemble_report, hasse_dot, report_json
 from voganlab.variety import (
     MAX_CHAIN_TOTAL,
     MAX_ORBITS,
     Chain,
     build_variety,
+    chain_orbit_count,
     point_variety,
     steinberg_variety,
     two_eigenvalue_variety,
@@ -271,6 +272,35 @@ def test_steinberg_orbit_count_at_the_limit_is_accepted():
     assert steinberg_variety("gl", 14).chains[0].total == 14
     with pytest.raises(InputError, match=str(2**14)):
         steinberg_variety("sp-dual", 14)
+
+
+@pytest.mark.parametrize(
+    "chains, predicted",
+    [([[1] * 15], "16384"), ([[1] * 8, [1] * 8], "16384"), ([[2] * 12], "at least ")],
+)
+def test_chain_orbit_count_over_the_limit_exits_2(tmp_path, chains, predicted):
+    # the multisegment count of each chain, multiplied over chains; a
+    # subprocess with a timeout, so a missing check fails instead of hanging
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"family": "gl", "chains": [{"dims": d} for d in chains]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "voganlab.cli", "analyze", "--spec", str(spec)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert predicted in proc.stderr and "orbits predicted" in proc.stderr
+    assert f"MAX_ORBITS = {MAX_ORBITS}" in proc.stderr
+
+
+def test_chain_orbit_count_is_the_multisegment_count():
+    for dims in [(1,) * 13, (2, 2, 2, 2, 2, 2, 2), (1, 2, 3, 4, 3, 2, 1), (3, 3), (1, 5, 1)]:
+        count, exact = chain_orbit_count(dims, MAX_ORBITS)
+        assert exact and count == len(chain_multisegments(dims)), dims
+    assert chain_orbit_count((1,) * 14, MAX_ORBITS) == (MAX_ORBITS, True)
+    assert len(build_variety([Chain(0, (1,) * 14)], "gl").chains) == 1
+    count, exact = chain_orbit_count((2,) * 500, MAX_ORBITS)
+    assert count > MAX_ORBITS and not exact
 
 
 def test_chain_total_at_the_bound_is_accepted():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,9 @@ from voganlab.kl import (
     right_mult_s,
 )
 from voganlab.orbits import enumerate_orbits
-from voganlab.variety import steinberg_variety
+from voganlab.variety import Chain, build_variety, steinberg_variety
+
+from conftest import dim_vectors
 
 
 def all_perms(n):
@@ -149,13 +152,47 @@ def test_kl_columns_match_full_table_through_s6():
 
 
 def test_lower_interval_is_the_bruhat_ideal_s5():
+    # the column's domain: the maxima of the left W_I cosets in [e, w], for I
+    # the left descent set of w
     perms = all_perms(5)
     for w in perms:
-        interval = kl._lower_interval(w)
-        assert set(interval) == {x for x in perms if bruhat_leq(x, w)}
+        blk = kl._value_blocks(w)
+        interval = kl._lower_interval(w, blk)
+        assert set(interval) == {
+            x for x in perms if bruhat_leq(x, w) and x == kl._left_max(x, blk)
+        }
         assert len(set(interval)) == len(interval)
         lengths = [perm_length(x) for x in interval]
         assert lengths == sorted(lengths, reverse=True)
+
+
+def test_coset_columns_beyond_s6():
+    # kl_poly stops at S_6, so every chain of total 7 (64 chains, 1,026
+    # orbits) checks the coset-maximal column of each w(D) at every w(C) with
+    # C <= D against the trivial-block column, the classical recursion over
+    # all of [e, w]: equal values, deg P <= (l(w) - l(x) - 1)/2 and P(0) = 1
+    trivial = tuple(range(7))
+    orbits = 0
+    for dims in dim_vectors(max_total=7, max_grid=7):
+        if sum(dims) != 7:
+            continue
+        table = enumerate_orbits(build_variety([Chain(Fraction(0), dims)], "gl"))
+        orbits += len(table)
+        perms = [bridge.multisegment_to_permutation(o)[0] for o in table]
+        for d, down in enumerate(table.below):
+            w = perms[d]
+            blk = kl._value_blocks(w)
+            col, full = kl._column(w, blk), kl._column(w, trivial)
+            lw = perm_length(w)
+            for c, x in enumerate(perms):
+                if not down >> c & 1:
+                    continue
+                p = col[kl._left_max(x, blk)]
+                assert p == full[x]
+                assert p[0] == 1
+                if x != w:
+                    assert 2 * (len(p) - 1) <= lw - perm_length(x) - 1
+    assert orbits == 1026
 
 
 def test_production_never_builds_the_full_table(monkeypatch, tmp_path, capsys, chain_suite):
@@ -174,17 +211,29 @@ def test_production_never_builds_the_full_table(monkeypatch, tmp_path, capsys, c
         assert bridge.multiplicity_matrix(table)["source"] == "kl"
 
 
-def test_steinberg_6_builds_only_its_32_columns(capsys):
+def test_steinberg_6_builds_only_31_columns(monkeypatch, capsys):
     # the 32 orbit permutations form the Boolean interval below the Coxeter
-    # element, and the recursion reaches no column outside it
+    # element, and the recursion reaches no column outside it.  The identity's
+    # column is never built: kl_poly(e, e) returns 1 before any lookup, and
+    # each recursion stops at the longest element of its blocks (s_i, say)
+    # instead of descending to e.  So 31 columns, one per other orbit.
     table = enumerate_orbits(steinberg_variety("gl", 6))
     perms = {bridge.multisegment_to_permutation(o)[0] for o in table}
     coxeter = max(perms, key=perm_length)
-    assert set(kl._lower_interval(coxeter)) == perms
-    kl._column.cache_clear()
+    assert set(kl._lower_interval(coxeter, tuple(range(6)))) == perms
+    build = kl._column
+    asked = set()
+
+    def record(w, blk):
+        asked.add(w)
+        return build(w, blk)
+
+    monkeypatch.setattr(kl, "_column", record)
+    build.cache_clear()
     assert main(["analyze", "--family", "gl", "--steinberg", "6"]) == 0
     capsys.readouterr()
-    assert kl._column.cache_info().currsize == 32
+    assert asked <= perms
+    assert build.cache_info().currsize == 31
 
 
 def test_kl_reference_is_descent_choice_independent():
