@@ -156,6 +156,11 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
     """Dimension of the scheme tangent space to the closure of c at x_d."""
     if not orbits.closure_leq(d, c):
         raise InputError("tangent_dim_at requires d <= c in the closure order")
+    return _tangent_dim_below(c, d)
+
+
+def _tangent_dim_below(c: OrbitRecord, d: OrbitRecord) -> int:
+    """:func:`tangent_dim_at` for a pair d <= c taken from the closure order."""
     v = c.variety
     if v.kind == "steinberg":
         return c.dim  # closures are coordinate subspaces
@@ -217,7 +222,7 @@ def is_smooth_closure(c: OrbitRecord) -> bool:
 def tangent_smooth_closure(c: OrbitRecord, table: OrbitTable) -> bool:
     """Oracle for :func:`is_smooth_closure`: tangent dim = dim c at every
     stratum of the closure, the strata d <= c read from ``table.below``."""
-    return all(tangent_dim_at(c, table[i]) == c.dim for i in orbits._bits(table.below[c.index]))
+    return all(_tangent_dim_below(c, table[i]) == c.dim for i in orbits._bits(table.below[c.index]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,17 @@ the values 1..N, W_I acts by the blocks of :func:`_value_blocks`.  This is
 Deodhar's parabolic reduction (*On some geometric aspects of Bruhat
 orderings II*, J. Algebra 1987).
 
-A column is built by the classical recursion on the first right descent s of
-w that moves values of two blocks: with v = ws, [e, w] is [e, v] ∪ [e, v]·s,
-the reflections inside each block stay left descents of v, and every term is
-read from columns over the same blocks (P_{xs,v} and P_{x,v} from column v, mu(z, v) from column v,
-P_{x,z} from column z).  The mu-terms the reduced column omits vanish: a z
-that is not a coset maximum has t·z > z, so mu(z, v) != 0 forces z = t·v
-(KL (2.3.e)), and then zs > z leaves it out of the sum.  With trivial blocks
-this is the recursion over all of [e, w].  Columns are memoised in memory for
-the life of the process; only the columns an orbit table asks for, and those
-their recursion reaches, are built.
+A column is built by the classical recursion on the first right descent s of w
+that moves values of two blocks: with v = ws, [e, w] is [e, v] ∪ [e, v]·s, so
+the keys of column v and their images under s are the domain of column w.  The
+reflections inside each block stay left descents of v, and every term is read
+from columns over the same blocks (P_{xs,v}, P_{x,v} and mu(z, v) from column
+v, P_{x,z} from column z).  The mu-terms the reduced column omits vanish: a z
+that is not a coset maximum has t·z > z, so mu(z, v) != 0 forces z = t·v (KL
+(2.3.e)), and then zs > z leaves it out of the sum.  With trivial blocks this
+is the recursion over all of [e, w].  Columns are memoised in memory for the
+life of the process; only the columns an orbit table asks for, and those their
+recursion reaches, are built.
 N is capped at ``KL_TABLE_MAX`` = 6, the range in which the tests confirm
 every pair against ``_kl_table``, which builds the whole S_N table bottom-up
 by index and stays as an independent oracle; beyond it, the tests check the
@@ -197,22 +198,6 @@ def _split_descent(w: Perm, blk: tuple[int, ...]) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _lower_interval(w: Perm, blk: tuple[int, ...]) -> tuple[Perm, ...]:
-    """The W_blk-maximal elements of [e, w] in decreasing length, by lifting
-    along the descent s of :func:`_split_descent`: [e, w] = [e, ws] ∪ [e, ws]·s,
-    and x·s is W_blk-maximal for maximal x iff x moves values of two blocks."""
-    k = _split_descent(w, blk)
-    if k is None:
-        return (w,)
-    below = _lower_interval(right_mult_s(w, k), blk)
-    items = set(below)
-    items.update(
-        right_mult_s(x, k) for x in below if blk[x[k] - 1] != blk[x[k + 1] - 1]
-    )
-    return tuple(sorted(items, key=_length, reverse=True))
-
-
-@lru_cache(maxsize=None)
 def _column(w: Perm, blk: tuple[int, ...]) -> dict[Perm, Poly]:
     """{x: P_{x,w}} over the W_blk-maximal x <= w, where every simple
     reflection inside a block is a left descent of w.
@@ -237,8 +222,12 @@ def _column(w: Perm, blk: tuple[int, ...]) -> dict[Perm, Poly]:
         d = lw - 1 - _length(z)
         if z[k] > z[k + 1] and d % 2 == 1 and len(p) == (d + 1) // 2:
             corrections.append((_column(z, blk), (d + 1) // 2, p[-1]))
+    # the domain: [e, w] = [e, v] ∪ [e, v]·s, and x·s is W_blk-maximal for a
+    # maximal x iff x moves values of two blocks; longest first
+    domain = set(col_v)
+    domain.update(right_mult_s(x, k) for x in col_v if blk[x[k] - 1] != blk[x[k + 1] - 1])
     col: dict[Perm, Poly] = {}
-    for x in _lower_interval(w, blk):
+    for x in sorted(domain, key=_length, reverse=True):
         if blk[x[k] - 1] == blk[x[k + 1] - 1]:
             xs = x  # x·s lies in the coset of x, whose maximum is x
         else:

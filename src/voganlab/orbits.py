@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 
 from . import classical, linalg
 from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
-from .variety import GL, Chain, VoganVariety
+from .variety import Chain, VoganVariety, _grade_step
 
 Seg = tuple[int, int]
 ChainSegs = tuple[Seg, ...]
@@ -45,45 +45,18 @@ ChainSegs = tuple[Seg, ...]
 
 
 def chain_multisegments(dims: tuple[int, ...]) -> list[ChainSegs]:
-    """All multisegments covering ``dims``, by exhaustive backtracking.
-
-    Intervals are tried in decreasing length (singleton multiplicities are
-    then forced by the residual coverage).
-    """
-    k = len(dims)
-    if k == 0:
-        return [()]
-    intervals = [
-        (b, b + length - 1)
-        for length in range(k, 1, -1)
-        for b in range(0, k - length + 1)
-    ]
-    residual = list(dims)
-    segs: list[Seg] = []
-    out: list[ChainSegs] = []
-
-    def rec(idx: int) -> None:
-        if idx == len(intervals):
-            for b, r in enumerate(residual):
-                segs.extend([(b, b)] * r)
-            out.append(tuple(sorted(segs)))
-            del segs[len(segs) - sum(residual):]
-            return
-        b, e = intervals[idx]
-        cap = min(residual[b : e + 1])
-        for mult in range(cap, -1, -1):
-            for i in range(b, e + 1):
-                residual[i] -= mult
-            segs.extend([(b, e)] * mult)
-            rec(idx + 1)
-            if mult:
-                del segs[-mult:]
-            for i in range(b, e + 1):
-                residual[i] += mult
-        return
-
-    rec(0)
-    return out
+    """All multisegments covering ``dims``, each once, by the grade walk that
+    :func:`variety.chain_orbit_count` counts (:func:`variety._grade_step`):
+    at each grade the open segments continue or end one grade below, and
+    fresh ones start.  A closing grade of dimension 0 ends every segment."""
+    paths = [((), ())]  # (open (start, count) pairs, segments ended so far)
+    for i, d in enumerate((*dims, 0)):
+        paths = [
+            (nxt, done + tuple((b, i - 1) for b, n in ended for _ in range(n)))
+            for state, done in paths
+            for nxt, ended in _grade_step(state, i, d)
+        ]
+    return [tuple(sorted(done)) for _, done in paths]
 
 
 def chain_rank_matrix(segs: ChainSegs, k: int) -> dict[Seg, int]:

@@ -69,14 +69,25 @@ def _check_total(total: int, what: str) -> None:
 
 
 def _kept(state: tuple[tuple[int, int], ...], cap: int):
-    """Every sub-multiset of ``state`` ((start, count) pairs) of size <= cap."""
+    """Every split of ``state`` ((start, count) pairs) into (kept, ended),
+    both in the same form, with at most ``cap`` segments kept."""
     if not state:
-        yield ()
+        yield (), ()
         return
     (b, n), rest = state[0], state[1:]
     for c in range(min(n, cap) + 1):
-        for tail in _kept(rest, cap - c):
-            yield ((b, c),) + tail if c else tail
+        for kept, ended in _kept(rest, cap - c):
+            yield ((b, c),) + kept if c else kept, ((b, n - c),) + ended if c < n else ended
+
+
+def _grade_step(state: tuple[tuple[int, int], ...], i: int, d: int):
+    """The moves of the grade walk over multisegments into grade i, of
+    dimension d.  Of the segments open at grade i - 1 (``state``, (start,
+    count) pairs), each move keeps some open and ends the rest there, and
+    starts the remaining ones of the d anew: (next state, ended)."""
+    for kept, ended in _kept(state, d):
+        fresh = d - sum(c for _, c in kept)
+        yield (kept + ((i, fresh),) if fresh else kept), ended
 
 
 def chain_orbit_count(dims: tuple[int, ...], limit: int) -> tuple[int, bool]:
@@ -84,27 +95,22 @@ def chain_orbit_count(dims: tuple[int, ...], limit: int) -> tuple[int, bool]:
     Kostant partition function of the dimension vector, which counts the
     orbits of the chain.
 
-    Dynamic programming over the grades: a state is the multiset of starts of
-    the segments covering the current grade, weighted by the number of
-    partial multisegments reaching it.  At the next grade each state keeps a
-    sub-multiset of its segments and starts the rest anew.  Every partial
-    multisegment extends, so the weights of any grade bound the count from
-    below; once they, or one grade's moves, pass ``limit`` the function stops
-    and returns such a bound, with ``exact`` False.
+    Dynamic programming over the moves of :func:`_grade_step`: a state is
+    the multiset of starts of the segments covering the current grade,
+    weighted by the number of partial multisegments reaching it.  Every
+    partial multisegment extends, so the weights of any grade bound the count
+    from below; once they, or one grade's moves, pass ``limit`` the function
+    stops and returns such a bound, with ``exact`` False.
     """
-    if not dims:
-        return 1, True
-    paths = {((0, dims[0]),): 1}
-    for i, d in enumerate(dims[1:], 1):
+    paths: dict[tuple[tuple[int, int], ...], int] = {(): 1}
+    for i, d in enumerate(dims):
         count = sum(paths.values())
         if count > limit:
             return count, False
         nxt: dict[tuple[tuple[int, int], ...], int] = {}
         moves = 0
         for state, ways in paths.items():
-            for kept in _kept(state, d):
-                fresh = d - sum(c for _, c in kept)
-                key = kept + ((i, fresh),) if fresh else kept
+            for key, _ended in _grade_step(state, i, d):
                 nxt[key] = nxt.get(key, 0) + ways
                 moves += 1
                 if moves > limit:
@@ -275,13 +281,13 @@ def _recognise_classical(chains: tuple[Chain, ...], family: str) -> VoganVariety
     c = chains[0]
     if len(c.dims) == 2 and c.dims[0] == c.dims[1] and c.offset == Fraction(-1, 2):
         return two_eigenvalue_variety(family, c.dims[0])
-    for n in range(1, c.total + 2):
-        try:
-            expected = steinberg_grading(family, n)
-        except InputError:
-            continue
-        if expected == c:
-            return steinberg_variety(family, n)
+    n = c.total // 2  # the Steinberg gradings of rank n have total 2n, 2n + 1 and 2n
+    try:
+        expected = steinberg_grading(family, n)
+    except InputError:
+        expected = None
+    if expected == c:
+        return steinberg_variety(family, n)
     raise ConfigurationError(f"unrecognised ({family}, dims) combination; {supported}")
 
 

@@ -157,7 +157,7 @@ def test_lower_interval_is_the_bruhat_ideal_s5():
     perms = all_perms(5)
     for w in perms:
         blk = kl._value_blocks(w)
-        interval = kl._lower_interval(w, blk)
+        interval = list(kl._column(w, blk))
         assert set(interval) == {
             x for x in perms if bruhat_leq(x, w) and x == kl._left_max(x, blk)
         }
@@ -220,7 +220,7 @@ def test_steinberg_6_builds_only_31_columns(monkeypatch, capsys):
     table = enumerate_orbits(steinberg_variety("gl", 6))
     perms = {bridge.multisegment_to_permutation(o)[0] for o in table}
     coxeter = max(perms, key=perm_length)
-    assert set(kl._lower_interval(coxeter, tuple(range(6)))) == perms
+    assert set(kl._column(coxeter, tuple(range(6)))) == perms
     build = kl._column
     asked = set()
 
