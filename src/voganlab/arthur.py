@@ -22,7 +22,7 @@ report row (:mod:`report`) pairs each verdict with smoothness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,13 +32,11 @@ from .orbits import ChainSegs, OrbitRecord
 from .variety import Chain
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """a segments of length d at consecutive starts, with the given center."""
+class Rectangle(namedtuple("Rectangle", "d a center")):
+    """a segments of length d at consecutive starts, with the given center
+    (a ``Fraction``)."""
 
-    d: int
-    a: int
-    center: Fraction
+    __slots__ = ()
 
     def segments(self) -> list[tuple[Fraction, Fraction]]:
         """Expand to (start, end) pairs in true exponents."""
@@ -75,11 +73,15 @@ def rectangle_multisegment(d: int, a: int, center) -> tuple[Chain, ChainSegs]:
     return Chain(lo, tuple(dims)), tuple(sorted(segs))
 
 
-@dataclass(frozen=True)
-class ArthurVerdict:
-    is_arthur: bool
-    decomposition: tuple[Rectangle, ...] = ()
-    per_chain_criterion: bool = False  # caveat: several chains, tested separately
+class ArthurVerdict(
+    namedtuple(
+        "ArthurVerdict", "is_arthur decomposition per_chain_criterion", defaults=((), False)
+    )
+):
+    """The verdict, a tuple of :class:`Rectangle` witnessing it, and the
+    caveat flag ``per_chain_criterion``: several chains, tested separately."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

@@ -13,7 +13,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import arthur, datasets, geometry, orbits, report
@@ -183,6 +182,10 @@ def verify_battery(v: VoganVariety, seed: int = 0) -> list[tuple[str, bool, str]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here, not at module top: library users and the benchmark
+    # worker import this module for verify_battery and never parse arguments
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="voganlab",
         description="Exact orbit geometry of unramified parameter varieties",

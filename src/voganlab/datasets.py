@@ -8,7 +8,6 @@ entry point verifies the dataset's own consistency rule.
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .errors import InputError
 from .report import format_table
@@ -21,6 +20,10 @@ _FILES = {"so7-cfmmx16": "so7_cfmmx16.json"}
 def load_dataset(name: str) -> dict:
     if name not in _FILES:
         raise InputError(f"unknown dataset {name!r}; available: {', '.join(DATASETS)}")
+    # imported here: importlib.resources costs more to import than the
+    # rest of the package, and only the dataset command reads data files
+    from importlib import resources
+
     text = resources.files("voganlab.data").joinpath(_FILES[name]).read_text()
     return json.loads(text)
 

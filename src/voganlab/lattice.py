@@ -14,7 +14,7 @@ components.  Reports use the closed form for the built-in root data
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
@@ -154,11 +154,10 @@ def elementary_divisors(matrix) -> list[int]:
 FAMILIES = (GL, SO_EVEN, SP_DUAL, SO_ODD)
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
-    """Finite abelian group as a divisor chain; empty list = trivial group."""
+class ComponentGroup(namedtuple("ComponentGroup", "elementary_divisors", defaults=((),))):
+    """Finite abelian group as a divisor chain; empty tuple = trivial group."""
 
-    elementary_divisors: tuple[int, ...] = ()
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:
@@ -170,33 +169,32 @@ class ComponentGroup:
         return " x ".join(f"Z/{d}" for d in self.elementary_divisors)
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(namedtuple("RootDatum", "rank family roots center_generators")):
     """
     Roots of a dual group expressed on the cocharacter lattice of its maximal
     torus, plus the torsion generators of the centre as rational cocharacters.
+    ``roots`` is a tuple of int tuples and ``center_generators`` a tuple of
+    ``Fraction`` tuples, each of length ``rank``.
     """
 
-    rank: int
-    family: str
-    roots: tuple[tuple[int, ...], ...]
-    center_generators: tuple[tuple[Fraction, ...], ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InputError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for r in self.roots:
-            if len(r) != self.rank:
+    def __new__(cls, rank, family, roots, center_generators=()):
+        if family not in FAMILIES:
+            raise InputError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        for r in roots:
+            if len(r) != rank:
                 raise InputError("root length does not match rank")
-        for z in self.center_generators:
-            if len(z) != self.rank:
+        for z in center_generators:
+            if len(z) != rank:
                 raise InputError("center generator length does not match rank")
-            for r in self.roots:
+            for r in roots:
                 pairing = sum(Fraction(a) * b for a, b in zip(r, z))
                 if pairing.denominator != 1:
                     raise InputError(
                         "center generator not annihilated by all roots (non-integral pairing)"
                     )
+        return super().__new__(cls, rank, family, roots, center_generators)
 
     def root_subset(self, indices) -> list[tuple[int, ...]]:
         try:

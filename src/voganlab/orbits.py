@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -152,17 +152,19 @@ def commutator_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
 # orbit records
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    variety: VoganVariety
-    index: int
-    dim: int
-    is_open: bool
-    is_closed: bool
-    # family-specific labels (exactly one is set for classical shapes)
-    msegs: tuple[ChainSegs, ...] | None = None  # chain varieties
-    subset: tuple[int, ...] | None = None  # classical steinberg
-    rank: int | None = None  # classical two-eigenvalue
+class OrbitRecord(
+    namedtuple(
+        "OrbitRecord",
+        "variety index dim is_open is_closed msegs subset rank",
+        defaults=(None, None, None),
+    )
+):
+    """One orbit of ``variety``: its id ``index``, dimension and open/closed
+    flags, and exactly one family-specific label: ``msegs`` (one
+    :data:`ChainSegs` per chain) for chain varieties, ``subset`` for
+    classical Steinberg shapes, ``rank`` for classical two-eigenvalue shapes.
+    No ``__slots__``: the instance ``__dict__`` holds the
+    ``cached_property`` values."""
 
     @property
     def key(self):

@@ -26,7 +26,7 @@ Three shapes of variety are supported:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -128,19 +128,20 @@ def canonical_family(tag: str) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Contiguous run of grades; dims[i] lives at true exponent offset + i."""
+class Chain(namedtuple("Chain", "offset dims")):
+    """Contiguous run of grades; dims[i] lives at true exponent offset + i.
 
-    offset: Fraction
-    dims: tuple[int, ...]
+    ``offset`` is a half-integer ``Fraction``, ``dims`` a tuple of positive
+    ints.  No ``__slots__``: the instance ``__dict__`` holds the
+    ``cached_property`` values."""
 
-    def __post_init__(self):
-        if any(d < 1 for d in self.dims):
+    def __new__(cls, offset, dims):
+        if any(d < 1 for d in dims):
             raise InputError("chain dims must all be >= 1")
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if (2 * self.offset).denominator != 1:
+        offset = Fraction(offset)
+        if (2 * offset).denominator != 1:
             raise InputError("chain offset must be a half-integer")
+        return super().__new__(cls, offset, dims)
 
     @property
     def length(self) -> int:
@@ -167,14 +168,14 @@ class Chain:
         return sum(d * d for d in self.dims)
 
 
-@dataclass(frozen=True)
-class VoganVariety:
-    """A graded vector space with its symmetry group, by family and shape."""
+class VoganVariety(namedtuple("VoganVariety", "family kind chains n", defaults=(None,))):
+    """A graded vector space with its symmetry group, by family and shape.
 
-    family: str
-    kind: str  # "chain" | "steinberg" | "two_eigenvalue"
-    chains: tuple[Chain, ...]
-    n: int | None = None  # classical rank parameter (kind != "chain")
+    ``kind`` is "chain", "steinberg" or "two_eigenvalue"; ``chains`` is a
+    tuple of :class:`Chain`; ``n`` is the classical rank parameter (None for
+    kind "chain")."""
+
+    __slots__ = ()
 
     # ----- dimensions ------------------------------------------------------
 
