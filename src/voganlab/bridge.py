@@ -40,20 +40,20 @@ calibration against varieties whose multiplicities are forced by smooth
 closures, and the two survivors -- (max, (C, D), table) and its global
 inverse (max, (C, D), transpose) -- give identical output because
 P_{u,w} = P_{u^{-1}, w^{-1}}.  The first is frozen as :data:`CONVENTION`;
-the alternatives exist only inside :func:`calibrate`.
+the alternatives exist only in the tests' calibration
+(``tests/reference_bridge.py``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 
-from . import geometry, kl, orbits
+from . import geometry, kl
 from .errors import InputError, UnsupportedFamilyError
 from .kl import Perm
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
 
-# frozen bridge convention; see calibrate()
+# frozen bridge convention; see the calibration in tests/reference_bridge.py
 CONVENTION = {"rep": "max", "args": "CD", "table": "cycle"}
 
 
@@ -86,21 +86,6 @@ def max_coset_rep(table: list[list[int]], dims: tuple[int, ...]) -> Perm:
     word: list[int] = []
     for i in range(k):
         for j in range(k - 1, -1, -1):
-            for _ in range(table[i][j]):
-                word.append(stocks[j].pop(0))
-    return tuple(word)
-
-
-def min_coset_rep(table: list[list[int]], dims: tuple[int, ...]) -> Perm:
-    """Shortest permutation with the given block pattern (calibration foil)."""
-    k = len(dims)
-    starts = [0]
-    for d in dims:
-        starts.append(starts[-1] + d)
-    stocks = [list(range(starts[j] + 1, starts[j] + dims[j] + 1)) for j in range(k)]
-    word: list[int] = []
-    for i in range(k):
-        for j in range(k):
             for _ in range(table[i][j]):
                 word.append(stocks[j].pop(0))
     return tuple(word)
@@ -203,75 +188,3 @@ def rationally_smooth(c: OrbitRecord, table: OrbitTable) -> bool:
         for o in table
         if down >> o.index & 1
     )
-
-
-# ---------------------------------------------------------------------------
-# calibration of the dictionary conventions
-
-
-def _convention_perm(segs: ChainSegs, dims: tuple[int, ...], conv: dict) -> Perm:
-    table = cycle_table(segs, len(dims))
-    if conv["table"] == "transpose":
-        table = [list(row) for row in zip(*table)]
-    rep = max_coset_rep if conv["rep"] == "max" else min_coset_rep
-    return rep(table, dims)
-
-
-def _check_convention(conv: dict, table: OrbitTable) -> bool:
-    """A convention must make Bruhat order match closure order and reproduce
-    every multiplicity forced by support, smooth closures, the open orbit,
-    and the first singular stratum value 2."""
-    v = table[0].variety
-    chain = v.chains[0]
-    perms = {
-        o.index: _convention_perm(o.msegs[0], chain.dims, conv) for o in table
-    }
-    below = table.below
-    for c in table:
-        for d in table:
-            leq = bool(below[d.index] >> c.index & 1)
-            if kl.bruhat_leq(perms[c.index], perms[d.index]) != leq:
-                return False
-    smooth = {o.index: geometry.is_smooth_closure(o) for o in table}
-    open_orbit = next(o for o in table if o.is_open)
-    for c in table:
-        for d in table:
-            leq = below[d.index] >> c.index & 1
-            u, w = perms[c.index], perms[d.index]
-            if conv["args"] == "DC":
-                u, w = w, u
-            value = kl.poly_eval_at_one(kl.kl_poly(u, w))
-            if c.index == d.index and value != 1:
-                return False
-            if not leq and value != 0:
-                return False
-            if smooth[d.index] and value != leq:
-                return False
-            if c.index == open_orbit.index:
-                if value != (1 if d.index == c.index else 0):
-                    return False
-            if not smooth[d.index] and c.is_closed and d.dim == 3 and v.total_dim == 4:
-                # two-eigenvalue (2, 2): stalk of the quadric cone at the origin
-                if value != 2:
-                    return False
-    return True
-
-
-@lru_cache(maxsize=1)
-def calibrate() -> tuple[tuple[tuple[str, str], ...], ...]:
-    """Try all eight conventions on the calibration varieties; return the
-    survivors as sorted tuples of items."""
-    from .variety import steinberg_variety, two_eigenvalue_variety
-
-    tables = [
-        orbits.enumerate_orbits(steinberg_variety("gl", 3)),
-        orbits.enumerate_orbits(two_eigenvalue_variety("gl", 2)),
-    ]
-    winners = []
-    for rep in ("max", "min"):
-        for args in ("CD", "DC"):
-            for tab in ("cycle", "transpose"):
-                conv = {"rep": rep, "args": args, "table": tab}
-                if all(_check_convention(conv, t) for t in tables):
-                    winners.append(tuple(sorted(conv.items())))
-    return tuple(winners)

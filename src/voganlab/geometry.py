@@ -172,14 +172,6 @@ def _tangent_dim_below(c: OrbitRecord, d: OrbitRecord) -> int:
     )
 
 
-def chain_tangent_dim_at_point(
-    segs_c: ChainSegs, x: list[linalg.Matrix], dims: tuple[int, ...]
-) -> int:
-    """Tangent dimension of the closure of the orbit of ``segs_c`` at an
-    arbitrary point x of it, given by arrow matrices (not cached)."""
-    return _tangent_dim(_tangent_pairs_at(x, dims), segs_c, dims)
-
-
 def _two_eig_tangent(c: OrbitRecord, d: OrbitRecord) -> int:
     v = c.variety
     if d.rank != c.rank:
@@ -374,23 +366,19 @@ def pyasetskii_dual(orbit: OrbitRecord, table: OrbitTable) -> OrbitRecord:
     """
     The dual orbit, looked up in ``table``, the canonical table of the same
     variety (orbits of the opposite-orientation variety carry the same
-    labels), by the closed forms of :func:`dual_key`.
+    labels), by its key: the greedy involution per chain, the complementary
+    subset, or rank n - r (symmetric) or 2*floor((n - r)/2) (antisymmetric).
     """
-    return table.by_key[dual_key(orbit)]
-
-
-def dual_key(orbit: OrbitRecord):
-    """The ``key`` of the dual orbit: the greedy involution per chain,
-    the complementary subset, or rank n - r (symmetric) or 2*floor((n - r)/2)
-    (antisymmetric)."""
     v = orbit.variety
     if v.kind == "chain":
-        return tuple(mw_chain_involution(segs) for segs in orbit.msegs)
-    if v.kind == "steinberg":
-        return tuple(i for i in range(v.n) if i not in orbit.subset)
-    if v.symmetric_form:
-        return v.n - orbit.rank
-    return 2 * ((v.n - orbit.rank) // 2)
+        key = tuple(mw_chain_involution(segs) for segs in orbit.msegs)
+    elif v.kind == "steinberg":
+        key = tuple(i for i in range(v.n) if i not in orbit.subset)
+    elif v.symmetric_form:
+        key = v.n - orbit.rank
+    else:
+        key = 2 * ((v.n - orbit.rank) // 2)
+    return table.by_key[key]
 
 
 def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitRecord:

@@ -28,7 +28,9 @@ recursion reaches, are built.
 N is capped at ``KL_TABLE_MAX`` = 6, the range in which the tests confirm
 every pair against ``_kl_table``, which builds the whole S_N table bottom-up
 by index and stays as an independent oracle; beyond it, the tests check the
-columns of every chain of total 7 against the trivial-block recursion.
+columns of every chain of total 7 against the trivial-block recursion.  The
+textbook recursion over the whole group, independent of both builders, is the
+tests' reference (``tests/reference_kl.py``).
 
 >>> kl_poly((1, 2, 3, 4), (3, 4, 1, 2))
 (1, 1)
@@ -244,36 +246,18 @@ def _column(w: Perm, blk: tuple[int, ...]) -> dict[Perm, Poly]:
     return col
 
 
-def _check_pair(u, w, name: str) -> tuple[Perm, Perm]:
-    u, w = check_perm(u), check_perm(w)
-    if len(u) != len(w):
-        raise InputError(f"{name}: size mismatch")
-    n = len(u)
-    if n > KL_TABLE_MAX:
-        raise InputError(
-            f"{name} supports S_N for N <= {KL_TABLE_MAX}; got N = {n}"
-        )
-    return u, w
-
-
 def kl_poly(u, w) -> Poly:
     """P_{u,w}; the zero polynomial when u is not Bruhat-below w."""
-    u, w = _check_pair(u, w, "kl_poly")
+    u, w = check_perm(u), check_perm(w)
+    if len(u) != len(w):
+        raise InputError("kl_poly: size mismatch")
+    n = len(u)
+    if n > KL_TABLE_MAX:
+        raise InputError(f"kl_poly supports S_N for N <= {KL_TABLE_MAX}; got N = {n}")
     if u == w:
         return ONE
     blk = _value_blocks(w)
     return _column(w, blk).get(_left_max(u, blk), ZERO)
-
-
-def mu_coeff(u, w) -> int:
-    """mu(u, w): the top allowed coefficient of P_{u,w}."""
-    u, w = _check_pair(u, w, "mu_coeff")
-    d = perm_length(w) - perm_length(u)
-    if d <= 0 or d % 2 == 0:
-        return 0
-    blk = _value_blocks(w)
-    p = _column(w, blk).get(_left_max(u, blk), ZERO)
-    return p[-1] if p and len(p) == (d - 1) // 2 + 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,58 +309,6 @@ def _kl_table(n: int) -> dict[tuple[int, int], Poly]:
                 if p and len(p) == (d - 1) // 2 + 1:
                     mu[wi].append((xi, p[-1]))
     return P
-
-
-# ---------------------------------------------------------------------------
-# slow reference recursion (test oracle; independent of both builders)
-
-
-def kl_poly_reference(u, w, descent_pick: int = 0) -> Poly:
-    """
-    Textbook recursion scanning the whole group for mu-corrections.
-
-    Only sensible for small N; used to cross-check the table and to confirm
-    the result does not depend on which descent is recursed on
-    (``descent_pick`` rotates the choice).
-    """
-    u, w = check_perm(u), check_perm(w)
-    n = len(u)
-    memo: dict[tuple[Perm, Perm], Poly] = {}
-    all_perms = list(itertools.permutations(range(1, n + 1)))
-
-    def rec(x: Perm, y: Perm) -> Poly:
-        if not bruhat_leq(x, y):
-            return ZERO
-        if x == y:
-            return ONE
-        key = (x, y)
-        if key in memo:
-            return memo[key]
-        ly = perm_length(y)
-        descents = [k for k in range(n - 1) if y[k] > y[k + 1]]
-        k = descents[descent_pick % len(descents)]
-        xs = right_mult_s(x, k)
-        if perm_length(xs) > perm_length(x):
-            val = rec(xs, y)
-        else:
-            v = right_mult_s(y, k)
-            val = poly_add(rec(xs, v), poly_shift(rec(x, v), 1))
-            for z in all_perms:
-                lz = perm_length(z)
-                # mu(z, v) needs z < v with length gap of the right parity
-                if lz >= ly - 1 or (ly - lz) % 2 == 1:
-                    continue
-                if perm_length(right_mult_s(z, k)) > lz or not bruhat_leq(z, v):
-                    continue
-                pzv = rec(z, v)
-                if pzv and len(pzv) == (ly - 1 - lz - 1) // 2 + 1:
-                    pxz = rec(x, z)
-                    if pxz:
-                        val = poly_sub_shifted(val, pxz, (ly - lz) // 2, pzv[-1])
-        memo[key] = val
-        return val
-
-    return rec(u, w)
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,20 @@ Exact linear algebra over the rationals.
 
 Matrices are plain lists (or tuples) of rows of ``int`` or ``Fraction``
 entries.  Products of integer matrices stay integer, and kernels come back
-as integer vectors; only :func:`_echelon` returns ``Fraction`` rows.  All
-ranks, kernels and solutions are exact -- no floating point anywhere.
+as integer vectors.  All ranks, kernels and solutions are exact -- no
+floating point anywhere.
 
 Elimination runs on Python ints: each row is scaled by the lcm of its
 denominators, and rows are then combined fraction-free (p * row - f * pivot
 row), each new row divided by the gcd of its entries so the integers stay
 small.
-:func:`rank` needs only the forward pass.  :func:`_echelon`,
-:func:`nullspace` and :func:`left_nullspace` back-substitute to the reduced
-echelon form, which is unique: :func:`_echelon` returns the reduced rows of
-Gauss-Jordan elimination over Q, and the kernels return its kernel basis
-times one common positive integer (so any combination of the basis vectors
-is that integer times the same combination over Q, with the same ranks).
+:func:`rank` needs only the forward pass.  :func:`nullspace` and
+:func:`left_nullspace` back-substitute to the reduced echelon form, which is
+unique, and return the kernel basis of Gauss-Jordan elimination over Q times
+one common positive integer (so any combination of the basis vectors is that
+integer times the same combination over Q, with the same ranks).  The tests
+check them against plain Gauss-Jordan elimination on Fractions
+(``tests/reference_linalg.py``).
 """
 
 from __future__ import annotations
@@ -111,14 +112,6 @@ def _reduced(m) -> tuple[list[list[int]], list[int]]:
             if f:
                 rows[i] = _combine(p, rows[i], f, prow)
     return rows, pivots
-
-
-def _echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over Q (a new matrix) and its pivot columns."""
-    rows, pivots = _reduced(m)
-    out = [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
-    out += [[Fraction(0)] * len(row) for row in rows[len(pivots):]]
-    return out, pivots
 
 
 def rank(m) -> int:

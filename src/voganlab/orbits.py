@@ -13,11 +13,10 @@ reduction.
 A chain orbit's dimension is dim H - dim End(M) for its multisegment module
 M = sum of segment modules, and dim Hom([b_s, e_s], [b_t, e_t]) is 1 exactly
 when b_t <= b_s <= e_t <= e_s, so the dimension is a count over pairs of
-segments.  The exact rank of the infinitesimal group action at a
-representative (:func:`commutator_orbit_dim`) is kept as the oracle for that
-count.  The rank-r two-eigenvalue orbit has dimension n r - r (r - 1) / 2
-(symmetric forms) or n r - r (r + 1) / 2 (antisymmetric), with the action
-rank (:func:`two_eig_orbit_dim`) as the oracle.
+segments.  The rank-r two-eigenvalue orbit has dimension n r - r (r - 1) / 2
+(symmetric forms) or n r - r (r + 1) / 2 (antisymmetric).  The tests check
+both counts against the exact rank of the infinitesimal group action at a
+representative (``tests/reference_orbits.py``).
 
 Ids are deterministic: orbits are sorted by dimension, then by their rank
 data, so identical inputs always produce identical tables.
@@ -32,7 +31,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import classical, linalg
+from . import classical
 from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
 from .variety import Chain, VoganVariety, _grade_step
 
@@ -137,15 +136,6 @@ def chain_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
     multiplicity), i.e. dim H - dim End of the multisegment module."""
     homs = sum(1 for bs, es in segs for bt, et in segs if bt <= bs <= et <= es)
     return sum(d * d for d in dims) - homs
-
-
-def commutator_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
-    """Oracle for :func:`chain_orbit_dim`: the rank of the infinitesimal
-    action at the representative."""
-    if len(dims) <= 1:
-        return 0
-    arrows = chain_representative(segs, dims)
-    return linalg.rank(_commutator_matrix(arrows, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -300,28 +290,6 @@ def _two_eig_coords(v: VoganVariety, m) -> list:
     if v.symmetric_form:
         return [m[i][j] for i in range(n) for j in range(i, n)]
     return [m[i][j] for i in range(n) for j in range(i + 1, n)]
-
-
-def two_eig_action_matrix(v: VoganVariety, x) -> list[list]:
-    """Matrix of A -> A x + x A^T from gl_n to the subspace, in coordinates."""
-    n = v.n
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            img = [[0] * n for _ in range(n)]
-            # (E_ab x + x E_ba) entries
-            for j in range(n):
-                img[a][j] += x[b][j]
-            for i in range(n):
-                img[i][a] += x[i][b]
-            cols.append(_two_eig_coords(v, img))
-    return linalg.transpose(cols)
-
-
-def two_eig_orbit_dim(v: VoganVariety, rank: int) -> int:
-    """Oracle for the two-eigenvalue dimensions: the rank of the action."""
-    x = two_eig_representative(v, rank)
-    return linalg.rank(two_eig_action_matrix(v, x))
 
 
 # ---------------------------------------------------------------------------

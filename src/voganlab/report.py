@@ -72,7 +72,7 @@ def table_report(table: OrbitTable, seed: int = 0) -> dict:
             "smooth_closure": smooth,
             "rationally_smooth": rational[o.index],
             "arthur": verdict.as_dict(),
-            "dual_orbit": table.by_key[geometry.dual_key(o)].index,
+            "dual_orbit": geometry.pyasetskii_dual(o, table).index,
             "component_group": _component_group_json(o),
             "representative": orbits.representative(o),
             "violation": verdict.is_arthur and not (o.is_open or o.is_closed) and smooth,

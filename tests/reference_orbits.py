@@ -1,0 +1,37 @@
+"""Orbit dimensions as exact ranks of the infinitesimal group action at a
+representative: the references for the closed forms in ``voganlab.orbits``."""
+
+from voganlab import linalg, orbits
+from voganlab.orbits import ChainSegs
+from voganlab.variety import VoganVariety
+
+
+def commutator_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
+    """Oracle for ``orbits.chain_orbit_dim``: the rank of the infinitesimal
+    action at the representative."""
+    if len(dims) <= 1:
+        return 0
+    arrows = orbits.chain_representative(segs, dims)
+    return linalg.rank(orbits._commutator_matrix(arrows, dims))
+
+
+def two_eig_action_matrix(v: VoganVariety, x) -> list[list]:
+    """Matrix of A -> A x + x A^T from gl_n to the subspace, in coordinates."""
+    n = v.n
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            img = [[0] * n for _ in range(n)]
+            # (E_ab x + x E_ba) entries
+            for j in range(n):
+                img[a][j] += x[b][j]
+            for i in range(n):
+                img[i][a] += x[i][b]
+            cols.append(orbits._two_eig_coords(v, img))
+    return linalg.transpose(cols)
+
+
+def two_eig_orbit_dim(v: VoganVariety, rank: int) -> int:
+    """Oracle for the two-eigenvalue dimensions: the rank of the action."""
+    x = orbits.two_eig_representative(v, rank)
+    return linalg.rank(two_eig_action_matrix(v, x))

@@ -10,7 +10,7 @@ from voganlab.arthur import (
     is_arthur_type,
     rectangle_multisegment,
 )
-from voganlab.classical import gl_multisegment_of_subset, graded_power_multisegment
+from voganlab.classical import gl_multisegment_of_subset
 from voganlab.errors import InputError
 from voganlab.orbits import enumerate_orbits, gl_shadow
 from voganlab.report import speculation_table, table_report
@@ -23,6 +23,8 @@ from voganlab.variety import (
     steinberg_variety,
     two_eigenvalue_variety,
 )
+
+from reference_classical import graded_power_multisegment
 
 
 def centered_gl_chain(dims):

@@ -6,10 +6,8 @@ import pytest
 
 from voganlab.bridge import (
     CONVENTION,
-    calibrate,
     cycle_table,
     max_coset_rep,
-    min_coset_rep,
     multiplicity,
     multiplicity_matrix,
     multisegment_to_permutation,
@@ -20,6 +18,8 @@ from voganlab.geometry import is_smooth_closure, tangent_smooth_closure
 from voganlab.kl import perm_length
 from voganlab.orbits import closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
+
+from reference_bridge import calibrate, min_coset_rep
 
 
 def gl_chain(dims, offset=0):

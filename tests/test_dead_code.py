@@ -7,7 +7,12 @@ attribute) in package code outside its own body, listed in
 ``voganlab.__all__``, read or imported by ``demos/`` or ``bench/``, or named
 in ``perfbench/``, where string constants count too, since the tracer wraps
 functions by name.  Matching is by name only, so two definitions that share
-a name share their callers."""
+a name share their callers.
+
+The references beside the tests (``tests/reference_*.py``) cannot rot
+either: each of their definitions is read or imported by a
+``tests/test_*.py`` module, or read by reference code outside its own
+body."""
 
 import ast
 from pathlib import Path
@@ -16,33 +21,25 @@ import voganlab
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "voganlab"
+TESTS = ROOT / "tests"
 
-# definitions whose only callers are tests, with the reason each stays
-ALLOWED = {
-    "bridge.calibrate": "oracle: tries all eight bridge conventions; the tests pin the one in use",
-    "classical.graded_power_multisegment": "oracle for gl_multisegment_of_subset",
-    "geometry.chain_tangent_dim_at_point": "oracle: tangent dimensions away from the representative",
-    "kl.kl_poly_reference": "oracle: the textbook recursion over the whole group",
-    "kl.mu_coeff": "mu(u, w), read from the column kl_poly reads; tests pin its values",
-    "linalg._echelon": "reduced row echelon form over Q, which the tests invert matrices with",
-    "orbits.commutator_orbit_dim": "oracle for chain_orbit_dim",
-    "orbits.two_eig_orbit_dim": "oracle for the two-eigenvalue dimension formula",
-}
+# package definitions whose only callers are tests, each with the reason it
+# stays; none, since such code moves to tests/reference_*.py or goes
+ALLOWED: dict[str, str] = {}
 
 
-def definitions():
+def definitions(module: str, tree):
     """(module.qualname, name, node) of every top-level function and class
     and of every non-dunder method."""
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield f"{path.stem}.{node.name}", node.name, node
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name, item
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
 def read_names(tree, *, imports=False, strings=False):
@@ -69,21 +66,30 @@ def outside_callers() -> set[str]:
     return names
 
 
-def uncalled() -> set[str]:
-    package = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+def uncalled(paths, outside: set[str]) -> set[str]:
+    """Definitions in ``paths`` whose name is neither in ``outside`` nor read
+    in those files outside the definition's own body."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
     reads: dict[str, list] = {}
-    for tree in package:
+    for tree in trees.values():
         for name, node in read_names(tree):
             reads.setdefault(name, []).append(node)
-    outside = outside_callers()
     found = set()
-    for qualname, name, node in definitions():
-        own = {id(n) for n in ast.walk(node)}
-        if name in outside or any(id(n) not in own for n in reads.get(name, [])):
-            continue
-        found.add(qualname)
+    for module, tree in trees.items():
+        for qualname, name, node in definitions(module, tree):
+            own = {id(n) for n in ast.walk(node)}
+            if name in outside or any(id(n) not in own for n in reads.get(name, [])):
+                continue
+            found.add(qualname)
     return found
 
 
 def test_every_definition_has_a_caller():
-    assert uncalled() == set(ALLOWED)
+    assert uncalled(sorted(SRC.glob("*.py")), outside_callers()) == set(ALLOWED)
+
+
+def test_every_reference_is_read_by_a_test():
+    readers = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        readers |= {name for name, _ in read_names(ast.parse(path.read_text()), imports=True)}
+    assert uncalled(sorted(TESTS.glob("reference_*.py")), readers) == set()

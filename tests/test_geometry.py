@@ -7,7 +7,6 @@ import pytest
 from voganlab import geometry, linalg, orbits
 from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.geometry import (
-    chain_tangent_dim_at_point,
     conormal_dual,
     conormal_space,
     is_smooth_closure,
@@ -20,7 +19,7 @@ from voganlab.geometry import (
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
-from reference_linalg import common_multiple, reference_nullspace
+from reference_linalg import common_multiple, reference_nullspace, reference_rref
 
 
 def gl_chain(dims, offset=0):
@@ -119,7 +118,7 @@ def test_tangent_dim_constant_on_orbit():
     def invert(g):
         n = len(g)
         aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
-        red, _ = linalg._echelon(aug)
+        red, _ = reference_rref(aug)
         return [row[n:] for row in red]
 
     for d in table:
@@ -129,13 +128,14 @@ def test_tangent_dim_constant_on_orbit():
             [[Fraction(e) for e in row] for row in m]
             for m in chain_representative(d.msegs[0], dims)
         ]
-        base = chain_tangent_dim_at_point(c.msegs[0], x, dims)
+        base = geometry._tangent_dim(geometry._tangent_pairs_at(x, dims), c.msegs[0], dims)
         gs = [random_gl(k) for k in dims]
         moved = [
             linalg.matmul(linalg.matmul(gs[i + 1], x[i]), invert(gs[i]))
             for i in range(len(dims) - 1)
         ]
-        assert chain_tangent_dim_at_point(c.msegs[0], moved, dims) == base
+        pairs = geometry._tangent_pairs_at(moved, dims)
+        assert geometry._tangent_dim(pairs, c.msegs[0], dims) == base
         assert base == tangent_dim_at(c, d)
 
 
@@ -152,8 +152,8 @@ def test_stratum_cache_matches_uncached_point():
                 ]
                 for c in table:
                     if closure_leq(d, c):
-                        assert tangent_dim_at(c, d) == chain_tangent_dim_at_point(
-                            c.msegs[0], x, dims
+                        assert tangent_dim_at(c, d) == geometry._tangent_dim(
+                            geometry._tangent_pairs_at(x, dims), c.msegs[0], dims
                         ), (dims, c.index, d.index)
 
 

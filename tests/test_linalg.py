@@ -45,11 +45,9 @@ def annihilates(m, v):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(matrices())
 def test_integer_elimination_matches_gauss_jordan(m):
-    red, pivots = reference_rref(m)
+    _, pivots = reference_rref(m)
     assert linalg.rank(m) == len(pivots)
     assert linalg.rank(tuple(tuple(row) for row in m)) == len(pivots)
-    assert linalg._echelon(m) == (red, pivots)
-    assert all(type(x) is Fraction for row in linalg._echelon(m)[0] for x in row)
 
     # kernels: one positive integer times the Gauss-Jordan basis, all ints
     kernel = linalg.nullspace(m)
@@ -68,7 +66,6 @@ def test_degenerate_shapes():
     assert linalg.rank([[]]) == 0
     assert linalg.nullspace([]) == []
     assert linalg.nullspace([[]]) == []
-    assert linalg._echelon([]) == ([], [])
     assert linalg.nullspace([[0, 0]]) == [[1, 0], [0, 1]]
     assert linalg.left_nullspace([[0], [0]]) == [[1, 0], [0, 1]]
     # pivots 2 and 3 give the common multiple 6 (the reference is [-1/2, -1/3, 1])

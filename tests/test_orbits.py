@@ -14,14 +14,14 @@ from voganlab.orbits import (
     chain_representative,
     closure_below,
     closure_leq,
-    commutator_orbit_dim,
     enumerate_orbits,
     hasse,
     rank_matrices,
     representative,
-    two_eig_orbit_dim,
 )
 from voganlab.variety import Chain, build_variety, point_variety, steinberg_variety, two_eigenvalue_variety
+
+from reference_orbits import commutator_orbit_dim, two_eig_orbit_dim
 
 
 def gl_chain(dims, offset=0):
