@@ -29,11 +29,12 @@ from first-order data: a pair (i, j) contributes the conditions
 
 exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
-vanish to order >= 2).  The composites at x_D, their ranks and each pair's
-condition rows depend only on the stratum D, so they are computed once per
-stratum and cached, over the integers (x_D is a 0/1 point and the kernels of
-:mod:`linalg` are integer vectors); the orbit C only selects the pairs whose
-rank meets its bound.  Every stratum D <= C is still scanned.
+vanish to order >= 2).  A pair's rank and condition rows depend only on the
+arrow matrices i..j-1 of x, so at the stratum representatives x_D they are
+computed once per distinct sub-chain, keyed by its content, and cached over
+the integers (x_D is a 0/1 point and the kernels of :mod:`linalg` are integer
+vectors); the orbit C only selects the pairs whose rank meets its bound.
+Every stratum D <= C is still scanned.
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
@@ -78,76 +79,88 @@ MAX_RETRIES = 8
 # tangent spaces
 
 
-def _composites(x: list) -> dict[tuple[int, int], list]:
-    """Composite arrow maps i -> j (i < j) of the arrow matrices x, keyed in
-    row-major (i, j) order.  Entries may be any ring elements."""
-    comp: dict[tuple[int, int], list] = {}
-    for i in range(len(x)):
-        comp[(i, i + 1)] = x[i]
-        for j in range(i + 2, len(x) + 1):
-            comp[(i, j)] = linalg.matmul(x[j - 1], comp[(i, j - 1)])
-    return comp
+def _sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
+    """Rank of the composite c of the arrow matrices of a sub-chain with grade
+    dims ``dims``, and the rows of first-order conditions
+    coker(c) . dc(v) . ker(c) = 0 on v in the sub-chain's coordinates.  Zero
+    rows and repeated rows are dropped, which leaves their span unchanged.
+    Entries are ints or Fractions."""
+    c = arrows[0]
+    for a in arrows[1:]:
+        c = linalg.matmul(a, c)
+    ker = linalg.nullspace(c)
+    rank = dims[0] - len(ker)  # rank-nullity
+    cok = linalg.left_nullspace(c) if ker else []
+    # the factors of dc(v) on arrow l: (first -> l) . ker and coker . (l+1 -> last)
+    rights = []
+    for kv in ker:
+        right = [kv]
+        for a in arrows[:-1]:
+            right.append(linalg.matvec(a, right[-1]))
+        rights.append(right)
+    transposes = [linalg.transpose(a) for a in arrows[1:]]
+    rows: dict[tuple, None] = {}
+    for p in cok:
+        left = [p]
+        for at in reversed(transposes):
+            left.append(linalg.matvec(at, left[-1]))
+        left.reverse()
+        for right in rights:
+            row = tuple(s * t for lv, rv in zip(left, right) for s in lv for t in rv)
+            if any(row):
+                rows[row] = None
+    return rank, tuple(rows)
 
 
-def _tangent_pairs_at(x: list, dims: tuple[int, ...]) -> tuple:
-    """``(pair, rank, rows)`` for every composite i -> j at the point with
-    arrow matrices x: its rank, and the rows of first-order conditions
-    coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates.  The rows
-    count toward the tangent space of a closure exactly when the rank equals
-    the closure's bound on the pair."""
-    arrow_dims = [dims[i] * dims[i + 1] for i in range(len(dims) - 1)]
-    ncols = sum(arrow_dims)
+# the stratum route's cache, keyed by content: a sub-chain's grade dims and
+# its arrow matrices as tuples
+_sub_chain_cache = lru_cache(maxsize=None)(_sub_chain_conditions)
+
+
+def _tangent_pairs_at(x, dims: tuple[int, ...], conditions=_sub_chain_conditions) -> tuple:
+    """``(pair, rank, rows)`` for every composite i -> j, in row-major order,
+    at the point with arrow matrices x: its rank, and the rows of first-order
+    conditions coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates
+    (:func:`_sub_chain_conditions` of the sub-chain i..j, padded with zeros).
+    The rows count toward the tangent space of a closure exactly when the
+    rank equals the closure's bound on the pair.  Computed afresh unless
+    ``conditions`` is the cache."""
     offs = [0]
-    for a in arrow_dims:
-        offs.append(offs[-1] + a)
-    comp = _composites(x)
-
+    for l in range(len(dims) - 1):
+        offs.append(offs[-1] + dims[l] * dims[l + 1])
     out = []
-    for (i, j), c in comp.items():
-        ker = linalg.nullspace(c)
-        cok = linalg.left_nullspace(c)
-        rows = []
-        if ker and cok:
-            # the factors of dc(v) on each arrow l: coker . (l+1 -> j) and
-            # (i -> l) . ker
-            lefts = [
-                [p if l == j - 1 else linalg.matvec(linalg.transpose(comp[(l + 1, j)]), p)
-                 for l in range(i, j)]
-                for p in cok
-            ]
-            rights = [
-                [kv if l == i else linalg.matvec(comp[(i, l)], kv) for l in range(i, j)]
-                for kv in ker
-            ]
-            for left_l in lefts:
-                for right_l in rights:
-                    row = [0] * ncols
-                    for l, left, right in zip(range(i, j), left_l, right_l):
-                        base = offs[l]
-                        for a in range(dims[l + 1]):
-                            if left[a]:
-                                for b in range(dims[l]):
-                                    if right[b]:
-                                        row[base + a * dims[l] + b] += left[a] * right[b]
-                    rows.append(tuple(row))
-        # rank = number of columns - nullity
-        out.append(((i, j), len(c[0]) - len(ker), tuple(rows)))
+    for i in range(len(dims)):
+        for j in range(i + 1, len(dims)):
+            rank, rows = conditions(dims[i : j + 1], x[i:j])
+            before, after = (0,) * offs[i], (0,) * (offs[-1] - offs[j])
+            out.append(((i, j), rank, tuple(before + row + after for row in rows)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
     """:func:`_tangent_pairs_at` at the canonical representative of the
-    stratum ``segs_d``, computed once per stratum over the integers."""
-    return _tangent_pairs_at(orbits.chain_representative(segs_d, dims), dims)
+    stratum ``segs_d``, over the integers.  Each sub-chain's rank and rows
+    come from ``_sub_chain_cache``, so strata that share a sub-chain of arrow
+    matrices compute its kernels once."""
+    x = tuple(tuple(map(tuple, m)) for m in orbits.chain_representative(segs_d, dims))
+    return _tangent_pairs_at(x, dims, _sub_chain_cache)
+
+
+@lru_cache(maxsize=None)
+def _pair_bounds(segs_c: ChainSegs, k: int) -> tuple[int, ...]:
+    """The bounds r_C[(i, j)] on the composites i -> j, in the order of the
+    pairs of :func:`_tangent_pairs_at`."""
+    rc = orbits.chain_rank_matrix(segs_c, k)
+    return tuple(rc[(i, j)] for i in range(k) for j in range(i + 1, k))
 
 
 def _tangent_dim(pairs: tuple, segs_c: ChainSegs, dims: tuple[int, ...]) -> int:
     """Tangent dimension of the closure of ``segs_c`` at a point with
     :func:`_tangent_pairs_at` data ``pairs``: only the pairs whose rank meets
     the bound r_C contribute condition rows."""
-    rc = orbits.chain_rank_matrix(segs_c, len(dims))
-    rows = [row for pair, r, pair_rows in pairs if r == rc[pair] for row in pair_rows]
+    bounds = _pair_bounds(segs_c, len(dims))
+    rows = [row for (_, r, pair_rows), b in zip(pairs, bounds) if r == b for row in pair_rows]
     arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
     return arrow_dim - (linalg.rank(rows) if rows else 0)
 
@@ -330,19 +343,31 @@ def _symbolic_chain_dual(basis, width: int, key_of) -> tuple[int, ...]:
 
 
 def _chain_rank_key(vec, dims: tuple[int, ...], rank) -> tuple[int, ...]:
-    """Ranks of the composites i -> j (i < j) of a covector of one chain.
+    """Ranks of the composites i -> j (i < j) of a covector of one chain, in
+    row-major order.
 
     Read in arrow shape, the dual coordinates of a covector give block
     l = xi_l^T (see :func:`chain_conormal_basis`).  The descending composite
     xi_i ... xi_{j-1} is the transpose of the forward composite of these
-    blocks, so it has the same rank.
+    blocks, so it has the same rank.  From each start grade the composites
+    grow one block at a time until one has rank 0; every longer composite
+    is then 0, so its rank is 0 without a product.
     """
     blocks, pos = [], 0
     for l in range(len(dims) - 1):
         rows, cols = dims[l + 1], dims[l]
         blocks.append([vec[pos + a * cols : pos + (a + 1) * cols] for a in range(rows)])
         pos += rows * cols
-    return tuple(rank(m) for m in _composites(blocks).values())
+    out = []
+    for i, comp in enumerate(blocks):
+        r = rank(comp)
+        out.append(r)
+        for block in blocks[i + 1 :]:
+            if r:
+                comp = linalg.matmul(block, comp)
+                r = rank(comp)
+            out.append(r)
+    return tuple(out)
 
 
 def _generic_chain_dual(

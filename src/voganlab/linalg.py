@@ -6,11 +6,15 @@ entries.  Products of integer matrices stay integer, and kernels come back
 as integer vectors.  All ranks, kernels and solutions are exact -- no
 floating point anywhere.
 
-Elimination runs on Python ints: each row is scaled by the lcm of its
-denominators, and rows are then combined fraction-free (p * row - f * pivot
-row), each new row divided by the gcd of its entries so the integers stay
-small.
-:func:`rank` needs only the forward pass.  :func:`nullspace` and
+Elimination is sparse and runs on Python ints.  Each nonzero row becomes a
+``{column: int}`` dict of its nonzero entries, scaled by the lcm of its
+denominators and divided by the gcd of its entries (zero rows are dropped,
+which leaves the row space unchanged).  Rows are combined fraction-free
+(p * row - f * pivot row), each new row divided by the gcd of its entries so
+the integers stay small.  A row's pivot is its lowest column: each row in
+turn is reduced by the pivot rows until its lowest column holds no pivot,
+and then becomes a pivot row itself (or vanishes).
+:func:`rank` needs only this forward pass.  :func:`nullspace` and
 :func:`left_nullspace` back-substitute to the reduced echelon form, which is
 unique, and return the kernel basis of Gauss-Jordan elimination over Q times
 one common positive integer (so any combination of the basis vectors is that
@@ -25,6 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Matrix = list[list[int | Fraction]]
+Row = dict[int, int]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -53,72 +58,49 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _integer_rows(m) -> list[list[int]]:
-    """Each row scaled by the lcm of its denominators, as Python ints (the
-    row space, hence every echelon form, is unchanged)."""
-    out = []
-    for row in m:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        ratios = [x.as_integer_ratio() for x in row]
-        den = lcm(*[d for _, d in ratios])
-        out.append([n * (den // d) for n, d in ratios])
-    return out
+def _primitive(row: Row) -> Row:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
-def _combine(p: int, row: list[int], f: int, prow: list[int]) -> list[int]:
-    """p * row - f * prow, divided by the gcd of its entries."""
-    new = [p * a - f * b for a, b in zip(row, prow)]
-    g = gcd(*new)
-    return [a // g for a in new] if g > 1 else new
-
-
-def _forward(rows: list[list[int]], ncols: int) -> list[int]:
-    """Fraction-free forward elimination in place; returns the pivot
-    columns.  Row r then has its pivot at pivots[r], with zeros below it."""
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                rows[i] = _combine(p, rows[i], f, prow)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+def _echelon(m) -> dict[int, Row]:
+    """Fraction-free forward elimination of the rows of ``m``: the pivot
+    rows by pivot column, each pivot column the lowest column of its row."""
+    pivots: dict[int, Row] = {}
+    for dense in m:
+        row = {c: x for c, x in enumerate(dense) if x}
+        if any(type(x) is not int for x in row.values()):
+            ratios = {c: x.as_integer_ratio() for c, x in row.items()}
+            den = lcm(*[d for _, d in ratios.values()])
+            row = {c: n * (den // d) for c, (n, d) in ratios.items()}
+        row = _primitive(row)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            row = _eliminate(row, prow, c)
     return pivots
 
 
-def _reduced(m) -> tuple[list[list[int]], list[int]]:
-    """Integer rows in reduced echelon form up to a nonzero scalar per row:
-    row r has its pivot at pivots[r] and zeros in every other pivot column;
-    rows past the rank are zero."""
-    rows = _integer_rows(m)
-    pivots = _forward(rows, len(rows[0]) if rows else 0)
-    for r in range(len(pivots) - 1, 0, -1):
-        prow, c = rows[r], pivots[r]
-        p = prow[c]
-        for i in range(r):
-            f = rows[i][c]
-            if f:
-                rows[i] = _combine(p, rows[i], f, prow)
-    return rows, pivots
+def _eliminate(row: Row, prow: Row, c: int) -> Row:
+    """p * row - f * prow, with p and f the entries of ``prow`` and ``row``
+    in column c (which drops out), divided by the gcd of its entries."""
+    p, f = prow[c], row[c]
+    new = {k: p * x for k, x in row.items()} if p != 1 else row
+    for k, x in prow.items():
+        y = new.get(k, 0) - f * x
+        if y:
+            new[k] = y
+        else:
+            del new[k]
+    return _primitive(new)
 
 
 def rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    rows = _integer_rows(m)
-    return len(_forward(rows, len(rows[0])))
+    return len(_echelon(m))
 
 
 def nullspace(m) -> list[list[int]]:
@@ -131,21 +113,26 @@ def nullspace(m) -> list[list[int]]:
     if not m:
         return []
     ncols = len(m[0])
-    rows, pivots = _reduced(m)
-    heads = [row[pc] for row, pc in zip(rows, pivots)]
-    common = lcm(*heads)  # positive: the heads are nonzero, and lcm() == 1
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * ncols
+    pivots = _echelon(m)
+    cols = sorted(pivots)
+    # back-substitution, highest pivot first: pivot rows with a lower pivot
+    # column are the only ones that can hold an entry in column c
+    for t in range(len(cols) - 1, 0, -1):
+        c = cols[t]
+        prow = pivots[c]
+        for lower in cols[:t]:
+            if c in pivots[lower]:
+                pivots[lower] = _eliminate(pivots[lower], prow, c)
+    common = lcm(*[row[pc] for pc, row in pivots.items()])  # lcm() == 1
+    basis = {fc: [0] * ncols for fc in range(ncols) if fc not in pivots}
+    for fc, v in basis.items():
         v[fc] = common
-        for row, pc, h in zip(rows, pivots, heads):
-            if row[fc]:
-                v[pc] = -row[fc] * (common // h)
-        basis.append(v)
-    return basis
+    for pc, row in pivots.items():
+        scale = common // row[pc]
+        for fc, x in row.items():
+            if fc != pc:
+                basis[fc][pc] = -x * scale
+    return list(basis.values())
 
 
 def left_nullspace(m) -> list[list[int]]:

@@ -140,9 +140,12 @@ def test_tangent_dim_constant_on_orbit():
 
 
 def test_stratum_cache_matches_uncached_point():
-    # tangent_dim_at reads the per-stratum cache; the point route rebuilds
-    # every composite from a fresh Fraction copy of the representative
-    for total in range(1, 6):
+    # tangent_dim_at reads the per-stratum and per-sub-chain caches; the
+    # point route rebuilds every composite from a fresh Fraction copy of the
+    # representative.  Fraction(1) == 1 with the same hash, so a cache keyed
+    # by content would hand that copy the int-built entry: the point route
+    # must not touch the sub-chain cache at all.
+    for total in range(1, 7):
         for dims in compositions(total):
             table = enumerate_orbits(gl_chain(dims))
             for d in table:
@@ -152,9 +155,13 @@ def test_stratum_cache_matches_uncached_point():
                 ]
                 for c in table:
                     if closure_leq(d, c):
-                        assert tangent_dim_at(c, d) == geometry._tangent_dim(
-                            geometry._tangent_pairs_at(x, dims), c.msegs[0], dims
-                        ), (dims, c.index, d.index)
+                        cached = tangent_dim_at(c, d)
+                        before = geometry._sub_chain_cache.cache_info()
+                        pairs = geometry._tangent_pairs_at(x, dims)
+                        assert geometry._sub_chain_cache.cache_info() == before
+                        assert cached == geometry._tangent_dim(pairs, c.msegs[0], dims), (
+                            dims, c.index, d.index
+                        )
 
 
 def test_stratum_cache_is_immutable():

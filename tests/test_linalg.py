@@ -1,4 +1,4 @@
-"""The integer elimination kernel against plain Gauss-Jordan over Q."""
+"""The sparse integer elimination kernel against plain Gauss-Jordan over Q."""
 
 from fractions import Fraction
 
@@ -34,17 +34,33 @@ def matrices(draw):
     return m
 
 
+@st.composite
+def sparse_wide_matrices(draw):
+    """The shapes of the oracles' matrices (tangent condition rows,
+    commutator matrices): up to 40 rows of up to 19 columns, entries in
+    {-1, 0, 1}, at most three nonzero ones a row, with zero rows and repeated
+    rows."""
+    nrows = draw(st.integers(1, 40))
+    ncols = draw(st.integers(1, 19))
+    entries = st.dictionaries(st.integers(0, ncols - 1), st.sampled_from((1, -1)), max_size=3)
+    m = []
+    for nonzero in draw(st.lists(entries, min_size=nrows, max_size=nrows)):
+        m.append([nonzero.get(c, 0) for c in range(ncols)])
+    for i, j in draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, nrows - 1)),
+                              max_size=4)):
+        m[i] = list(m[j])
+    return m
+
+
 def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
 def annihilates(m, v):
-    return all(sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0)) == 0 for row in m)
+    return all(sum(a * b for a, b in zip(row, v) if a) == 0 for row in m)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(matrices())
-def test_integer_elimination_matches_gauss_jordan(m):
+def check_against_gauss_jordan(m):
     _, pivots = reference_rref(m)
     assert linalg.rank(m) == len(pivots)
     assert linalg.rank(tuple(tuple(row) for row in m)) == len(pivots)
@@ -59,6 +75,18 @@ def test_integer_elimination_matches_gauss_jordan(m):
     assert all(annihilates(transpose(m), v) for v in left)
     assert len(kernel) + len(pivots) == len(m[0])
     assert len(left) + len(pivots) == len(m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_integer_elimination_matches_gauss_jordan(m):
+    check_against_gauss_jordan(m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sparse_wide_matrices())
+def test_sparse_oracle_shapes_match_gauss_jordan(m):
+    check_against_gauss_jordan(m)
 
 
 def test_degenerate_shapes():
