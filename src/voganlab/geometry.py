@@ -79,12 +79,14 @@ MAX_RETRIES = 8
 # tangent spaces
 
 
+@lru_cache(maxsize=None)
 def _sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
     """Rank of the composite c of the arrow matrices of a sub-chain with grade
     dims ``dims``, and the rows of first-order conditions
     coker(c) . dc(v) . ker(c) = 0 on v in the sub-chain's coordinates.  Zero
     rows and repeated rows are dropped, which leaves their span unchanged.
-    Entries are ints or Fractions."""
+    Cached by content: the grade dims and the arrow matrices as tuples of
+    ints."""
     c = arrows[0]
     for a in arrows[1:]:
         c = linalg.matmul(a, c)
@@ -112,54 +114,36 @@ def _sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
     return rank, tuple(rows)
 
 
-# the stratum route's cache, keyed by content: a sub-chain's grade dims and
-# its arrow matrices as tuples
-_sub_chain_cache = lru_cache(maxsize=None)(_sub_chain_conditions)
-
-
-def _tangent_pairs_at(x, dims: tuple[int, ...], conditions=_sub_chain_conditions) -> tuple:
-    """``(pair, rank, rows)`` for every composite i -> j, in row-major order,
-    at the point with arrow matrices x: its rank, and the rows of first-order
-    conditions coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates
-    (:func:`_sub_chain_conditions` of the sub-chain i..j, padded with zeros).
-    The rows count toward the tangent space of a closure exactly when the
-    rank equals the closure's bound on the pair.  Computed afresh unless
-    ``conditions`` is the cache."""
+@lru_cache(maxsize=None)
+def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
+    """``(pair, rank, rows)`` for every composite i -> j with i <= j, in the
+    order of :func:`orbits.rank_key`, at the canonical representative of the
+    stratum ``segs_d``: its rank, and the rows of first-order conditions
+    coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates
+    (:func:`_sub_chain_conditions` of the sub-chain i..j, padded with zeros;
+    the identity composites i -> i have none).  The rows count toward the
+    tangent space of a closure exactly when the rank equals the closure's
+    bound on the pair.  Strata that share a sub-chain of arrow matrices
+    compute its kernels once."""
+    x = tuple(tuple(map(tuple, m)) for m in orbits.chain_representative(segs_d, dims))
     offs = [0]
     for l in range(len(dims) - 1):
         offs.append(offs[-1] + dims[l] * dims[l + 1])
     out = []
     for i in range(len(dims)):
+        out.append(((i, i), dims[i], ()))
         for j in range(i + 1, len(dims)):
-            rank, rows = conditions(dims[i : j + 1], x[i:j])
+            rank, rows = _sub_chain_conditions(dims[i : j + 1], x[i:j])
             before, after = (0,) * offs[i], (0,) * (offs[-1] - offs[j])
             out.append(((i, j), rank, tuple(before + row + after for row in rows)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
-    """:func:`_tangent_pairs_at` at the canonical representative of the
-    stratum ``segs_d``, over the integers.  Each sub-chain's rank and rows
-    come from ``_sub_chain_cache``, so strata that share a sub-chain of arrow
-    matrices compute its kernels once."""
-    x = tuple(tuple(map(tuple, m)) for m in orbits.chain_representative(segs_d, dims))
-    return _tangent_pairs_at(x, dims, _sub_chain_cache)
-
-
-@lru_cache(maxsize=None)
-def _pair_bounds(segs_c: ChainSegs, k: int) -> tuple[int, ...]:
-    """The bounds r_C[(i, j)] on the composites i -> j, in the order of the
-    pairs of :func:`_tangent_pairs_at`."""
-    rc = orbits.chain_rank_matrix(segs_c, k)
-    return tuple(rc[(i, j)] for i in range(k) for j in range(i + 1, k))
-
-
 def _tangent_dim(pairs: tuple, segs_c: ChainSegs, dims: tuple[int, ...]) -> int:
     """Tangent dimension of the closure of ``segs_c`` at a point with
-    :func:`_tangent_pairs_at` data ``pairs``: only the pairs whose rank meets
-    the bound r_C contribute condition rows."""
-    bounds = _pair_bounds(segs_c, len(dims))
+    :func:`_stratum_tangent_pairs` data ``pairs``: only the pairs whose rank
+    meets the bound r_C (:func:`orbits.rank_key`) contribute condition rows."""
+    bounds = orbits.rank_key(segs_c, len(dims))
     rows = [row for (_, r, pair_rows), b in zip(pairs, bounds) if r == b for row in pair_rows]
     arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
     return arrow_dim - (linalg.rank(rows) if rows else 0)

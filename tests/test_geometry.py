@@ -19,6 +19,7 @@ from voganlab.geometry import (
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
+from reference_geometry import tangent_pairs_at
 from reference_linalg import common_multiple, reference_nullspace, reference_rref
 
 
@@ -128,13 +129,13 @@ def test_tangent_dim_constant_on_orbit():
             [[Fraction(e) for e in row] for row in m]
             for m in chain_representative(d.msegs[0], dims)
         ]
-        base = geometry._tangent_dim(geometry._tangent_pairs_at(x, dims), c.msegs[0], dims)
+        base = geometry._tangent_dim(tangent_pairs_at(x, dims), c.msegs[0], dims)
         gs = [random_gl(k) for k in dims]
         moved = [
             linalg.matmul(linalg.matmul(gs[i + 1], x[i]), invert(gs[i]))
             for i in range(len(dims) - 1)
         ]
-        pairs = geometry._tangent_pairs_at(moved, dims)
+        pairs = tangent_pairs_at(moved, dims)
         assert geometry._tangent_dim(pairs, c.msegs[0], dims) == base
         assert base == tangent_dim_at(c, d)
 
@@ -156,9 +157,9 @@ def test_stratum_cache_matches_uncached_point():
                 for c in table:
                     if closure_leq(d, c):
                         cached = tangent_dim_at(c, d)
-                        before = geometry._sub_chain_cache.cache_info()
-                        pairs = geometry._tangent_pairs_at(x, dims)
-                        assert geometry._sub_chain_cache.cache_info() == before
+                        before = geometry._sub_chain_conditions.cache_info()
+                        pairs = tangent_pairs_at(x, dims)
+                        assert geometry._sub_chain_conditions.cache_info() == before
                         assert cached == geometry._tangent_dim(pairs, c.msegs[0], dims), (
                             dims, c.index, d.index
                         )
