@@ -9,7 +9,7 @@ all over exact rational arithmetic.
 
 __version__ = "0.2.0"
 
-from .arthur import ArthurVerdict, Rectangle, is_arthur_type, rectangle_multisegment
+from .arthur import ArthurVerdict, Rectangle, is_arthur_type
 from .bridge import (
     multiplicity,
     multiplicity_matrix,
@@ -23,13 +23,12 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .geometry import (
-    conormal_space,
     is_smooth_closure,
     mw_involution,
     pyasetskii_dual,
     tangent_dim_at,
 )
-from .kl import bruhat_leq, kl_poly
+from .kl import kl_poly
 from .lattice import (
     ComponentGroup,
     RootDatum,
@@ -43,7 +42,6 @@ from .orbits import (
     closure_leq,
     enumerate_orbits,
     hasse,
-    rank_matrices,
     representative,
 )
 from .variety import (
@@ -68,12 +66,10 @@ __all__ = [
     "RootDatum",
     "UnsupportedFamilyError",
     "VoganVariety",
-    "bruhat_leq",
     "build_variety",
     "builtin_root_datum",
     "center_image",
     "closure_leq",
-    "conormal_space",
     "enumerate_orbits",
     "hasse",
     "is_arthur_type",
@@ -85,9 +81,7 @@ __all__ = [
     "mw_involution",
     "point_variety",
     "pyasetskii_dual",
-    "rank_matrices",
     "rationally_smooth",
-    "rectangle_multisegment",
     "representative",
     "smith_normal_form",
     "stabilizer_component_group",

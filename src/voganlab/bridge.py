@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from math import prod
 
-from . import geometry, kl
+from . import geometry, kl, orbits
 from .errors import InputError, UnsupportedFamilyError
 from .kl import Perm
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
@@ -135,24 +135,20 @@ def multiplicity_matrix(table: OrbitTable) -> dict:
     if not table:
         return {"entries": [], "source": "kl", "complete": True}
     v = table[0].variety
-    below = table.below
-    n = len(table)
-    if v.kind == "chain" and all(c.total <= kl.KL_TABLE_MAX for c in v.chains):
+    kl_backed = v.kind == "chain" and all(c.total <= kl.KL_TABLE_MAX for c in v.chains)
+    if kl_backed:
         perms = [multisegment_to_permutation(o) for o in table]
-        entries = [[0] * n for _ in table]
-        for j, down in enumerate(below):
-            for i in range(n):
-                if down >> i & 1:
-                    entries[i][j] = _perms_value(perms[i], perms[j])
+    else:
+        smooth = [geometry.is_smooth_closure(d) for d in table]
+    entries = [[0] * len(table) for _ in table]
+    for j, down in enumerate(table.below):
+        for i in orbits._bits(down):
+            if kl_backed:
+                entries[i][j] = _perms_value(perms[i], perms[j])
+            else:
+                entries[i][j] = 1 if smooth[j] else None
+    if kl_backed:
         return {"entries": entries, "source": "kl", "complete": True}
-    smooth = [geometry.is_smooth_closure(d) for d in table]
-    entries = [
-        [
-            (1 if smooth[j] else None) if down >> i & 1 else 0
-            for j, down in enumerate(below)
-        ]
-        for i in range(n)
-    ]
     source = "smooth-closure-support"
     if v.kind == "chain":
         source += " (chain totals exceed the KL table range)"

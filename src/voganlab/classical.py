@@ -20,25 +20,6 @@ from .errors import InputError, UnsupportedFamilyError
 from .variety import SO_EVEN, SO_ODD, SP_DUAL, Chain, steinberg_grading
 
 
-def segments_from_ranks(r: dict[tuple[int, int], int], k: int) -> tuple:
-    """The multiplicities of the segments [a, b] on a grid of k grades, from the
-    rank data r[(a, b)] (a <= b) by inclusion-exclusion."""
-
-    def r_at(a: int, b: int) -> int:
-        if a < 0 or b >= k or a > b:
-            return 0
-        return r[(a, b)]
-
-    segments = []
-    for a in range(k):
-        for b in range(a, k):
-            mult = r_at(a, b) - r_at(a - 1, b) - r_at(a, b + 1) + r_at(a - 1, b + 1)
-            if mult < 0:
-                raise InputError("rank data is not a valid orbit invariant")
-            segments.extend([(a, b)] * mult)
-    return tuple(sorted(segments))
-
-
 def gl_multisegment_of_subset(family: str, n: int, subset) -> tuple[Chain, tuple]:
     """
     The multisegment of x_S, read on the standard-representation grading.

@@ -66,7 +66,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from . import classical, linalg, orbits
+from . import linalg, orbits
 from .errors import InputError, UnsupportedFamilyError
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
 from .variety import VoganVariety
@@ -116,12 +116,12 @@ def _sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
 
 @lru_cache(maxsize=None)
 def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
-    """``(pair, rank, rows)`` for every composite i -> j with i <= j, in the
+    """``(pair, rank, rows)`` for every composite i -> j with i < j, in the
     order of :func:`orbits.rank_key`, at the canonical representative of the
     stratum ``segs_d``: its rank, and the rows of first-order conditions
     coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates
-    (:func:`_sub_chain_conditions` of the sub-chain i..j, padded with zeros;
-    the identity composites i -> i have none).  The rows count toward the
+    (:func:`_sub_chain_conditions` of the sub-chain i..j, padded with zeros).
+    The rows count toward the
     tangent space of a closure exactly when the rank equals the closure's
     bound on the pair.  Strata that share a sub-chain of arrow matrices
     compute its kernels once."""
@@ -131,7 +131,6 @@ def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
         offs.append(offs[-1] + dims[l] * dims[l + 1])
     out = []
     for i in range(len(dims)):
-        out.append(((i, i), dims[i], ()))
         for j in range(i + 1, len(dims)):
             rank, rows = _sub_chain_conditions(dims[i : j + 1], x[i:j])
             before, after = (0,) * offs[i], (0,) * (offs[-1] - offs[j])
@@ -142,9 +141,11 @@ def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
 def _tangent_dim(pairs: tuple, segs_c: ChainSegs, dims: tuple[int, ...]) -> int:
     """Tangent dimension of the closure of ``segs_c`` at a point with
     :func:`_stratum_tangent_pairs` data ``pairs``: only the pairs whose rank
-    meets the bound r_C (:func:`orbits.rank_key`) contribute condition rows."""
+    meets the bound r_C (:func:`orbits.rank_key`) contribute condition rows.
+    Rows repeated across pairs are eliminated once."""
     bounds = orbits.rank_key(segs_c, len(dims))
-    rows = [row for (_, r, pair_rows), b in zip(pairs, bounds) if r == b for row in pair_rows]
+    live = (pair_rows for (_, r, pair_rows), b in zip(pairs, bounds) if r == b)
+    rows = list(dict.fromkeys(row for pair_rows in live for row in pair_rows))
     arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
     return arrow_dim - (linalg.rank(rows) if rows else 0)
 
@@ -232,53 +233,18 @@ def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[in
     return linalg.left_nullspace(action)
 
 
-def _two_eig_conormal_matrices(v: VoganVariety, rank: int) -> list[linalg.Matrix]:
-    """Matrix basis of { Xi of the same symmetry type : x Xi = 0 }.
+def _two_eig_conormal_basis(v: VoganVariety, rank: int) -> list[list[int]]:
+    """Integer basis of { Xi of the same symmetry type : x Xi = 0 }, each
+    matrix Xi flattened row by row.
 
     For both symmetry types the trace pairing reduces the annihilator of the
     tangent space to the single matrix equation x Xi = 0.
     """
     x = orbits.two_eig_representative(v, rank)
-    basis = v.subspace_basis()
-    n = v.n
-    rows = []
-    for bm in basis:
-        prod = linalg.matmul(x, bm)
-        rows.append([prod[i][j] for i in range(n) for j in range(n)])
-    return [
-        [[sum(cf * bm[i][j] for cf, bm in zip(coeffs, basis) if cf) for j in range(n)]
-         for i in range(n)]
-        for coeffs in linalg.left_nullspace(rows)
-    ]
-
-
-def conormal_space(orbit: OrbitRecord) -> list[list[int]]:
-    """Exact integer basis of the conormal space at the canonical
-    representative, as coordinate vectors (chain coordinates / root-line
-    coordinates / subspace coordinates)."""
-    v = orbit.variety
-    if v.kind == "chain":
-        widths = [c.arrow_dim for c in v.chains]
-        out = []
-        offset = 0
-        for segs, chain, width in zip(orbit.msegs, v.chains, widths):
-            for vec in chain_conormal_basis(segs, chain.dims):
-                padded = [0] * sum(widths)
-                padded[offset : offset + width] = vec
-                out.append(padded)
-            offset += width
-        return out
-    if v.kind == "steinberg":
-        # bracketing pairs each root line only with its own opposite, so the
-        # annihilator is spanned by the lines missing from the orbit
-        basis = []
-        for i in range(v.n):
-            if i not in orbit.subset:
-                vec = [0] * v.n
-                vec[i] = 1
-                basis.append(vec)
-        return basis
-    return [orbits._two_eig_coords(v, m) for m in _two_eig_conormal_matrices(v, orbit.rank)]
+    mats = v.subspace_basis()
+    rows = [[e for row in linalg.matmul(x, bm) for e in row] for bm in mats]
+    flat = [[e for row in bm for e in row] for bm in mats]
+    return [_combination(coeffs, flat, v.n * v.n) for coeffs in linalg.left_nullspace(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +294,7 @@ def _symbolic_chain_dual(basis, width: int, key_of) -> tuple[int, ...]:
 
 def _chain_rank_key(vec, dims: tuple[int, ...], rank) -> tuple[int, ...]:
     """Ranks of the composites i -> j (i < j) of a covector of one chain, in
-    row-major order.
+    row-major order: rank data in the format of :func:`orbits.rank_key`.
 
     Read in arrow shape, the dual coordinates of a covector give block
     l = xi_l^T (see :func:`chain_conormal_basis`).  The descending composite
@@ -360,15 +326,13 @@ def _generic_chain_dual(
     k = len(dims)
     if k <= 1:
         return segs
-    ranks = _generic_key(
+    key = _generic_key(
         chain_conormal_basis(segs, dims),
         sum(dims[l] * dims[l + 1] for l in range(k - 1)),
         lambda vec, rank: _chain_rank_key(vec, dims, rank),
         rng,
     )
-    r = {(i, i): dims[i] for i in range(k)}
-    r.update(zip(((i, j) for i in range(k) for j in range(i + 1, k)), ranks))
-    return classical.segments_from_ranks(r, k)
+    return orbits.segments_of_rank_key(key, dims)
 
 
 def pyasetskii_dual(orbit: OrbitRecord, table: OrbitTable) -> OrbitRecord:
@@ -407,7 +371,7 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
         return table.by_key[complement]
     n = v.n
     (dual_rank,) = _generic_key(
-        [[x for row in m for x in row] for m in _two_eig_conormal_matrices(v, orbit.rank)],
+        _two_eig_conormal_basis(v, orbit.rank),
         n * n,
         lambda vec, rank: (rank([vec[i * n : (i + 1) * n] for i in range(n)]),),
         rng,

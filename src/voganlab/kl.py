@@ -84,26 +84,6 @@ def right_mult_s(u: Perm, k: int) -> Perm:
     return tuple(v)
 
 
-def _dominance(u: Perm) -> list[list[int]]:
-    """c[i][j] = #{a <= i : u(a) >= j}, 1-based with padding row 0."""
-    n = len(u)
-    c = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            c[i][j] = c[i - 1][j] + (1 if u[i - 1] >= j else 0)
-    return c
-
-
-def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """Bruhat order comparison by rank-count dominance."""
-    u, w = check_perm(u), check_perm(w)
-    if len(u) != len(w):
-        raise InputError("bruhat_leq: size mismatch")
-    cu, cw = _dominance(u), _dominance(w)
-    n = len(u)
-    return all(cu[i][j] <= cw[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers
 

@@ -3,9 +3,10 @@ Orbit enumeration, rank invariants, representatives, and the closure order.
 
 Orbits of a chain variety are multisegments: multisets of intervals [b, e] on
 the chain grid whose coverage at every grade equals the dimension there.  The
-complete orbit invariant is the rank matrix r[i][j] = number of segments
-containing [i, j], which equals the rank of the composed arrow maps at any
-orbit point.  The closure order is entrywise rank dominance (smaller orbit =
+complete orbit invariant is the rank data r(i, j), i < j (:func:`rank_key`,
+inverted by :func:`segments_of_rank_key`): the number of segments containing
+[i, j], which equals the rank of the composed arrow map i -> j at any orbit
+point.  The closure order is entrywise rank dominance (smaller orbit =
 smaller ranks); :func:`closure_below` computes it as integer bitsets, once per
 :class:`OrbitTable` (its ``below``), and :func:`hasse` takes their transitive
 reduction.
@@ -58,20 +59,40 @@ def chain_multisegments(dims: tuple[int, ...]) -> list[ChainSegs]:
     return [tuple(sorted(done)) for _, done in paths]
 
 
-def chain_rank_matrix(segs: ChainSegs, k: int) -> dict[Seg, int]:
-    """r[(i, j)] = number of segments containing [i, j]."""
-    r = {(i, j): 0 for i in range(k) for j in range(i, k)}
-    for b, e in segs:
-        for i in range(b, e + 1):
-            for j in range(i, e + 1):
-                r[(i, j)] += 1
-    return r
-
-
 @lru_cache(maxsize=None)
 def rank_key(segs: ChainSegs, k: int) -> tuple[int, ...]:
-    r = chain_rank_matrix(segs, k)
-    return tuple(r[(i, j)] for i in range(k) for j in range(i, k))
+    """Rank data of a multisegment on k grades: the number of segments
+    containing [i, j], for i < j in row-major order.  The identity composites
+    i -> i are left out: their rank dims[i] is the same on every orbit."""
+    r = [[0] * k for _ in range(k)]
+    for b, e in segs:
+        for i in range(b, e):
+            for j in range(i + 1, e + 1):
+                r[i][j] += 1
+    return tuple(r[i][j] for i in range(k) for j in range(i + 1, k))
+
+
+def segments_of_rank_key(key: Sequence[int], dims: tuple[int, ...]) -> ChainSegs:
+    """The multisegment with rank data ``key`` (:func:`rank_key`) on the chain
+    with grade dims ``dims``.  By inclusion-exclusion [a, b] occurs
+    r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1) times, where
+    r(i, i) = dims[i] and r vanishes off the grid."""
+    k = len(dims)
+    # row k and column k stay 0, and r[-1] is row k: the zeros off the grid
+    r = [[0] * (k + 1) for _ in range(k + 1)]
+    entries = iter(key)
+    for i in range(k):
+        r[i][i] = dims[i]
+        for j in range(i + 1, k):
+            r[i][j] = next(entries)
+    segs = []
+    for a in range(k):
+        for b in range(a, k):
+            mult = r[a][b] - r[a - 1][b] - r[a][b + 1] + r[a - 1][b + 1]
+            if mult < 0:
+                raise InputError("rank data is not a valid orbit invariant")
+            segs.extend([(a, b)] * mult)
+    return tuple(segs)
 
 
 def chain_representative(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[list[int]]]:
@@ -284,26 +305,8 @@ def two_eig_representative(v: VoganVariety, rank: int) -> list[list[int]]:
     return m
 
 
-def _two_eig_coords(v: VoganVariety, m) -> list:
-    """Coordinates of a form-compatible matrix in the subspace basis."""
-    n = v.n
-    if v.symmetric_form:
-        return [m[i][j] for i in range(n) for j in range(i, n)]
-    return [m[i][j] for i in range(n) for j in range(i + 1, n)]
-
-
 # ---------------------------------------------------------------------------
-# rank data, representatives, closure order
-
-
-def rank_matrices(orbit: OrbitRecord) -> tuple[dict[Seg, int], ...]:
-    v = orbit.variety
-    if orbit.msegs is None:
-        raise UnsupportedFamilyError("rank matrices are defined for chain varieties")
-    return tuple(
-        chain_rank_matrix(segs, chain.length)
-        for segs, chain in zip(orbit.msegs, v.chains)
-    )
+# representatives, closure order
 
 
 def representative(orbit: OrbitRecord):

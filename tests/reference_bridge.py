@@ -6,9 +6,11 @@ are forced by smooth closures.  The tests pin the survivors, one of which is
 
 from voganlab.bridge import cycle_table, max_coset_rep
 from voganlab.geometry import is_smooth_closure
-from voganlab.kl import Perm, bruhat_leq, kl_poly, poly_eval_at_one
+from voganlab.kl import Perm, kl_poly, poly_eval_at_one
 from voganlab.orbits import ChainSegs, OrbitTable, enumerate_orbits
 from voganlab.variety import steinberg_variety, two_eigenvalue_variety
+
+from reference_kl import bruhat_leq
 
 
 def min_coset_rep(table: list[list[int]], dims: tuple[int, ...]) -> Perm:

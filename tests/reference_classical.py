@@ -17,8 +17,8 @@ Matrix conventions (split forms, Gram matrix antidiagonal):
 from fractions import Fraction
 
 from voganlab import linalg
-from voganlab.classical import segments_from_ranks
 from voganlab.errors import InputError, UnsupportedFamilyError
+from voganlab.orbits import segments_of_rank_key
 from voganlab.variety import SO_EVEN, SO_ODD, SP_DUAL, Chain, steinberg_grading
 
 
@@ -78,16 +78,15 @@ def _graded_subset_point(family: str, n: int, subset):
 
 def graded_power_multisegment(family: str, n: int, subset) -> tuple[Chain, tuple]:
     """Oracle for ``classical.gl_multisegment_of_subset``: exact ranks of dense
-    integer powers of x_S, restricted to each pair of grades."""
+    integer powers of x_S, restricted to each pair of grades a < b."""
     chain, x, buckets = _graded_subset_point(family, n, subset)
     k = chain.length
-    dim = len(x)
-    powers = [[[int(r == c) for c in range(dim)] for r in range(dim)], x]  # powers[m] = x^m
+    powers = [x]  # powers[m - 1] = x^m
     for _ in range(k - 2):
         powers.append(linalg.matmul(powers[-1], x))
-    ranks = {}
-    for a in range(k):
-        for b in range(a, k):
-            sub = [[powers[b - a][r][c] for c in buckets[a]] for r in buckets[b]]
-            ranks[(a, b)] = linalg.rank(sub)
-    return chain, segments_from_ranks(ranks, k)
+    key = tuple(
+        linalg.rank([[powers[b - a - 1][r][c] for c in buckets[a]] for r in buckets[b]])
+        for a in range(k)
+        for b in range(a + 1, k)
+    )
+    return chain, segments_of_rank_key(key, tuple(len(bucket) for bucket in buckets))

@@ -16,7 +16,6 @@ def tangent_pairs_at(x, dims: tuple[int, ...]) -> tuple:
         offs.append(offs[-1] + dims[l] * dims[l + 1])
     out = []
     for i in range(len(dims)):
-        out.append(((i, i), dims[i], ()))
         for j in range(i + 1, len(dims)):
             rank, rows = conditions(dims[i : j + 1], x[i:j])
             before, after = (0,) * offs[i], (0,) * (offs[-1] - offs[j])

@@ -1,15 +1,16 @@
 """The textbook Kazhdan-Lusztig recursion, scanning the whole group for
 mu-corrections: the reference for the columns of ``voganlab.kl``,
-independent of both the column route and the whole-group table."""
+independent of both the column route and the whole-group table; and the
+Bruhat order by rank-count dominance, the reference order for the bridge."""
 
 import itertools
 
+from voganlab.errors import InputError
 from voganlab.kl import (
     ONE,
     ZERO,
     Perm,
     Poly,
-    bruhat_leq,
     check_perm,
     perm_length,
     poly_add,
@@ -18,6 +19,26 @@ from voganlab.kl import (
     right_mult_s,
 )
 
+
+
+def _dominance(u: Perm) -> list[list[int]]:
+    """c[i][j] = #{a <= i : u(a) >= j}, 1-based with padding row 0."""
+    n = len(u)
+    c = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            c[i][j] = c[i - 1][j] + (1 if u[i - 1] >= j else 0)
+    return c
+
+
+def bruhat_leq(u: Perm, w: Perm) -> bool:
+    """Bruhat order comparison by rank-count dominance."""
+    u, w = check_perm(u), check_perm(w)
+    if len(u) != len(w):
+        raise InputError("bruhat_leq: size mismatch")
+    cu, cw = _dominance(u), _dominance(w)
+    n = len(u)
+    return all(cu[i][j] <= cw[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
 
 def kl_poly_reference(u, w, descent_pick: int = 0) -> Poly:
     """

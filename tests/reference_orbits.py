@@ -15,6 +15,14 @@ def commutator_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
     return linalg.rank(orbits._commutator_matrix(arrows, dims))
 
 
+def two_eig_coords(v: VoganVariety, m) -> list:
+    """Coordinates of a form-compatible matrix in the subspace basis."""
+    n = v.n
+    if v.symmetric_form:
+        return [m[i][j] for i in range(n) for j in range(i, n)]
+    return [m[i][j] for i in range(n) for j in range(i + 1, n)]
+
+
 def two_eig_action_matrix(v: VoganVariety, x) -> list[list]:
     """Matrix of A -> A x + x A^T from gl_n to the subspace, in coordinates."""
     n = v.n
@@ -27,7 +35,7 @@ def two_eig_action_matrix(v: VoganVariety, x) -> list[list]:
                 img[a][j] += x[b][j]
             for i in range(n):
                 img[i][a] += x[i][b]
-            cols.append(orbits._two_eig_coords(v, img))
+            cols.append(two_eig_coords(v, img))
     return linalg.transpose(cols)
 
 

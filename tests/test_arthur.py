@@ -8,7 +8,6 @@ from voganlab.arthur import (
     _rectangle_expansions,
     brute_force_arthur,
     is_arthur_type,
-    rectangle_multisegment,
 )
 from voganlab.classical import gl_multisegment_of_subset
 from voganlab.errors import InputError
@@ -24,6 +23,7 @@ from voganlab.variety import (
     two_eigenvalue_variety,
 )
 
+from reference_arthur import rectangle_multisegment
 from reference_classical import graded_power_multisegment
 
 

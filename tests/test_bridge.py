@@ -20,6 +20,7 @@ from voganlab.orbits import closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
 from reference_bridge import calibrate, min_coset_rep
+from reference_kl import bruhat_leq
 
 
 def gl_chain(dims, offset=0):
@@ -94,8 +95,6 @@ def test_coset_representatives_are_extremal(dims):
 def test_bridge_is_an_order_embedding():
     for dims in [(1, 1, 1, 1), (2, 2), (1, 2, 1), (2, 1, 2)]:
         table = enumerate_orbits(gl_chain(dims))
-        from voganlab.kl import bruhat_leq
-
         for a in table:
             for b in table:
                 pa = multisegment_to_permutation(a)[0]

@@ -12,10 +12,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from voganlab.bridge import multisegment_to_permutation  # noqa: E402
-from voganlab.kl import bruhat_leq  # noqa: E402
 from voganlab.orbits import enumerate_orbits  # noqa: E402
 from voganlab.variety import Chain, build_variety  # noqa: E402
 
+from reference_kl import bruhat_leq  # noqa: E402
 from reference_orbits import commutator_orbit_dim  # noqa: E402
 
 # 1-4 grades of dimension 1-3, total at most 6 (the KL range of the bridge)

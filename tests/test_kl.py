@@ -9,7 +9,6 @@ from voganlab import bridge, kl
 from voganlab.cli import main
 from voganlab.errors import InputError
 from voganlab.kl import (
-    bruhat_leq,
     kl_poly,
     perm_inverse,
     perm_length,
@@ -21,7 +20,7 @@ from voganlab.orbits import enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety
 
 from conftest import dim_vectors
-from reference_kl import kl_poly_reference
+from reference_kl import bruhat_leq, kl_poly_reference
 
 
 def all_perms(n):

@@ -10,14 +10,14 @@ from voganlab.orbits import (
     OrbitTable,
     chain_multisegments,
     chain_orbit_dim,
-    chain_rank_matrix,
     chain_representative,
     closure_below,
     closure_leq,
     enumerate_orbits,
     hasse,
-    rank_matrices,
+    rank_key,
     representative,
+    segments_of_rank_key,
 )
 from voganlab.variety import Chain, build_variety, point_variety, steinberg_variety, two_eigenvalue_variety
 
@@ -96,36 +96,45 @@ def test_ids_are_deterministic():
 
 
 def test_zero_orbit_rank_matrix_vanishes_off_diagonal():
-    segs = ((0, 0), (1, 1), (2, 2))
-    r = chain_rank_matrix(segs, 3)
-    assert all(r[(i, j)] == 0 for i in range(3) for j in range(i + 1, 3))
-    assert all(r[(i, i)] == 1 for i in range(3))
+    assert rank_key(((0, 0), (1, 1), (2, 2)), 3) == (0, 0, 0)
 
 
 def test_single_long_segment_rank():
-    r = chain_rank_matrix(((0, 2),), 3)
-    assert r[(0, 2)] == 1
+    # pairs (0, 1), (0, 2), (1, 2) in row-major order
+    assert rank_key(((0, 2),), 3) == (1, 1, 1)
+    assert rank_key(((0, 1), (2, 2)), 3) == (1, 0, 0)
 
 
 def composed_ranks(arrows, dims):
-    k = len(dims)
-    out = {(i, i): dims[i] for i in range(k)}
-    comp = {}
-    for i in range(k - 1):
-        comp[(i, i + 1)] = arrows[i]
-        for j in range(i + 2, k):
-            comp[(i, j)] = linalg.matmul(arrows[j - 1], comp[(i, j - 1)])
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[(i, j)] = linalg.rank(comp[(i, j)])
-    return out
+    """Ranks of the composite arrow maps i -> j, i < j, in row-major order."""
+    out = []
+    for i in range(len(dims) - 1):
+        comp = arrows[i]
+        out.append(linalg.rank(comp))
+        for j in range(i + 2, len(dims)):
+            comp = linalg.matmul(arrows[j - 1], comp)
+            out.append(linalg.rank(comp))
+    return tuple(out)
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1)])
 def test_rank_matrix_equals_ranks_at_representative(dims):
     for segs in chain_multisegments(dims):
         arrows = chain_representative(segs, dims)
-        assert composed_ranks(arrows, dims) == chain_rank_matrix(segs, len(dims))
+        assert composed_ranks(arrows, dims) == rank_key(segs, len(dims))
+
+
+def test_segments_of_rank_key_inverts_rank_key(chain_suite):
+    for dims, _v, table in chain_suite:
+        for o in table:
+            (segs,) = o.msegs
+            assert segments_of_rank_key(rank_key(segs, len(dims)), dims) == segs
+
+
+def test_segments_of_rank_key_refuses_invalid_data():
+    # r(0, 1) = 2 exceeds dims[1] = 1
+    with pytest.raises(InputError):
+        segments_of_rank_key((2,), (2, 1))
 
 
 def test_zero_orbit_representative_is_zero():
@@ -329,10 +338,3 @@ def test_two_chain_orbit_data_factors():
     assert len(t) == len(ta) * len(tb)
     dims = sorted(o.dim for o in t)
     assert dims == sorted(x.dim + y.dim for x in ta for y in tb)
-
-
-def test_rank_matrices_accessor():
-    table = enumerate_orbits(gl_chain((1, 1, 1)))
-    top = next(o for o in table if o.is_open)
-    (r,) = rank_matrices(top)
-    assert r[(0, 2)] == 1
