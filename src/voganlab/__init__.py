@@ -11,7 +11,6 @@ __version__ = "0.2.0"
 
 from .arthur import ArthurVerdict, Rectangle, is_arthur_type
 from .bridge import (
-    multiplicity,
     multiplicity_matrix,
     multisegment_to_permutation,
     rationally_smooth,
@@ -75,7 +74,6 @@ __all__ = [
     "is_arthur_type",
     "is_smooth_closure",
     "kl_poly",
-    "multiplicity",
     "multiplicity_matrix",
     "multisegment_to_permutation",
     "mw_involution",

@@ -115,12 +115,6 @@ def _perms_value(pc: tuple[Perm, ...], pd: tuple[Perm, ...]) -> int:
     return prod(kl.poly_eval_at_one(kl.kl_poly(wc, wd)) for wc, wd in zip(pc, pd))
 
 
-def multiplicity(c: OrbitRecord, d: OrbitRecord) -> int:
-    """[standard module of C : irreducible of D], trivial local systems."""
-    pc, pd = multisegment_to_permutation(c), multisegment_to_permutation(d)
-    return _perms_value(pc, pd)
-
-
 def multiplicity_matrix(table: OrbitTable) -> dict:
     """
     Square multiplicity data over the orbit table.

@@ -7,9 +7,9 @@ complete orbit invariant is the rank data r(i, j), i < j (:func:`rank_key`,
 inverted by :func:`segments_of_rank_key`): the number of segments containing
 [i, j], which equals the rank of the composed arrow map i -> j at any orbit
 point.  The closure order is entrywise rank dominance (smaller orbit =
-smaller ranks); :func:`closure_below` computes it as integer bitsets, once per
-:class:`OrbitTable` (its ``below``), and :func:`hasse` takes their transitive
-reduction.
+smaller ranks; Abeasis-Del Fra-Kraft 1981): :func:`closure_leq` by its
+definition, :func:`closure_below` as integer bitsets once per
+:class:`OrbitTable` (its ``below``), and :func:`hasse` its transitive reduction.
 
 A chain orbit's dimension is dim H - dim End(M) for its multisegment module
 M = sum of segment modules, and dim Hom([b_s, e_s], [b_t, e_t]) is 1 exactly
@@ -19,13 +19,12 @@ segments.  The rank-r two-eigenvalue orbit has dimension n r - r (r - 1) / 2
 both counts against the exact rank of the infinitesimal group action at a
 representative (``tests/reference_orbits.py``).
 
-Ids are deterministic: orbits are sorted by dimension, then by their rank
-data, so identical inputs always produce identical tables.
+Ids are deterministic: orbits are sorted by dimension, then by rank data,
+subset or rank, so identical inputs always produce identical tables.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from collections import namedtuple
 from collections.abc import Sequence
@@ -232,58 +231,37 @@ class OrbitTable(tuple):
         return {o.key: o for o in self}
 
 
-def _sort_and_finish(v: VoganVariety, raw: list[dict]) -> OrbitTable:
-    raw.sort(key=lambda o: (o["dim"], o["sort_key"]))
+def enumerate_orbits(v: VoganVariety) -> OrbitTable:
+    """Complete, duplicate-free orbit list with deterministic ids: rows
+    (dim, sort key, label), sorted by their first two entries."""
+    if v.kind == "chain":
+        field = "msegs"
+        rows = [
+            (
+                sum(chain_orbit_dim(segs, c.dims) for segs, c in zip(combo, v.chains)),
+                tuple(rank_key(segs, c.length) for segs, c in zip(combo, v.chains)),
+                combo,
+            )
+            for combo in itertools.product(*(chain_multisegments(c.dims) for c in v.chains))
+        ]
+    elif v.kind == "steinberg":
+        field = "subset"
+        rows = [(r, s, s) for r in range(v.n + 1) for s in itertools.combinations(range(v.n), r)]
+    elif v.kind == "two_eigenvalue":
+        field = "rank"
+        sign, step = (-1, 1) if v.symmetric_form else (1, 2)
+        rows = [(v.n * r - r * (r + sign) // 2, r, r) for r in range(0, v.n + 1, step)]
+    else:
+        raise UnsupportedFamilyError(f"cannot enumerate orbits for kind {v.kind!r}")
+    rows.sort(key=lambda row: row[:2])
     total = v.total_dim
     records = OrbitTable(
-        OrbitRecord(
-            variety=v,
-            index=i,
-            dim=o["dim"],
-            is_open=o["dim"] == total,
-            is_closed=o["dim"] == 0,
-            msegs=o.get("msegs"),
-            subset=o.get("subset"),
-            rank=o.get("rank"),
-        )
-        for i, o in enumerate(raw)
+        OrbitRecord(v, i, dim, is_open=dim == total, is_closed=dim == 0, **{field: label})
+        for i, (dim, _, label) in enumerate(rows)
     )
     if sum(r.is_open for r in records) != 1 or sum(r.is_closed for r in records) != 1:
         raise InternalInvariantError("expected exactly one open and one closed orbit")
     return records
-
-
-def enumerate_orbits(v: VoganVariety) -> OrbitTable:
-    """Complete, duplicate-free orbit list with deterministic ids."""
-    if v.kind == "chain":
-        per_chain = [chain_multisegments(c.dims) for c in v.chains]
-        raw = []
-        for combo in itertools.product(*per_chain) if per_chain else [()]:
-            dim = sum(
-                chain_orbit_dim(segs, chain.dims)
-                for segs, chain in zip(combo, v.chains)
-            )
-            key = tuple(
-                rank_key(segs, chain.length) for segs, chain in zip(combo, v.chains)
-            )
-            raw.append({"msegs": tuple(combo), "dim": dim, "sort_key": key})
-        return _sort_and_finish(v, raw)
-    if v.kind == "steinberg":
-        raw = [
-            {"subset": s, "dim": len(s), "sort_key": s}
-            for r in range(v.n + 1)
-            for s in itertools.combinations(range(v.n), r)
-        ]
-        return _sort_and_finish(v, raw)
-    if v.kind == "two_eigenvalue":
-        ranks = range(0, v.n + 1) if v.symmetric_form else range(0, v.n + 1, 2)
-        sign = -1 if v.symmetric_form else 1
-        raw = [
-            {"rank": r, "dim": v.n * r - r * (r + sign) // 2, "sort_key": (r,)}
-            for r in ranks
-        ]
-        return _sort_and_finish(v, raw)
-    raise UnsupportedFamilyError(f"cannot enumerate orbits for kind {v.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,30 +320,26 @@ def closure_below(table: Sequence[OrbitRecord]) -> list[int]:
     """The closure order as bitsets: bit i of ``below[j]`` is set iff
     table[i] <= table[j].  Read it as :attr:`OrbitTable.below`.
 
-    Each orbit's dominance key is packed into one integer, a field per entry
-    with a guard bit on top; then a <= b entrywise iff subtracting a's packed
-    key from b's (guards set) clears no guard.  A strictly smaller orbit has
-    strictly smaller dimension, so only those are compared.
+    Dominance is taken one key coordinate at a time: the orbits are grouped
+    by their value there into bitsets, a prefix OR over the sorted values
+    gives "coordinate <= x" for every x, and ``below[j]`` keeps the bits at
+    orbit j's own value.
     """
     if not table:
         return []
     v = table[0].variety
     if any(o.variety != v for o in table):
         raise InputError("closure comparison across different varieties")
-    keys = [o.dominance_key for o in table]
-    width = max((x for key in keys for x in key), default=0).bit_length() + 1
-    guard = sum(1 << (t * width + width - 1) for t in range(len(keys[0])))
-    packed = [sum(x << (t * width) for t, x in enumerate(key)) for key in keys]
-    order = sorted(range(len(table)), key=lambda i: table[i].dim)
-    dims = [table[i].dim for i in order]
-    below = [0] * len(table)
-    for pos, j in enumerate(order):
-        top = packed[j] | guard
-        mask = 1 << j
-        for i in order[: bisect.bisect_left(dims, dims[pos])]:
-            if (top - packed[i]) & guard == guard:
-                mask |= 1 << i
-        below[j] = mask
+    below = [(1 << len(table)) - 1] * len(table)
+    for column in zip(*(o.dominance_key for o in table)):
+        at_most: dict[int, int] = {}
+        for i, x in enumerate(column):
+            at_most[x] = at_most.get(x, 0) | 1 << i
+        upto = 0
+        for x in sorted(at_most):
+            upto |= at_most[x]
+            at_most[x] = upto
+        below = [down & at_most[x] for down, x in zip(below, column)]
     return below
 
 
@@ -373,16 +347,22 @@ def hasse(table: OrbitTable) -> list[tuple[int, int]]:
     """Covering relations (a, b): orbit a is covered by orbit b.
 
     The transitive reduction of ``table.below``; a and b are positions in
-    ``table``.
+    ``table``.  A strictly smaller orbit has strictly smaller dimension, so
+    the strict downset of j is peeled one dimension at a time, downwards:
+    whatever is left at a dimension lies below no cover found so far, so it
+    is a cover of j, and takes its own downset out of what is left.
     """
     below = table.below
+    layer: dict[int, int] = {}  # dimension -> positions of that dimension
+    for i, o in enumerate(table):
+        layer[o.dim] = layer.get(o.dim, 0) | 1 << i
     edges = []
-    for j, down in enumerate(below):
-        strict = down & ~(1 << j)
-        reached = 0  # everything strictly below some element strictly below j
-        for i in _bits(strict):
-            reached |= below[i] & ~(1 << i)
-        edges.extend((i, j) for i in _bits(strict & ~reached))
+    for j, o in enumerate(table):
+        rest = below[j] & ~(1 << j)
+        for d in range(o.dim - 1, -1, -1):
+            for i in _bits(rest & layer.get(d, 0)):
+                edges.append((i, j))
+                rest &= ~below[i]
     return sorted(edges)
 
 

@@ -383,7 +383,23 @@ def variety_from_dict(doc: dict) -> VoganVariety:
         chain = Chain(offset, tuple(rc["dims"]))
         _check_total(chain.total, "bad chain entry")
         chains.append(chain)
-    return build_variety(chains, family)
+    if "kind" not in doc:
+        return build_variety(chains, family)
+    # a spec_dict() names its shape, which the chains alone may not: the
+    # sp-dual Steinberg grading of rank 1 is also the two-eigenvalue shape (1, 1)
+    kind, n = doc["kind"], doc.get("n")
+    if kind in ("steinberg", "two_eigenvalue"):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError(f"'n' must be an integer for kind {kind!r}, got {n!r}")
+        v = (steinberg_variety if kind == "steinberg" else two_eigenvalue_variety)(family, n)
+    else:
+        v = build_variety(chains, family)
+    if (v.kind, v.n, v.chains) != (kind, n, tuple(chains)):
+        raise InputError(
+            f"kind {kind!r} with n = {n!r} does not match the family and chains "
+            "(kinds: chain, steinberg, two_eigenvalue)"
+        )
+    return v
 
 
 def variety_from_json(text: str) -> VoganVariety:

@@ -2,15 +2,21 @@
 eight a-priori conventions (min vs max length coset representative, argument
 order, table vs its transpose), tried against varieties whose multiplicities
 are forced by smooth closures.  The tests pin the survivors, one of which is
-``voganlab.bridge.CONVENTION``."""
+``voganlab.bridge.CONVENTION``.  Also the per-pair multiplicity, the route
+that ``voganlab.bridge.multiplicity_matrix`` batches over a whole table."""
 
-from voganlab.bridge import cycle_table, max_coset_rep
+from voganlab.bridge import _perms_value, cycle_table, max_coset_rep, multisegment_to_permutation
 from voganlab.geometry import is_smooth_closure
 from voganlab.kl import Perm, kl_poly, poly_eval_at_one
-from voganlab.orbits import ChainSegs, OrbitTable, enumerate_orbits
+from voganlab.orbits import ChainSegs, OrbitRecord, OrbitTable, enumerate_orbits
 from voganlab.variety import steinberg_variety, two_eigenvalue_variety
 
 from reference_kl import bruhat_leq
+
+
+def multiplicity(c: OrbitRecord, d: OrbitRecord) -> int:
+    """[standard module of C : irreducible of D], trivial local systems."""
+    return _perms_value(multisegment_to_permutation(c), multisegment_to_permutation(d))
 
 
 def min_coset_rep(table: list[list[int]], dims: tuple[int, ...]) -> Perm:

@@ -1,8 +1,12 @@
-"""Orbit dimensions as exact ranks of the infinitesimal group action at a
-representative: the references for the closed forms in ``voganlab.orbits``."""
+"""The references for the closed forms in ``voganlab.orbits``: orbit
+dimensions as exact ranks of the infinitesimal group action at a
+representative, and the closure order and its covers straight from the
+pairwise definition, :func:`voganlab.orbits.closure_leq`."""
+
+import random
 
 from voganlab import linalg, orbits
-from voganlab.orbits import ChainSegs
+from voganlab.orbits import ChainSegs, OrbitTable, closure_leq
 from voganlab.variety import VoganVariety
 
 
@@ -43,3 +47,30 @@ def two_eig_orbit_dim(v: VoganVariety, rank: int) -> int:
     """Oracle for the two-eigenvalue dimensions: the rank of the action."""
     x = orbits.two_eig_representative(v, rank)
     return linalg.rank(two_eig_action_matrix(v, x))
+
+
+def reference_below(table) -> list[int]:
+    """Oracle for ``orbits.closure_below``: one closure_leq call per pair."""
+    return [sum(1 << i for i, a in enumerate(table) if closure_leq(a, b)) for b in table]
+
+
+def reference_hasse(table) -> list[tuple[int, int]]:
+    """Oracle for ``orbits.hasse``: covers straight from the definition, one
+    closure_leq call per pair."""
+    n = len(table)
+    leq = [[closure_leq(table[i], table[j]) for j in range(n)] for i in range(n)]
+    return sorted(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and leq[i][j]
+        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
+    )
+
+
+def shuffled(table: OrbitTable, seed: int = 5) -> OrbitTable:
+    """The same records in another order: bits and edges are list positions,
+    so the closure layer must not rely on a dimension-sorted list."""
+    records = list(table)
+    random.Random(seed).shuffle(records)
+    return OrbitTable(records)

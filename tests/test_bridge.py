@@ -8,7 +8,6 @@ from voganlab.bridge import (
     CONVENTION,
     cycle_table,
     max_coset_rep,
-    multiplicity,
     multiplicity_matrix,
     multisegment_to_permutation,
     rationally_smooth,
@@ -19,7 +18,7 @@ from voganlab.kl import perm_length
 from voganlab.orbits import closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
-from reference_bridge import calibrate, min_coset_rep
+from reference_bridge import calibrate, min_coset_rep, multiplicity
 from reference_kl import bruhat_leq
 
 

@@ -1,7 +1,8 @@
 """Closed forms on random chains against the references beside the tests:
 orbit dimensions of two-chain varieties against the rank of the group
-action, and the bridge as an embedding of the closure order into Bruhat
-order."""
+action, the closure order and its covers on specs of two or three chains
+against the pairwise definition, and the bridge as an embedding of the
+closure order into Bruhat order."""
 
 from fractions import Fraction
 
@@ -12,11 +13,16 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from voganlab.bridge import multisegment_to_permutation  # noqa: E402
-from voganlab.orbits import enumerate_orbits  # noqa: E402
+from voganlab.orbits import closure_below, enumerate_orbits, hasse  # noqa: E402
 from voganlab.variety import Chain, build_variety  # noqa: E402
 
 from reference_kl import bruhat_leq  # noqa: E402
-from reference_orbits import commutator_orbit_dim  # noqa: E402
+from reference_orbits import (  # noqa: E402
+    commutator_orbit_dim,
+    reference_below,
+    reference_hasse,
+    shuffled,
+)
 
 # 1-4 grades of dimension 1-3, total at most 6 (the KL range of the bridge)
 small_dims = (
@@ -44,6 +50,23 @@ def test_orbit_dims_match_the_action_rank(first, second):
                 ranks[key] = commutator_orbit_dim(segs, chain.dims)
             total += ranks[key]
         assert o.dim == total, o.msegs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+        min_size=2,
+        max_size=3,
+    ).filter(lambda chains: sum(sum(dims) for _, dims in chains) <= 7)
+)
+def test_closure_layer_matches_the_definition_on_multi_chain_specs(chains):
+    # gl specs of two or three chains at half-integer offsets, total <= 7
+    v = build_variety([Chain(Fraction(k, 2), tuple(dims)) for k, dims in chains], "gl")
+    table = enumerate_orbits(v)
+    for t in (table, shuffled(table)):
+        assert closure_below(t) == reference_below(t)
+        assert hasse(t) == reference_hasse(t)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

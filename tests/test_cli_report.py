@@ -210,6 +210,19 @@ def test_bad_spec_exits_2(tmp_path, capsys):
     {"family": "gl", "chains": [{"dims": [float("inf")]}]},
     {"family": "gl", "chains": [{"dims": [2], "offset": "1/0"}]},
     {"family": "gl", "chains": [{"dims": [2], "offset": "1e99999999999999999999"}]},
+    # "kind" and "n" that are malformed or that the family and chains do not give
+    {"family": "sp-dual", "kind": "shape", "n": 1, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": ["steinberg"], "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "steinberg", "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "steinberg", "n": "1", "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "steinberg", "n": True, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "steinberg", "n": 1.0, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "steinberg", "n": 0, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "steinberg", "n": 2, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "two_eigenvalue", "n": 10**30, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "sp-dual", "kind": "chain", "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    {"family": "gl", "kind": "chain", "n": 2, "chains": [{"dims": [2]}]},
+    {"family": "gl", "kind": "steinberg", "n": 2, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
 ])
 def test_malformed_spec_shapes_exit_2(tmp_path, capsys, doc):
     spec = tmp_path / "bad.json"

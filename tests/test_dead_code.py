@@ -3,12 +3,13 @@ is not a dunder, has a caller outside its own body: code nothing calls gets
 deleted, or moved next to the tests that use it.
 
 A definition counts as called when its name is read (as a name or an
-attribute) in package code outside its own body, read or imported by
-``demos/`` or ``bench/``, or named in ``perfbench/``, where string constants
-count too, since the tracer wraps functions by name.  Being listed in
-``voganlab.__all__`` does not count: an export that nothing runs is dead
-code too.  Matching is by name only, so two definitions that share
-a name share their callers.
+attribute) in package code outside its own body, or read or imported by
+``demos/``, ``bench/`` or ``perfbench/``.  String constants count only in
+``perfbench/tracing.py``, the one file that wraps functions by name; a dict
+key elsewhere that spells a function's name calls nothing.  Being listed
+in ``voganlab.__all__`` does not count: an export that nothing runs is dead
+code too.  Matching is by name only, so two definitions that share a name
+share their callers.
 
 The references beside the tests (``tests/reference_*.py``) cannot rot
 either: each of their definitions is read or imported by a
@@ -21,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "voganlab"
 TESTS = ROOT / "tests"
+TRACER = ROOT / "perfbench" / "tracing.py"  # wraps package functions by name
 
 # package definitions whose only callers are tests, each with the reason it
 # stays; none, since such code moves to tests/reference_*.py or goes
@@ -56,11 +58,13 @@ def read_names(tree, *, imports=False, strings=False):
 
 
 def outside_callers() -> set[str]:
-    """Every name read by demos, bench and perfbench."""
+    """Every name read or imported by demos, bench and perfbench, and every
+    string constant of the tracer."""
     names = set()
-    for folder, strings in (("demos", False), ("bench", False), ("perfbench", True)):
+    for folder in ("demos", "bench", "perfbench"):
         for path in sorted((ROOT / folder).glob("*.py")):
             tree = ast.parse(path.read_text())
+            strings = path == TRACER
             names |= {name for name, _ in read_names(tree, imports=True, strings=strings)}
     return names
 

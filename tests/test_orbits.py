@@ -1,11 +1,10 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 from voganlab import linalg
-from voganlab.errors import InputError
+from voganlab.errors import ConfigurationError, InputError
 from voganlab.orbits import (
     OrbitTable,
     chain_multisegments,
@@ -21,7 +20,14 @@ from voganlab.orbits import (
 )
 from voganlab.variety import Chain, build_variety, point_variety, steinberg_variety, two_eigenvalue_variety
 
-from reference_orbits import commutator_orbit_dim, two_eig_orbit_dim
+from conftest import dim_vectors
+from reference_orbits import (
+    commutator_orbit_dim,
+    reference_below,
+    reference_hasse,
+    shuffled,
+    two_eig_orbit_dim,
+)
 
 
 def gl_chain(dims, offset=0):
@@ -270,17 +276,21 @@ def test_hasse_steinberg3_is_boolean_lattice():
     assert degrees_up[0] == 2  # bottom covers two atoms
 
 
-def reference_hasse(table):
-    """Covers straight from the definition, one closure_leq call per pair."""
-    n = len(table)
-    leq = [[closure_leq(table[i], table[j]) for j in range(n)] for i in range(n)]
-    return sorted(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and leq[i][j]
-        and not any(k not in (i, j) and leq[i][k] and leq[k][j] for k in range(n))
-    )
+def closure_cases():
+    """Every chain of the conftest suite, every classical shape of rank <= 6,
+    gl Steinberg 6 and a chain at offset -1/2."""
+    for dims in dim_vectors():
+        yield pytest.param(lambda dims=dims: gl_chain(dims), id="gl-" + "-".join(map(str, dims)))
+    for family in ("so-even", "sp-dual", "so-odd-dual"):
+        for make in (steinberg_variety, two_eigenvalue_variety):
+            for n in range(1, 7):
+                try:
+                    v = make(family, n)
+                except ConfigurationError:
+                    continue  # so-even below its simple range, so-odd-dual two-eigenvalue
+                yield pytest.param(lambda v=v: v, id=f"{family}-{make.__name__}-{n}")
+    yield pytest.param(lambda: steinberg_variety("gl", 6), id="gl-steinberg_variety-6")
+    yield pytest.param(lambda: gl_chain((1, 2, 2, 1), offset="-1/2"), id="gl-1-2-2-1-at-minus-half")
 
 
 @pytest.mark.parametrize("make", [
@@ -289,18 +299,13 @@ def reference_hasse(table):
     lambda: build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(7), (2, 2))], "gl"),
     lambda: steinberg_variety("so-even", 4),
     lambda: two_eigenvalue_variety("so-even", 6),
+    *closure_cases(),
 ])
 def test_bitset_relation_and_hasse_match_the_definition(make):
     table = enumerate_orbits(make())
-    below = closure_below(table)
-    for a in table:
-        for b in table:
-            assert bool(below[b.index] >> a.index & 1) == closure_leq(a, b)
-    assert hasse(table) == reference_hasse(table)
-    # edges are list positions; the relation must not rely on a dimension-sorted list
-    shuffled = list(table)
-    random.Random(5).shuffle(shuffled)
-    assert hasse(OrbitTable(shuffled)) == reference_hasse(shuffled)
+    for t in (table, shuffled(table)):
+        assert closure_below(t) == reference_below(t)
+        assert hasse(t) == reference_hasse(t)
 
 
 @pytest.mark.parametrize("make", [

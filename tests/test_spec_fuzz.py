@@ -49,6 +49,10 @@ families = {
                               "Gl", "sp"]),
     "junk": junk,
 }
+# a spec's optional shape: "kind" and the classical rank "n"
+kinds = st.one_of(st.sampled_from(["chain", "steinberg", "two_eigenvalue", "Steinberg", "two-eig"]),
+                  junk)
+ranks = st.one_of(st.integers(-1, 3), st.integers(MAX_CHAIN_TOTAL, 10**30), junk)
 # (offset, dims) of principal gradings and two-eigenvalue shapes within the
 # budget, so that the classical families get accepted specs too
 SHAPES = [("-1/2", [1, 1]), ("-1/2", [2, 2]), ("-1", [1, 1, 1]), ("-3/2", [1, 1, 1, 1]),
@@ -98,6 +102,10 @@ def spec_documents(draw):
         doc["chains"] = [draw(chain_entries(budget)) for _ in range(draw(st.integers(0, 2)))]
     elif shape == "junk":
         doc["chains"] = draw(junk)
+    if draw(st.booleans()):
+        doc["kind"] = draw(kinds)
+    if draw(st.booleans()):
+        doc["n"] = draw(ranks)
     return doc
 
 

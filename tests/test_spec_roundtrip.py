@@ -54,17 +54,17 @@ def classical_shapes():
                     v = make(family, n)
                 except ConfigurationError:
                     continue  # so-even below its simple range, so-odd-dual two-eigenvalue
-                marks = ()
-                if (family, make, n) == ("sp-dual", steinberg_variety, 1):
-                    marks = pytest.mark.xfail(
-                        strict=True,
-                        reason="the rank-1 Steinberg grading of sp-dual is also its "
-                        "two-eigenvalue shape (1, 1), and the spec reader, which sees only "
-                        "the chains, reads it back as two-eigenvalue",
-                    )
-                yield pytest.param(v, id=f"{family}-{make.__name__}-{n}", marks=marks)
+                yield pytest.param(v, id=f"{family}-{make.__name__}-{n}")
 
 
 @pytest.mark.parametrize("v", classical_shapes())
 def test_classical_shapes_round_trip(v):
     assert_round_trips(v)
+
+
+def test_a_spec_without_kind_keeps_the_recognised_shape():
+    # the chains alone name the sp-dual rank-1 Steinberg grading and the
+    # two-eigenvalue shape (1, 1) alike; a spec without "kind" reads as the latter
+    doc = steinberg_variety("sp-dual", 1).spec_dict()
+    del doc["kind"], doc["n"]
+    assert variety_from_json(json.dumps(doc)) == two_eigenvalue_variety("sp-dual", 1)
