@@ -2,23 +2,31 @@
 Size ladder: cold ``voganlab`` CLI runs on varieties of growing size.
 
     python3 bench/ladder.py --out BENCH_<n>.json
+    python3 bench/ladder.py --out BENCH_<n>.json --parent ../parent-checkout
 
 Run from anywhere; the library is imported from ``src/`` of this checkout.
 Each run of a case is a fresh ``python -m voganlab.cli ...`` process, timed
 from start to exit (interpreter start-up included) and killed after
 ``TIMEOUT_S`` seconds.  A case's wall time is the median of ``REPEAT`` runs;
-a run that times out ends the case.  The orbit count comes from a separate,
-untimed process, under the same timeout, that parses the same command line
-and enumerates the orbits.  Both are fixed so that every ``BENCH_<n>.json``
-is measured alike.
+a run that times out ends the case.  With ``--parent DIR`` each of the
+``REPEAT`` rounds of a case runs it on this checkout and then on the library
+in ``DIR/src``, so drift of the host's speed during the ladder reaches both
+trees alike; a timeout ends only that tree's runs of the case.  Each library
+is byte-compiled first, so that no run pays for compiling it (as every run
+would under ``PYTHONDONTWRITEBYTECODE``) whatever bytecode the trees held
+before.  The orbit count comes from a separate, untimed process, under the
+same timeout, that parses the same command line and enumerates the orbits.
+Both are fixed so that every ``BENCH_<n>.json`` is measured alike.
 
 The output JSON holds, per case: the command and its flags (``{"dims": ...}``
 for a chain spec), the wall time, the orbit count, the report bytes (stdout
-of ``analyze``) and the exit code.  For the whole run it holds the Python
-version, the platform, the commit, and per ladder family the largest rung
-(by orbit count) that finished within 1 s and within 10 s.  The script then
-prints each case's ratio against the newest earlier ``BENCH_<n>.json`` beside
-the output file.  The ladder records; it gates nothing.
+of ``analyze``) and the exit code, and with ``--parent`` the parent tree's
+wall time, exit code and report bytes under ``"parent"``.  For the whole run
+it holds the Python version, the platform, the commit (and the parent's),
+and per ladder family the largest rung (by orbit count) that finished within
+1 s and within 10 s.  The script then prints each case's ratio against the
+newest earlier ``BENCH_<n>.json`` beside the output file.  The ladder
+records; it gates nothing.
 
 Uses the standard library only.
 """
@@ -26,6 +34,7 @@ Uses the standard library only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -94,30 +103,51 @@ def case_argv(command: str, flags, spec_dir: Path) -> list[str]:
     return [command, "--spec", str(path)]
 
 
-def _env() -> dict:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+def _env(src: Path = SRC) -> dict:
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_case(argv: list[str], cwd: Path) -> dict:
-    walls, out, code = [], b"", None
+def run_cli(argv: list[str], cwd: Path, src: Path) -> tuple[float, bytes, int] | None:
+    """One timed CLI process on the library in ``src``: (wall seconds,
+    stdout, exit code), or None when it times out."""
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "voganlab.cli", *argv], capture_output=True,
+            env=_env(src), cwd=cwd, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return time.perf_counter() - start, proc.stdout, proc.returncode
+
+
+def run_case(argv: list[str], cwd: Path, srcs: list[Path], run=run_cli) -> list[dict]:
+    """The case's run data on each library in ``srcs``: ``REPEAT`` rounds,
+    each running the case once per tree, in the order of ``srcs``."""
+    walls: list[list[float]] = [[] for _ in srcs]
+    last: list[tuple[bytes, int] | None] = [(b"", None)] * len(srcs)
     for _ in range(REPEAT):
-        start = time.perf_counter()
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "voganlab.cli", *argv], capture_output=True,
-                env=_env(), cwd=cwd, timeout=TIMEOUT_S,
-            )
-        except subprocess.TimeoutExpired:
-            return {"wall_s": None, "timed_out": True, "exit": None, "report_bytes": None}
-        walls.append(time.perf_counter() - start)
-        out, code = proc.stdout, proc.returncode
-    return {
-        "wall_s": round(statistics.median(walls), 4),
-        "timed_out": False,
-        "exit": code,
-        "report_bytes": len(out) if argv[0] == "analyze" else None,
-    }
+        for t, src in enumerate(srcs):
+            if last[t] is None:
+                continue  # this tree timed out on the case
+            result = run(argv, cwd, src)
+            if result is None:
+                last[t] = None
+                continue
+            walls[t].append(result[0])
+            last[t] = result[1:]
+    return [
+        {"wall_s": None, "timed_out": True, "exit": None, "report_bytes": None}
+        if done is None
+        else {
+            "wall_s": round(statistics.median(tree_walls), 4),
+            "timed_out": False,
+            "exit": done[1],
+            "report_bytes": len(done[0]) if argv[0] == "analyze" else None,
+        }
+        for tree_walls, done in zip(walls, last)
+    ]
 
 
 def count_orbits(argv: list[str], cwd: Path) -> int | None:
@@ -144,9 +174,12 @@ def largest_rungs(cases: list[dict], limit_s: float) -> dict[str, str | None]:
     return {family: c and c["name"] for family, c in best.items()}
 
 
-def _commit() -> str | None:
+def _commit(root: Path = ROOT) -> str | None:
     def git(*args):
-        proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=ROOT)
+        try:
+            proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=root)
+        except OSError:
+            return None
         return proc.stdout.strip() if proc.returncode == 0 else None
 
     head = git("rev-parse", "HEAD")
@@ -187,25 +220,44 @@ def print_ratios(doc: dict, prev_path: Path | None) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
+    parser.add_argument("--parent", type=Path,
+                        help="source tree to alternate with, run by run (its src/ is imported)")
     args = parser.parse_args(argv)
+    srcs = [SRC]
+    if args.parent is not None:
+        if not (args.parent / "src" / "voganlab").is_dir():
+            parser.error(f"--parent {args.parent} has no src/voganlab")
+        srcs.append((args.parent / "src").resolve())
+
+    for src in srcs:
+        compileall.compile_dir(src, quiet=1)
+
+    def wall(run: dict) -> str:
+        return "timeout" if run["timed_out"] else f"{run['wall_s']:.3f} s"
 
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for family, name, command, flags in CASES:
             cli_argv = case_argv(command, flags, tmp)
+            mine, *parent = run_case(cli_argv, tmp, srcs)
             row = {"family": family, "name": name, "command": command, "flags": flags,
-                   "orbits": count_orbits(cli_argv, tmp),
-                   **run_case(cli_argv, tmp)}
+                   "orbits": count_orbits(cli_argv, tmp), **mine}
+            line = f"{name:<34} {row['orbits']!s:>6} orbits  {wall(mine)}"
+            if parent:
+                row["parent"] = parent[0]
+                line += f"  parent {wall(parent[0])}"
+                if mine["wall_s"] and parent[0]["wall_s"]:
+                    line += f"  ratio {mine['wall_s'] / parent[0]['wall_s']:.2f}"
             cases.append(row)
-            wall = "timeout" if row["timed_out"] else f"{row['wall_s']:.3f} s"
-            print(f"{name:<34} {row['orbits']!s:>6} orbits  {wall}", flush=True)
+            print(line, flush=True)
 
     doc = {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "commit": _commit(),
+        **({"parent_commit": _commit(args.parent)} if args.parent is not None else {}),
         "repeat": REPEAT,
         "timeout_s": TIMEOUT_S,
         "cases": cases,

@@ -24,12 +24,13 @@ The matrix is computed over the closure relation ``table.below`` of the
 P_{w(C), w(D)} is evaluated only for C <= D, since the bridge embeds the
 closure order into Bruhat order and every other entry is 0.  Each w(D) is
 longest in its double coset, so every simple reflection of W_d is a left
-descent of it, and :func:`kl.kl_poly` reads P_{w(C), w(D)} from the column of
-w(D) over the maxima of the left cosets of its left descents (Deodhar 1987;
-Kazhdan-Lusztig 1979, (2.3.g)): the coarser d is, the fewer entries and
-columns a chain needs.  Because KL polynomials have constant term 1 and
-nonnegative coefficients, P(1) = 1 only when P = 1; so D is rationally smooth
-exactly when column D of the matrix holds only 0s and 1s.
+descent of it, and :func:`kl.kl_column` reads P_{w(C), w(D)} from the column
+of w(D), found once per column D, over the maxima of the left cosets of its
+left descents (Deodhar 1987; Kazhdan-Lusztig 1979, (2.3.g)): the coarser d
+is, the fewer entries and columns a chain needs.  Because KL polynomials
+have constant term 1 and nonnegative coefficients, P(1) = 1 only when P = 1;
+so D is rationally smooth exactly when column D of the matrix holds only 0s
+and 1s.
 :func:`rational_smoothness` reads that flag off the matrix for the report and
 ``verify``; :func:`rationally_smooth` evaluates column D alone, for callers
 that ask orbit by orbit.
@@ -109,10 +110,12 @@ def multisegment_to_permutation(orbit: OrbitRecord) -> tuple[Perm, ...]:
 # multiplicities
 
 
-def _perms_value(pc: tuple[Perm, ...], pd: tuple[Perm, ...]) -> int:
-    """Product over chains of P_{w(C), w(D)}(1), given both bridge
-    permutations; evaluation at q = 1 is a ring homomorphism."""
-    return prod(kl.poly_eval_at_one(kl.kl_poly(wc, wd)) for wc, wd in zip(pc, pd))
+def _column_reader(pd: tuple[Perm, ...]):
+    """The column of D as a function of C's bridge permutations: the product
+    over chains of P_{w(C), w(D)}(1), each chain's column read through
+    :func:`kl.kl_column`; evaluation at q = 1 is a ring homomorphism."""
+    columns = [kl.kl_column(wd) for wd in pd]
+    return lambda pc: prod(kl.poly_eval_at_one(col(wc)) for col, wc in zip(columns, pc))
 
 
 def multiplicity_matrix(table: OrbitTable) -> dict:
@@ -136,10 +139,12 @@ def multiplicity_matrix(table: OrbitTable) -> dict:
         smooth = [geometry.is_smooth_closure(d) for d in table]
     entries = [[0] * len(table) for _ in table]
     for j, down in enumerate(table.below):
-        for i in orbits._bits(down):
-            if kl_backed:
-                entries[i][j] = _perms_value(perms[i], perms[j])
-            else:
+        if kl_backed:
+            value = _column_reader(perms[j])
+            for i in orbits._bits(down):
+                entries[i][j] = value(perms[i])
+        else:
+            for i in orbits._bits(down):
                 entries[i][j] = 1 if smooth[j] else None
     if kl_backed:
         return {"entries": entries, "source": "kl", "complete": True}
@@ -172,9 +177,7 @@ def rationally_smooth(c: OrbitRecord, table: OrbitTable) -> bool:
     if any(chain.total > kl.KL_TABLE_MAX for chain in v.chains):
         raise InputError(f"rational smoothness via KL needs chain totals <= {kl.KL_TABLE_MAX}")
     down = table.below[c.index]
-    pd = multisegment_to_permutation(c)
+    value = _column_reader(multisegment_to_permutation(c))
     return all(
-        _perms_value(multisegment_to_permutation(o), pd) == 1
-        for o in table
-        if down >> o.index & 1
+        value(multisegment_to_permutation(o)) == 1 for o in table if down >> o.index & 1
     )

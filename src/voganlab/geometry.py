@@ -31,10 +31,20 @@ exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
 vanish to order >= 2).  A pair's rank and condition rows depend only on the
 arrow matrices i..j-1 of x, so at the stratum representatives x_D they are
-computed once per distinct sub-chain, keyed by its content, and cached over
-the integers (x_D is a 0/1 point and the kernels of :mod:`linalg` are integer
-vectors); the orbit C only selects the pairs whose rank meets its bound.
-Every stratum D <= C is still scanned.
+computed once per distinct sub-chain, keyed by its content, and cached; the
+orbit C only selects the pairs whose rank meets its bound.  Every stratum
+D <= C is still scanned.
+
+Kernels come from slot maps.  Every arrow of a chain representative
+(:func:`orbits.chain_representative`) is a partial permutation, read as its
+slot map (:func:`_slot_maps`, which refuses any other matrix), and so is
+every composite of arrows.  The kernels, cokernels and condition rows of the
+tangent oracle, and the conormal spaces of the dual oracle, are therefore
+read off the strands of the representative with no elimination; each comes
+out exactly as Gauss-Jordan elimination over Q returns it (multiple 1), and
+:mod:`linalg` is kept for the ranks: of the condition rows, of the covectors'
+composites, and everything of the two-eigenvalue shapes.  The linear-algebra
+routes they replace are the tests' references (``tests/reference_*.py``).
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
@@ -52,8 +62,9 @@ the conormal space with one sampler for chains and two-eigenvalue shapes:
 seeded random covectors with verification retries, then one exact symbolic
 fallback (ranks over the rational function field), which the tests force.
 The basis is the Gauss-Jordan kernel basis over Q times one common positive
-integer, so each seeded covector is that integer times the covector drawn
-over Q, with the same ranks.
+integer (1 on chains, whose basis is read off the slot maps), so each seeded
+covector is that integer times the covector drawn over Q, with the same
+ranks.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -67,7 +78,7 @@ import random
 from functools import lru_cache
 
 from . import linalg, orbits
-from .errors import InputError, UnsupportedFamilyError
+from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
 from .variety import VoganVariety
 
@@ -79,39 +90,76 @@ MAX_RETRIES = 8
 # tangent spaces
 
 
+def _slot_maps(arrows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The slot map of each 0/1 arrow matrix of a representative: its 1s as
+    (source slot, target slot) pairs, by source slot.  Raises
+    :class:`InternalInvariantError` unless every arrow is a partial
+    permutation (entries 0 and 1, at most one 1 per row and per column)."""
+    maps = []
+    for a in arrows:
+        target_of: dict[int, int] = {}
+        for t, row in enumerate(a):
+            for s, x in enumerate(row):
+                if x:
+                    if x != 1 or s in target_of:
+                        raise InternalInvariantError("representative arrow is not 0/1 by columns")
+                    target_of[s] = t
+        if len(set(target_of.values())) < len(target_of):
+            raise InternalInvariantError("representative arrow has two 1s in a row")
+        maps.append(tuple(sorted(target_of.items())))
+    return tuple(maps)
+
+
 @lru_cache(maxsize=None)
-def _sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
-    """Rank of the composite c of the arrow matrices of a sub-chain with grade
-    dims ``dims``, and the rows of first-order conditions
-    coker(c) . dc(v) . ker(c) = 0 on v in the sub-chain's coordinates.  Zero
-    rows and repeated rows are dropped, which leaves their span unchanged.
-    Cached by content: the grade dims and the arrow matrices as tuples of
-    ints."""
-    c = arrows[0]
-    for a in arrows[1:]:
-        c = linalg.matmul(a, c)
-    ker = linalg.nullspace(c)
-    rank = dims[0] - len(ker)  # rank-nullity
-    cok = linalg.left_nullspace(c) if ker else []
-    # the factors of dc(v) on arrow l: (first -> l) . ker and coker . (l+1 -> last)
-    rights = []
-    for kv in ker:
-        right = [kv]
-        for a in arrows[:-1]:
-            right.append(linalg.matvec(a, right[-1]))
-        rights.append(right)
-    transposes = [linalg.transpose(a) for a in arrows[1:]]
-    rows: dict[tuple, None] = {}
-    for p in cok:
-        left = [p]
-        for at in reversed(transposes):
-            left.append(linalg.matvec(at, left[-1]))
-        left.reverse()
-        for right in rights:
-            row = tuple(s * t for lv, rv in zip(left, right) for s in lv for t in rv)
-            if any(row):
-                rows[row] = None
-    return rank, tuple(rows)
+def _sub_chain_conditions(dims: tuple[int, ...], maps: tuple) -> tuple[int, tuple]:
+    """Rank of the composite c of the arrows of a sub-chain with grade dims
+    ``dims`` and slot maps ``maps`` (:func:`_slot_maps`), and the nonzero rows
+    of first-order conditions coker(c) . dc(v) . ker(c) = 0 on v in the
+    sub-chain's coordinates.  Cached by content.
+
+    A composite of partial permutations is one, so everything is read off
+    the strands: the kernel basis is e_f for each source slot f whose forward
+    strand dies before the last grade, the cokernel basis e_g for each
+    target slot g that no strand reaches (both as Gauss-Jordan returns them),
+    and the row of (g, f) has a 1 at (l; backward strand of g at l + 1,
+    forward strand of f at l) on each arrow l where both strands are alive.
+    Distinct strands share no slot, so no two rows are equal.
+    """
+    m = len(maps)
+    offs = [0]
+    for l in range(m):
+        offs.append(offs[-1] + dims[l] * dims[l + 1])
+
+    def strand(slot, steps):
+        out = [slot]
+        for step in steps:
+            slot = step.get(slot)
+            if slot is None:
+                break
+            out.append(slot)
+        return out
+
+    forward = [dict(p) for p in maps]
+    ker = [walk for walk in (strand(f, forward) for f in range(dims[0])) if len(walk) <= m]
+    rows = []
+    if ker:
+        backward = [{t: s for s, t in p} for p in reversed(maps)]
+        for g in range(dims[m]):
+            back = strand(g, backward)  # slots at grades m, m - 1, ...
+            if len(back) > m:
+                continue  # g is hit
+            for walk in ker:
+                # arrow l needs the forward strand at l and the backward one at l + 1
+                cells = [
+                    offs[l] + back[m - l - 1] * dims[l] + walk[l]
+                    for l in range(m - len(back), len(walk))
+                ]
+                if cells:
+                    row = [0] * offs[m]
+                    for t in cells:
+                        row[t] = 1
+                    rows.append(tuple(row))
+    return dims[0] - len(ker), tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -121,18 +169,17 @@ def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
     stratum ``segs_d``: its rank, and the rows of first-order conditions
     coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates
     (:func:`_sub_chain_conditions` of the sub-chain i..j, padded with zeros).
-    The rows count toward the
-    tangent space of a closure exactly when the rank equals the closure's
-    bound on the pair.  Strata that share a sub-chain of arrow matrices
-    compute its kernels once."""
-    x = tuple(tuple(map(tuple, m)) for m in orbits.chain_representative(segs_d, dims))
+    The rows count toward the tangent space of a closure exactly when the
+    rank equals the closure's bound on the pair.  Strata that share a
+    sub-chain (its grade dims and slot maps) compute its rows once."""
+    maps = _slot_maps(orbits.chain_representative(segs_d, dims))
     offs = [0]
     for l in range(len(dims) - 1):
         offs.append(offs[-1] + dims[l] * dims[l + 1])
     out = []
     for i in range(len(dims)):
         for j in range(i + 1, len(dims)):
-            rank, rows = _sub_chain_conditions(dims[i : j + 1], x[i:j])
+            rank, rows = _sub_chain_conditions(dims[i : j + 1], maps[i:j])
             before, after = (0,) * offs[i], (0,) * (offs[-1] - offs[j])
             out.append(((i, j), rank, tuple(before + row + after for row in rows)))
     return tuple(out)
@@ -221,16 +268,63 @@ def tangent_smooth_closure(c: OrbitRecord, table: OrbitTable) -> bool:
 
 def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[int]]:
     """Integer basis of { xi : [x, xi] = 0 } in dual coordinates of one
-    chain: the left kernel of :func:`orbits._commutator_matrix`.
+    chain, at the representative x of ``segs``.
 
     The trace pairing matches the dual coordinate of the arrow entry
     (l; a, b) with the entry (b, a) of the reversed arrow xi_l, with no
     rescaling, so these vectors read directly as reversed-arrow blocks.
+
+    x is a partial permutation on every arrow (:func:`_slot_maps`), so the
+    coordinate (g; a, b) of [x, xi] in gl(E_g) has at most two terms,
+    xi(g - 1; a, pre(b)) - xi(g; next(a), b): a one-term equation forces its
+    coordinate to 0 and a two-term one makes its two coordinates equal.  The
+    basis holds one 0/1 indicator per class of equal coordinates that no
+    equation forces to 0, ordered by the class's largest coordinate -- the
+    Gauss-Jordan kernel basis of the linear system.
     """
-    if len(dims) <= 1:
+    k = len(dims)
+    if k <= 1:
         return []
-    action = orbits._commutator_matrix(orbits.chain_representative(segs, dims), dims)
-    return linalg.left_nullspace(action)
+    maps = _slot_maps(orbits.chain_representative(segs, dims))
+    offs = [0]
+    for l in range(k - 1):
+        offs.append(offs[-1] + dims[l] * dims[l + 1])
+    parent = list(range(offs[-1]))
+
+    def find(t: int) -> int:
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
+        return t
+
+    forced = []
+    for g in range(k):
+        pre = {t: s for s, t in maps[g - 1]} if g else {}
+        nxt = dict(maps[g]) if g < k - 1 else {}
+        for a in range(dims[g]):
+            na = nxt.get(a)
+            for b in range(dims[g]):
+                pb = pre.get(b)
+                if pb is None:
+                    if na is not None:
+                        forced.append(offs[g] + na * dims[g] + b)
+                elif na is None:
+                    forced.append(offs[g - 1] + a * dims[g - 1] + pb)
+                else:
+                    left = find(offs[g - 1] + a * dims[g - 1] + pb)
+                    parent[left] = find(offs[g] + na * dims[g] + b)
+    zero = {find(t) for t in forced}
+    classes: dict[int, list[int]] = {}
+    for t in range(offs[-1]):
+        root = find(t)
+        if root not in zero:
+            classes.setdefault(root, []).append(t)
+    basis = []
+    for members in sorted(classes.values(), key=lambda members: members[-1]):
+        vec = [0] * offs[-1]
+        for t in members:
+            vec[t] = 1
+        basis.append(vec)
+    return basis
 
 
 def _two_eig_conormal_basis(v: VoganVariety, rank: int) -> list[list[int]]:
@@ -243,7 +337,7 @@ def _two_eig_conormal_basis(v: VoganVariety, rank: int) -> list[list[int]]:
     x = orbits.two_eig_representative(v, rank)
     mats = v.subspace_basis()
     rows = [[e for row in linalg.matmul(x, bm) for e in row] for bm in mats]
-    flat = [[e for row in bm for e in row] for bm in mats]
+    flat = _supports([e for row in bm for e in row] for bm in mats)
     return [_combination(coeffs, flat, v.n * v.n) for coeffs in linalg.left_nullspace(rows)]
 
 
@@ -251,9 +345,20 @@ def _two_eig_conormal_basis(v: VoganVariety, rank: int) -> list[list[int]]:
 # duality: closed forms, and the generic conormal covector as oracle
 
 
-def _combination(coeffs, basis, width: int) -> list:
-    """sum of coeffs[i] * basis[i], as a vector of length ``width``."""
-    return [sum(c * bv[t] for c, bv in zip(coeffs, basis) if bv[t]) for t in range(width)]
+def _supports(basis) -> list[list[tuple[int, int]]]:
+    """The (position, entry) pairs of the nonzero entries of each vector."""
+    return [[(t, x) for t, x in enumerate(bv) if x] for bv in basis]
+
+
+def _combination(coeffs, supports, width: int) -> list:
+    """sum of coeffs[i] * basis[i], as a vector of length ``width``, from the
+    :func:`_supports` of the basis; each entry adds its nonzero terms in basis
+    order (one at most for a chain basis, whose supports are disjoint)."""
+    out = [0] * width
+    for c, support in zip(coeffs, supports):
+        for t, x in support:
+            out[t] += c * x
+    return out
 
 
 def _generic_key(basis, width: int, key_of, rng: random.Random) -> tuple[int, ...]:
@@ -265,11 +370,12 @@ def _generic_key(basis, width: int, key_of, rng: random.Random) -> tuple[int, ..
     further samples confirm it, and after ``MAX_RETRIES`` samples the exact
     symbolic fallback decides.
     """
+    supports = _supports(basis)
     best: tuple[int, ...] | None = None
     confirmations = 0
     for _ in range(MAX_RETRIES):
         coeffs = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in basis]
-        key = key_of(_combination(coeffs, basis, width), linalg.rank)
+        key = key_of(_combination(coeffs, supports, width), linalg.rank)
         if best is None:
             best = key
         elif key == best:
@@ -279,17 +385,17 @@ def _generic_key(basis, width: int, key_of, rng: random.Random) -> tuple[int, ..
         elif any(a > b for a, b in zip(key, best)):
             best = tuple(max(a, b) for a, b in zip(best, key))
             confirmations = 0
-    return _symbolic_chain_dual(basis, width, key_of)
+    return _symbolic_chain_dual(supports, width, key_of)
 
 
-def _symbolic_chain_dual(basis, width: int, key_of) -> tuple[int, ...]:
-    """Exact generic key: ``key_of`` at the generic point of the span, with
-    ranks over the rational function field (serves every shape, not only
-    chains)."""
+def _symbolic_chain_dual(supports, width: int, key_of) -> tuple[int, ...]:
+    """Exact generic key: ``key_of`` at the generic point of the span of the
+    basis with :func:`_supports` ``supports``, with ranks over the rational
+    function field (serves every shape, not only chains)."""
     import sympy
 
-    ts = sympy.symbols(f"t0:{len(basis)}")
-    return key_of(_combination(ts, basis, width), lambda m: sympy.Matrix(m).rank())
+    ts = sympy.symbols(f"t0:{len(supports)}")
+    return key_of(_combination(ts, supports, width), lambda m: sympy.Matrix(m).rank())
 
 
 def _chain_rank_key(vec, dims: tuple[int, ...], rank) -> tuple[int, ...]:

@@ -5,14 +5,16 @@ Permutations are tuples in one-line notation on ``{1..N}``, e.g. ``(3,4,1,2)``.
 Polynomials in q are tuples of integer coefficients, constant term first, with
 no trailing zeros; the zero polynomial is the empty tuple.
 
-``kl_poly(u, w)`` reads P_{u,w} from the column of w.  P_{x,w} = P_{tx,w}
-for every left descent t of w (Kazhdan-Lusztig, Invent. Math. 1979, (2.3.g)),
-so P_{., w} is constant on the left cosets W_I x, I the left descent set of
-w, and the column holds only the coset maxima: ``{x: P_{x,w}}`` over the
-x <= w that are longest in W_I x, and u is read at the maximum of W_I u.  On
-the values 1..N, W_I acts by the blocks of :func:`_value_blocks`.  This is
-Deodhar's parabolic reduction (*On some geometric aspects of Bruhat
-orderings II*, J. Algebra 1987).
+``kl_poly(u, w)`` checks both permutations and reads P_{u,w} from the column
+of w through :func:`kl_column`, which callers holding checked permutations
+use directly, one column at a time.  P_{x,w} = P_{tx,w} for every left
+descent t of w (Kazhdan-Lusztig, Invent. Math. 1979, (2.3.g)), so P_{., w} is
+constant on the left cosets W_I x, I the left descent set of w, and the
+column holds only the coset maxima: ``{x: P_{x,w}}`` over the x <= w that are
+longest in W_I x, and u is read at the maximum of W_I u.  On the values 1..N,
+W_I acts by the blocks of :func:`_value_blocks`.  This is Deodhar's parabolic
+reduction (*On some geometric aspects of Bruhat orderings II*, J. Algebra
+1987).
 
 A column is built by the classical recursion on the first right descent s of w
 that moves values of two blocks: with v = ws, [e, w] is [e, v] ∪ [e, v]·s, so
@@ -226,6 +228,16 @@ def _column(w: Perm, blk: tuple[int, ...]) -> dict[Perm, Poly]:
     return col
 
 
+def kl_column(w: Perm):
+    """P_{., w} as a function of u, for a permutation w that is already
+    checked: the column of w is built (or found) once, and each u is read at
+    the maximum of its left coset.  The zero polynomial when u is not
+    Bruhat-below w."""
+    blk = _value_blocks(w)
+    col = _column(w, blk)
+    return lambda u: col.get(_left_max(u, blk), ZERO)
+
+
 def kl_poly(u, w) -> Poly:
     """P_{u,w}; the zero polynomial when u is not Bruhat-below w."""
     u, w = check_perm(u), check_perm(w)
@@ -234,10 +246,7 @@ def kl_poly(u, w) -> Poly:
     n = len(u)
     if n > KL_TABLE_MAX:
         raise InputError(f"kl_poly supports S_N for N <= {KL_TABLE_MAX}; got N = {n}")
-    if u == w:
-        return ONE
-    blk = _value_blocks(w)
-    return _column(w, blk).get(_left_max(u, blk), ZERO)
+    return kl_column(w)(u)
 
 
 # ---------------------------------------------------------------------------

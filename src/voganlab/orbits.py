@@ -121,35 +121,6 @@ def chain_representative(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[li
     return arrows
 
 
-def _commutator_matrix(arrows: list[list[list[int]]], dims: tuple[int, ...]):
-    """Matrix of A -> [A, x] from the symmetry Lie algebra to the chain space."""
-    k = len(dims)
-    ncols = sum(d * d for d in dims)
-    nrows = sum(dims[i] * dims[i + 1] for i in range(k - 1))
-    m = [[0] * ncols for _ in range(nrows)]
-    col = 0
-    col_of = {}
-    for g in range(k):
-        for a in range(dims[g]):
-            for b in range(dims[g]):
-                col_of[(g, a, b)] = col
-                col += 1
-    row = 0
-    for i in range(k - 1):
-        x = arrows[i]
-        for r in range(dims[i + 1]):
-            for c in range(dims[i]):
-                # entry (r, c) of A_{i+1} x_i - x_i A_i
-                for t in range(dims[i + 1]):
-                    if x[t][c]:
-                        m[row][col_of[(i + 1, r, t)]] += x[t][c]
-                for t in range(dims[i]):
-                    if x[r][t]:
-                        m[row][col_of[(i, t, c)]] -= x[r][t]
-                row += 1
-    return m
-
-
 @lru_cache(maxsize=None)
 def chain_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
     """dim H - #{(s, t) in M^2 : b_t <= b_s <= e_t <= e_s} (pairs with

@@ -5,7 +5,9 @@ are forced by smooth closures.  The tests pin the survivors, one of which is
 ``voganlab.bridge.CONVENTION``.  Also the per-pair multiplicity, the route
 that ``voganlab.bridge.multiplicity_matrix`` batches over a whole table."""
 
-from voganlab.bridge import _perms_value, cycle_table, max_coset_rep, multisegment_to_permutation
+from math import prod
+
+from voganlab.bridge import cycle_table, max_coset_rep, multisegment_to_permutation
 from voganlab.geometry import is_smooth_closure
 from voganlab.kl import Perm, kl_poly, poly_eval_at_one
 from voganlab.orbits import ChainSegs, OrbitRecord, OrbitTable, enumerate_orbits
@@ -15,8 +17,10 @@ from reference_kl import bruhat_leq
 
 
 def multiplicity(c: OrbitRecord, d: OrbitRecord) -> int:
-    """[standard module of C : irreducible of D], trivial local systems."""
-    return _perms_value(multisegment_to_permutation(c), multisegment_to_permutation(d))
+    """[standard module of C : irreducible of D], trivial local systems: the
+    product over chains of P_{w(C), w(D)}(1), one ``kl_poly`` per chain."""
+    pairs = zip(multisegment_to_permutation(c), multisegment_to_permutation(d))
+    return prod(poly_eval_at_one(kl_poly(wc, wd)) for wc, wd in pairs)
 
 
 def min_coset_rep(table: list[list[int]], dims: tuple[int, ...]) -> Perm:

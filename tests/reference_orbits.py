@@ -1,7 +1,9 @@
 """The references for the closed forms in ``voganlab.orbits``: orbit
 dimensions as exact ranks of the infinitesimal group action at a
-representative, and the closure order and its covers straight from the
-pairwise definition, :func:`voganlab.orbits.closure_leq`."""
+representative (whose left kernel is also the reference for
+``voganlab.geometry.chain_conormal_basis``), and the closure order and its
+covers straight from the pairwise definition,
+:func:`voganlab.orbits.closure_leq`."""
 
 import random
 
@@ -10,13 +12,42 @@ from voganlab.orbits import ChainSegs, OrbitTable, closure_leq
 from voganlab.variety import VoganVariety
 
 
+def commutator_matrix(arrows: list[list[list[int]]], dims: tuple[int, ...]):
+    """Matrix of A -> [A, x] from the symmetry Lie algebra to the chain space."""
+    k = len(dims)
+    ncols = sum(d * d for d in dims)
+    nrows = sum(dims[i] * dims[i + 1] for i in range(k - 1))
+    m = [[0] * ncols for _ in range(nrows)]
+    col = 0
+    col_of = {}
+    for g in range(k):
+        for a in range(dims[g]):
+            for b in range(dims[g]):
+                col_of[(g, a, b)] = col
+                col += 1
+    row = 0
+    for i in range(k - 1):
+        x = arrows[i]
+        for r in range(dims[i + 1]):
+            for c in range(dims[i]):
+                # entry (r, c) of A_{i+1} x_i - x_i A_i
+                for t in range(dims[i + 1]):
+                    if x[t][c]:
+                        m[row][col_of[(i + 1, r, t)]] += x[t][c]
+                for t in range(dims[i]):
+                    if x[r][t]:
+                        m[row][col_of[(i, t, c)]] -= x[r][t]
+                row += 1
+    return m
+
+
 def commutator_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
     """Oracle for ``orbits.chain_orbit_dim``: the rank of the infinitesimal
     action at the representative."""
     if len(dims) <= 1:
         return 0
     arrows = orbits.chain_representative(segs, dims)
-    return linalg.rank(orbits._commutator_matrix(arrows, dims))
+    return linalg.rank(commutator_matrix(arrows, dims))
 
 
 def two_eig_coords(v: VoganVariety, m) -> list:

@@ -1,7 +1,8 @@
 """Closed forms on random chains against the references beside the tests:
 orbit dimensions of two-chain varieties against the rank of the group
 action, the closure order and its covers on specs of two or three chains
-against the pairwise definition, and the bridge as an embedding of the
+against the pairwise definition, smoothness and duals on such specs against
+the tangent and conormal oracles, and the bridge as an embedding of the
 closure order into Bruhat order."""
 
 from fractions import Fraction
@@ -13,6 +14,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from voganlab.bridge import multisegment_to_permutation  # noqa: E402
+from voganlab.geometry import (  # noqa: E402
+    conormal_dual,
+    is_smooth_closure,
+    pyasetskii_dual,
+    tangent_smooth_closure,
+)
 from voganlab.orbits import closure_below, enumerate_orbits, hasse  # noqa: E402
 from voganlab.variety import Chain, build_variety  # noqa: E402
 
@@ -52,21 +59,36 @@ def test_orbit_dims_match_the_action_rank(first, second):
         assert o.dim == total, o.msegs
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(-4, 4), st.lists(st.integers(1, 3), min_size=1, max_size=3)),
-        min_size=2,
-        max_size=3,
-    ).filter(lambda chains: sum(sum(dims) for _, dims in chains) <= 7)
-)
-def test_closure_layer_matches_the_definition_on_multi_chain_specs(chains):
-    # gl specs of two or three chains at half-integer offsets, total <= 7
+# gl specs of two or three chains at half-integer offsets, total <= 7
+multi_chain_specs = st.lists(
+    st.tuples(st.integers(-4, 4), st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+    min_size=2,
+    max_size=3,
+).filter(lambda chains: sum(sum(dims) for _, dims in chains) <= 7)
+
+
+def multi_chain_table(chains):
     v = build_variety([Chain(Fraction(k, 2), tuple(dims)) for k, dims in chains], "gl")
-    table = enumerate_orbits(v)
+    return enumerate_orbits(v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(multi_chain_specs)
+def test_closure_layer_matches_the_definition_on_multi_chain_specs(chains):
+    table = multi_chain_table(chains)
     for t in (table, shuffled(table)):
         assert closure_below(t) == reference_below(t)
         assert hasse(t) == reference_hasse(t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(multi_chain_specs)
+def test_geometry_closed_forms_match_the_oracles_on_multi_chain_specs(chains):
+    # the slot-map oracles on specs with several chains and offsets
+    table = multi_chain_table(chains)
+    for o in table:
+        assert tangent_smooth_closure(o, table) == is_smooth_closure(o), o.msegs
+        assert conormal_dual(o, 0, table) == pyasetskii_dual(o, table), o.msegs
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

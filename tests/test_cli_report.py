@@ -119,12 +119,21 @@ def test_report_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
     v = build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(10), (2, 1))], "gl")
     table = enumerate_orbits(v)
     related = sum(bin(down).count("1") for down in closure_below(table))
-    calls = {"max_coset_rep": 0, "kl_poly": 0}
+    calls = {"max_coset_rep": 0, "kl_column": 0, "_left_max": 0, "kl_poly": 0}
 
+    # one column per orbit and chain, one coset maximum read per related pair
+    # and chain, and no re-checked permutations
     count_calls(monkeypatch, calls, bridge, "max_coset_rep")
+    count_calls(monkeypatch, calls, kl, "kl_column")
+    count_calls(monkeypatch, calls, kl, "_left_max")
     count_calls(monkeypatch, calls, kl, "kl_poly")
     assemble_report(v)
-    assert calls == {"max_coset_rep": 2 * len(table), "kl_poly": 2 * related}
+    assert calls == {
+        "max_coset_rep": 2 * len(table),
+        "kl_column": 2 * len(table),
+        "_left_max": 2 * related,
+        "kl_poly": 0,
+    }
 
 
 def test_hasse_dot_shapes(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from voganlab import geometry, linalg, orbits
-from voganlab.errors import InputError, UnsupportedFamilyError
+from voganlab.errors import InputError, InternalInvariantError, UnsupportedFamilyError
 from voganlab.geometry import (
     conormal_dual,
     is_smooth_closure,
@@ -18,8 +18,10 @@ from voganlab.geometry import (
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
-from reference_geometry import tangent_pairs_at
-from reference_linalg import common_multiple, reference_nullspace, reference_rref
+from conftest import dim_vectors
+from reference_geometry import sub_chain_conditions, tangent_pairs_at
+from reference_linalg import reference_nullspace, reference_rref
+from reference_orbits import commutator_matrix
 
 
 def gl_chain(dims, offset=0):
@@ -140,11 +142,10 @@ def test_tangent_dim_constant_on_orbit():
 
 
 def test_stratum_cache_matches_uncached_point():
-    # tangent_dim_at reads the per-stratum and per-sub-chain caches; the
-    # point route rebuilds every composite from a fresh Fraction copy of the
-    # representative.  Fraction(1) == 1 with the same hash, so a cache keyed
-    # by content would hand that copy the int-built entry: the point route
-    # must not touch the sub-chain cache at all.
+    # tangent_dim_at reads the per-stratum and per-sub-chain caches of the
+    # slot-map route; the point route rebuilds every composite, kernel and
+    # row by linear algebra from a fresh Fraction copy of the representative,
+    # and must not touch the sub-chain cache at all.
     for total in range(1, 7):
         for dims in compositions(total):
             table = enumerate_orbits(gl_chain(dims))
@@ -162,6 +163,38 @@ def test_stratum_cache_matches_uncached_point():
                         assert cached == geometry._tangent_dim(pairs, c.msegs[0], dims), (
                             dims, c.index, d.index
                         )
+
+
+def test_slot_map_conditions_match_the_linear_algebra(chain_suite):
+    # every sub-chain of every representative in the suite and of every
+    # chain of total 7: the same rank and the same rows in the same order
+    suite = [dims for dims, _v, _table in chain_suite]
+    suite += [dims for dims in dim_vectors(7, 7) if sum(dims) == 7]
+    checked = 0
+    for dims in suite:
+        for segs in orbits.chain_multisegments(dims):
+            x = chain_representative(segs, dims)
+            maps = geometry._slot_maps(x)
+            for i in range(len(dims)):
+                for j in range(i + 1, len(dims)):
+                    fast = geometry._sub_chain_conditions(dims[i : j + 1], maps[i:j])
+                    assert fast == sub_chain_conditions(dims[i : j + 1], x[i:j]), (segs, i, j)
+                    checked += 1
+    assert checked == 12444
+
+
+def test_slot_maps_refuse_what_is_not_a_partial_permutation(monkeypatch):
+    x = chain_representative(((0, 1), (1, 1)), (1, 2))
+    assert geometry._slot_maps(x) == (((0, 0),),)
+    for doctored in ([[1], [1]], [[2], [0]], [[1, 1]]):
+        with pytest.raises(InternalInvariantError):
+            geometry._slot_maps([doctored])
+    # a representative with two 1s in a column reaches neither oracle
+    monkeypatch.setattr(orbits, "chain_representative", lambda segs, dims: [[[1], [1]]])
+    with pytest.raises(InternalInvariantError):
+        geometry.chain_conormal_basis(((0, 1), (1, 1)), (1, 2))
+    with pytest.raises(InternalInvariantError):
+        geometry._stratum_tangent_pairs.__wrapped__(((0, 1), (1, 1)), (1, 2))
 
 
 def test_stratum_cache_is_immutable():
@@ -220,16 +253,16 @@ def test_conormal_of_two_grade_line():
 
 
 def test_conormal_bases_fix_the_seeded_draws(chain_suite):
-    # conormal_dual combines these basis vectors with seeded integers: one
-    # common positive multiple of the Gauss-Jordan kernel scales every drawn
-    # covector by that integer and keeps every sampled rank
+    # conormal_dual combines these basis vectors with seeded integers: the
+    # chain basis is exactly the Gauss-Jordan kernel of the commutator, so
+    # the drawn covectors are those drawn over Q
     for dims, _v, table in chain_suite:
         for o in table:
             segs = o.msegs[0]
             if len(dims) > 1:
-                action = orbits._commutator_matrix(chain_representative(segs, dims), dims)
+                action = commutator_matrix(chain_representative(segs, dims), dims)
                 reference = reference_nullspace(linalg.transpose(action))
-                common_multiple(geometry.chain_conormal_basis(segs, dims), reference)
+                assert geometry.chain_conormal_basis(segs, dims) == reference, (dims, segs)
             assert all(type(x) is int for vec in conormal_basis(o) for x in vec)
             for _pair, _rank, rows in geometry._stratum_tangent_pairs(segs, dims):
                 assert all(type(x) is int for row in rows for x in row)

@@ -212,12 +212,13 @@ def test_production_never_builds_the_full_table(monkeypatch, tmp_path, capsys, c
         assert bridge.multiplicity_matrix(table)["source"] == "kl"
 
 
-def test_steinberg_6_builds_only_31_columns(monkeypatch, capsys):
+def test_steinberg_6_builds_only_its_32_columns(monkeypatch, capsys):
     # the 32 orbit permutations form the Boolean interval below the Coxeter
-    # element, and the recursion reaches no column outside it.  The identity's
-    # column is never built: kl_poly(e, e) returns 1 before any lookup, and
-    # each recursion stops at the longest element of its blocks (s_i, say)
-    # instead of descending to e.  So 31 columns, one per other orbit.
+    # element, and the recursion reaches no column outside it.  The matrix
+    # reads one column per orbit, the identity's too (its blocks are
+    # trivial, so the column is {e: 1} at once), and each recursion stops at
+    # the longest element of its blocks (s_i, say) instead of descending to
+    # e.  So 32 columns, one per orbit.
     table = enumerate_orbits(steinberg_variety("gl", 6))
     perms = {bridge.multisegment_to_permutation(o)[0] for o in table}
     coxeter = max(perms, key=perm_length)
@@ -234,7 +235,7 @@ def test_steinberg_6_builds_only_31_columns(monkeypatch, capsys):
     assert main(["analyze", "--family", "gl", "--steinberg", "6"]) == 0
     capsys.readouterr()
     assert asked <= perms
-    assert build.cache_info().currsize == 31
+    assert build.cache_info().currsize == 32
 
 
 def test_kl_reference_is_descent_choice_independent():

@@ -1,5 +1,6 @@
 """The size ladder (bench/ladder.py): its cases name varieties that the CLI
-accepts, and its summaries read the right rows."""
+accepts, its summaries read the right rows, and with a parent tree its runs
+alternate between the two trees."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +44,37 @@ def test_ladder_summaries(tmp_path):
     assert ladder.previous_bench(tmp_path / "BENCH_9.json").name == "BENCH_2.json"
     assert ladder.previous_bench(tmp_path / "BENCH_2.json") is None
     assert ladder.previous_bench(tmp_path / "other.json").name == "BENCH_11.json"
+
+
+def test_parent_runs_alternate_with_this_checkout(tmp_path):
+    # an injected runner records the order of the runs; no process starts
+    ladder = load_ladder()
+    mine, parent = Path("mine/src"), Path("parent/src")
+    calls = []
+    walls = iter([0.5, 0.9, 0.7, 1.1, 0.6, 1.0])
+
+    def run(argv, cwd, src):
+        calls.append(src)
+        return next(walls), b"{}" if src == mine else b"{ }", 0
+
+    here, there = ladder.run_case(["analyze", "--spec", "x"], tmp_path, [mine, parent], run)
+    assert calls == [mine, parent] * ladder.REPEAT
+    assert here == {"wall_s": 0.6, "timed_out": False, "exit": 0, "report_bytes": 2}
+    assert there == {"wall_s": 1.0, "timed_out": False, "exit": 0, "report_bytes": 3}
+
+
+def test_a_timeout_ends_only_that_trees_runs(tmp_path):
+    ladder = load_ladder()
+    mine, parent = Path("mine/src"), Path("parent/src")
+    calls = []
+
+    def run(argv, cwd, src):
+        calls.append(src)
+        return None if src == parent else (0.25, b"", 1)
+
+    here, there = ladder.run_case(["verify", "--spec", "x"], tmp_path, [mine, parent], run)
+    assert calls == [mine, parent] + [mine] * (ladder.REPEAT - 1)
+    assert here == {"wall_s": 0.25, "timed_out": False, "exit": 1, "report_bytes": None}
+    assert there == {"wall_s": None, "timed_out": True, "exit": None, "report_bytes": None}
+    (alone,) = ladder.run_case(["verify"], tmp_path, [parent], run)
+    assert alone["timed_out"] and calls[-1] == parent
