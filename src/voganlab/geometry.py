@@ -19,32 +19,37 @@ is a coordinate subspace, always smooth.
 
 The oracle, :func:`tangent_smooth_closure`, compares scheme tangent spaces
 with the orbit dimension at every stratum.  The closure of a chain orbit C
-is cut out by the conditions rank(composite arrow map i -> j) <= r_C[i][j];
-these rank conditions generate a radical ideal (a classical fact for
-equioriented type-A loci, and for the (anti)symmetric determinantal loci of
-the two-eigenvalue shapes), so the tangent space at a point x is computed
-from first-order data: a pair (i, j) contributes the conditions
+is cut out by the conditions rank(composite arrow map i -> j) <= r_C[i][j]
+(Abeasis-Del Fra-Kraft 1981); these rank conditions generate a radical
+ideal (a classical fact for equioriented type-A loci, and for the
+(anti)symmetric determinantal loci of the two-eigenvalue shapes), so the
+tangent space at a point x is computed from first-order data: a pair (i, j)
+contributes the conditions
 
     coker(c) . dc(v) . ker(c) = 0,    c = composite at x,
 
 exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
-vanish to order >= 2).  A pair's rank and condition rows depend only on the
-arrow matrices i..j-1 of x, so at the stratum representatives x_D they are
-computed once per distinct sub-chain, keyed by its content, and cached; the
-orbit C only selects the pairs whose rank meets its bound.  Every stratum
-D <= C is still scanned.
+vanish to order >= 2).  Every stratum D <= C is scanned.
 
-Kernels come from slot maps.  Every arrow of a chain representative
-(:func:`orbits.chain_representative`) is a partial permutation, read as its
-slot map (:func:`_slot_maps`, which refuses any other matrix), and so is
-every composite of arrows.  The kernels, cokernels and condition rows of the
-tangent oracle, and the conormal spaces of the dual oracle, are therefore
-read off the strands of the representative with no elimination; each comes
-out exactly as Gauss-Jordan elimination over Q returns it (multiple 1), and
-:mod:`linalg` is kept for the ranks: of the condition rows, of the covectors'
-composites, and everything of the two-eigenvalue shapes.  The linear-algebra
-routes they replace are the tests' references (``tests/reference_*.py``).
+Tangent spaces count strand pairs.  At the representative x_D of a chain
+stratum (:func:`orbits.chain_slot_maps`) every segment copy f = [b_f, e_f]
+of D is a strand of slots, one per grade it covers.  The kernel of the
+composite i -> j is spanned by the slots at i of the strands that end
+before j, its cokernel by the slots at j of the strands that start after i,
+so a kernel strand f and a cokernel strand g give the 0/1 condition row
+with cells (l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f.
+The row is nonzero iff b_f < b_g <= e_f + 1 <= e_g, it is the same row for
+every composite with b_f <= i < b_g and e_f < j <= e_g, and it counts when
+one of those has r_D(i, j) = r_C(i, j) (:func:`orbits.rank_key`).  Each cell
+names both of its strands, so the rows of distinct strand pairs have
+disjoint supports and are independent:
+
+    dim T_{x_D} cl(C) = dim V - sum of mult_f * mult_g over counting (f, g),
+
+with no elimination.  The linear-algebra route it replaces, the rank of the
+rows built at any point of the orbit, is the tests' reference
+(``tests/reference_geometry.py``).
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
@@ -62,9 +67,9 @@ the conormal space with one sampler for chains and two-eigenvalue shapes:
 seeded random covectors with verification retries, then one exact symbolic
 fallback (ranks over the rational function field), which the tests force.
 The basis is the Gauss-Jordan kernel basis over Q times one common positive
-integer (1 on chains, whose basis is read off the slot maps), so each seeded
-covector is that integer times the covector drawn over Q, with the same
-ranks.
+integer (1 on chains, whose basis :func:`chain_conormal_basis` reads off the
+slot maps with no elimination), so each seeded covector is that integer
+times the covector drawn over Q, with the same ranks.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -74,11 +79,13 @@ so are their duals, in the same direction.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 
 from . import linalg, orbits
-from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
+from .errors import InputError, UnsupportedFamilyError
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
 from .variety import VoganVariety
 
@@ -90,111 +97,22 @@ MAX_RETRIES = 8
 # tangent spaces
 
 
-def _slot_maps(arrows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The slot map of each 0/1 arrow matrix of a representative: its 1s as
-    (source slot, target slot) pairs, by source slot.  Raises
-    :class:`InternalInvariantError` unless every arrow is a partial
-    permutation (entries 0 and 1, at most one 1 per row and per column)."""
-    maps = []
-    for a in arrows:
-        target_of: dict[int, int] = {}
-        for t, row in enumerate(a):
-            for s, x in enumerate(row):
-                if x:
-                    if x != 1 or s in target_of:
-                        raise InternalInvariantError("representative arrow is not 0/1 by columns")
-                    target_of[s] = t
-        if len(set(target_of.values())) < len(target_of):
-            raise InternalInvariantError("representative arrow has two 1s in a row")
-        maps.append(tuple(sorted(target_of.items())))
-    return tuple(maps)
-
-
 @lru_cache(maxsize=None)
-def _sub_chain_conditions(dims: tuple[int, ...], maps: tuple) -> tuple[int, tuple]:
-    """Rank of the composite c of the arrows of a sub-chain with grade dims
-    ``dims`` and slot maps ``maps`` (:func:`_slot_maps`), and the nonzero rows
-    of first-order conditions coker(c) . dc(v) . ker(c) = 0 on v in the
-    sub-chain's coordinates.  Cached by content.
-
-    A composite of partial permutations is one, so everything is read off
-    the strands: the kernel basis is e_f for each source slot f whose forward
-    strand dies before the last grade, the cokernel basis e_g for each
-    target slot g that no strand reaches (both as Gauss-Jordan returns them),
-    and the row of (g, f) has a 1 at (l; backward strand of g at l + 1,
-    forward strand of f at l) on each arrow l where both strands are alive.
-    Distinct strands share no slot, so no two rows are equal.
-    """
-    m = len(maps)
-    offs = [0]
-    for l in range(m):
-        offs.append(offs[-1] + dims[l] * dims[l + 1])
-
-    def strand(slot, steps):
-        out = [slot]
-        for step in steps:
-            slot = step.get(slot)
-            if slot is None:
-                break
-            out.append(slot)
-        return out
-
-    forward = [dict(p) for p in maps]
-    ker = [walk for walk in (strand(f, forward) for f in range(dims[0])) if len(walk) <= m]
-    rows = []
-    if ker:
-        backward = [{t: s for s, t in p} for p in reversed(maps)]
-        for g in range(dims[m]):
-            back = strand(g, backward)  # slots at grades m, m - 1, ...
-            if len(back) > m:
-                continue  # g is hit
-            for walk in ker:
-                # arrow l needs the forward strand at l and the backward one at l + 1
-                cells = [
-                    offs[l] + back[m - l - 1] * dims[l] + walk[l]
-                    for l in range(m - len(back), len(walk))
-                ]
-                if cells:
-                    row = [0] * offs[m]
-                    for t in cells:
-                        row[t] = 1
-                    rows.append(tuple(row))
-    return dims[0] - len(ker), tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _stratum_tangent_pairs(segs_d: ChainSegs, dims: tuple[int, ...]) -> tuple:
-    """``(pair, rank, rows)`` for every composite i -> j with i < j, in the
-    order of :func:`orbits.rank_key`, at the canonical representative of the
-    stratum ``segs_d``: its rank, and the rows of first-order conditions
-    coker(c) . dc(v) . ker(c) = 0 on v in the chain coordinates
-    (:func:`_sub_chain_conditions` of the sub-chain i..j, padded with zeros).
-    The rows count toward the tangent space of a closure exactly when the
-    rank equals the closure's bound on the pair.  Strata that share a
-    sub-chain (its grade dims and slot maps) compute its rows once."""
-    maps = _slot_maps(orbits.chain_representative(segs_d, dims))
-    offs = [0]
-    for l in range(len(dims) - 1):
-        offs.append(offs[-1] + dims[l] * dims[l + 1])
-    out = []
-    for i in range(len(dims)):
-        for j in range(i + 1, len(dims)):
-            rank, rows = _sub_chain_conditions(dims[i : j + 1], maps[i:j])
-            before, after = (0,) * offs[i], (0,) * (offs[-1] - offs[j])
-            out.append(((i, j), rank, tuple(before + row + after for row in rows)))
-    return tuple(out)
-
-
-def _tangent_dim(pairs: tuple, segs_c: ChainSegs, dims: tuple[int, ...]) -> int:
-    """Tangent dimension of the closure of ``segs_c`` at a point with
-    :func:`_stratum_tangent_pairs` data ``pairs``: only the pairs whose rank
-    meets the bound r_C (:func:`orbits.rank_key`) contribute condition rows.
-    Rows repeated across pairs are eliminated once."""
-    bounds = orbits.rank_key(segs_c, len(dims))
-    live = (pair_rows for (_, r, pair_rows), b in zip(pairs, bounds) if r == b)
-    rows = list(dict.fromkeys(row for pair_rows in live for row in pair_rows))
-    arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
-    return arrow_dim - (linalg.rank(rows) if rows else 0)
+def _stratum_rows(segs_d: ChainSegs, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The condition rows at the representative of the stratum ``segs_d`` on
+    k grades, one entry per ordered pair (f, g) of its distinct segments with
+    b_f < b_g <= e_f + 1 <= e_g: the weight mult_f * mult_g (one row per pair
+    of segment copies), and the :func:`orbits.rank_key` positions of the
+    composites i -> j, b_f <= i < b_g and e_f < j <= e_g, whose conditions
+    hold those rows."""
+    position = {pair: n for n, pair in enumerate(itertools.combinations(range(k), 2))}
+    mult = Counter(segs_d)
+    return tuple(
+        (mf * mg, tuple(position[i, j] for i in range(bf, bg) for j in range(ef + 1, eg + 1)))
+        for (bf, ef), mf in mult.items()
+        for (bg, eg), mg in mult.items()
+        if bf < bg <= ef + 1 <= eg
+    )
 
 
 def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
@@ -211,10 +129,16 @@ def _tangent_dim_below(c: OrbitRecord, d: OrbitRecord) -> int:
         return c.dim  # closures are coordinate subspaces
     if v.kind == "two_eigenvalue":
         return _two_eig_tangent(c, d)
-    return sum(
-        _tangent_dim(_stratum_tangent_pairs(segs_d, chain.dims), segs_c, chain.dims)
-        for segs_c, segs_d, chain in zip(c.msegs, d.msegs, v.chains)
-    )
+    rows = 0
+    for segs_c, segs_d, chain in zip(c.msegs, d.msegs, v.chains):
+        bounds = orbits.rank_key(segs_c, chain.length)
+        ranks = orbits.rank_key(segs_d, chain.length)
+        rows += sum(
+            weight
+            for weight, positions in _stratum_rows(segs_d, chain.length)
+            if any(ranks[p] == bounds[p] for p in positions)
+        )
+    return v.total_dim - rows
 
 
 def _two_eig_tangent(c: OrbitRecord, d: OrbitRecord) -> int:
@@ -274,18 +198,18 @@ def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[in
     (l; a, b) with the entry (b, a) of the reversed arrow xi_l, with no
     rescaling, so these vectors read directly as reversed-arrow blocks.
 
-    x is a partial permutation on every arrow (:func:`_slot_maps`), so the
-    coordinate (g; a, b) of [x, xi] in gl(E_g) has at most two terms,
-    xi(g - 1; a, pre(b)) - xi(g; next(a), b): a one-term equation forces its
-    coordinate to 0 and a two-term one makes its two coordinates equal.  The
-    basis holds one 0/1 indicator per class of equal coordinates that no
-    equation forces to 0, ordered by the class's largest coordinate -- the
-    Gauss-Jordan kernel basis of the linear system.
+    x is a partial permutation on every arrow (its slot maps,
+    :func:`orbits.chain_slot_maps`), so the coordinate (g; a, b) of [x, xi]
+    in gl(E_g) has at most two terms, xi(g - 1; a, pre(b)) - xi(g; next(a), b):
+    a one-term equation forces its coordinate to 0 and a two-term one makes
+    its two coordinates equal.  The basis holds one 0/1 indicator per class
+    of equal coordinates that no equation forces to 0, ordered by the class's
+    largest coordinate -- the Gauss-Jordan kernel basis of the linear system.
     """
     k = len(dims)
     if k <= 1:
         return []
-    maps = _slot_maps(orbits.chain_representative(segs, dims))
+    maps = orbits.chain_slot_maps(segs, dims)
     offs = [0]
     for l in range(k - 1):
         offs.append(offs[-1] + dims[l] * dims[l + 1])
@@ -298,8 +222,8 @@ def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[in
 
     forced = []
     for g in range(k):
-        pre = {t: s for s, t in maps[g - 1]} if g else {}
-        nxt = dict(maps[g]) if g < k - 1 else {}
+        pre = {t: s for s, t in maps[g - 1].items()} if g else {}
+        nxt = maps[g] if g < k - 1 else {}
         for a in range(dims[g]):
             na = nxt.get(a)
             for b in range(dims[g]):

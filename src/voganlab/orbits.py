@@ -94,30 +94,34 @@ def segments_of_rank_key(key: Sequence[int], dims: tuple[int, ...]) -> ChainSegs
     return tuple(segs)
 
 
-def chain_representative(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[list[int]]]:
-    """Arrow matrices (one per adjacent grade pair) of the shift-operator sum.
+def chain_slot_maps(segs: ChainSegs, dims: tuple[int, ...]) -> list[dict[int, int]]:
+    """The arrows of the shift-operator sum as slot maps: on arrow l, source
+    slot -> target slot for each segment that crosses l -> l + 1.
 
-    Longer segments claim lower slot indices, so rank strata come out in
-    partial-identity normal form (e.g. diag(I_r, 0) on two grades).
+    Each segment is a strand of slots, one at every grade it covers, and
+    longer segments claim lower slot indices, so rank strata come out in
+    partial-identity normal form (e.g. diag(I_r, 0) on two grades).  A slot
+    carries one strand, so every map is a partial permutation.
     """
-    k = len(dims)
-    slot_next = [0] * k
-    order = sorted(segs, key=lambda s: (s[0] - s[1], s[0]))
-    slots: list[dict[int, int]] = []
-    for b, e in order:
-        assignment = {}
+    slot_next = [0] * len(dims)
+    maps: list[dict[int, int]] = [{} for _ in dims[1:]]
+    for b, e in sorted(segs, key=lambda s: (s[0] - s[1], s[0])):
+        for l in range(b, e):
+            maps[l][slot_next[l]] = slot_next[l + 1]
         for i in range(b, e + 1):
-            assignment[i] = slot_next[i]
             slot_next[i] += 1
-        slots.append(assignment)
-    if list(slot_next) != list(dims):
+    if slot_next != list(dims):
         raise InputError("segment coverage does not match chain dims")
-    arrows = [
-        [[0] * dims[i] for _ in range(dims[i + 1])] for i in range(k - 1)
-    ]
-    for (b, e), assignment in zip(order, slots):
-        for i in range(b, e):
-            arrows[i][assignment[i + 1]][assignment[i]] = 1
+    return maps
+
+
+def chain_representative(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[list[int]]]:
+    """Arrow matrices (one per adjacent grade pair): the 0/1 matrices of
+    :func:`chain_slot_maps`."""
+    arrows = [[[0] * dims[l] for _ in range(dims[l + 1])] for l in range(len(dims) - 1)]
+    for arrow, slot_map in zip(arrows, chain_slot_maps(segs, dims)):
+        for s, t in slot_map.items():
+            arrow[t][s] = 1
     return arrows
 
 

@@ -1,17 +1,16 @@
-"""The tangent oracle's condition rows at an arbitrary point of a chain, by
-exact linear algebra: the reference for the slot-map route of
-``voganlab.geometry``, which reads kernels, cokernels and condition rows off
-the strands of a 0/1 representative."""
+"""The tangent oracle's condition rows at an arbitrary point of a chain, and
+the tangent dimension as their rank, by exact linear algebra: the reference
+for the chain tangent route of ``voganlab.geometry``, which counts the
+independent rows of pairs of strands of a 0/1 representative."""
 
-from voganlab import linalg
+from voganlab import linalg, orbits
 
 
 def sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
-    """``geometry._sub_chain_conditions`` of the sub-chain with grade dims
-    ``dims`` and arrow matrices ``arrows`` (ints or Fractions, any point):
-    the rank of the composite c, and the rows of first-order conditions
-    coker(c) . dc(v) . ker(c) = 0, zero and repeated rows dropped, from the
-    kernels of :mod:`voganlab.linalg`."""
+    """The sub-chain with grade dims ``dims`` and arrow matrices ``arrows``
+    (ints or Fractions, any point): the rank of the composite c, and the rows
+    of first-order conditions coker(c) . dc(v) . ker(c) = 0, zero and
+    repeated rows dropped, from the kernels of :mod:`voganlab.linalg`."""
     c = arrows[0]
     for a in arrows[1:]:
         c = linalg.matmul(a, c)
@@ -40,10 +39,12 @@ def sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
 
 
 def tangent_pairs_at(x, dims: tuple[int, ...]) -> tuple:
-    """``geometry._stratum_tangent_pairs`` at the point with arrow matrices
-    ``x`` (ints or Fractions, in any sequences) rather than at a stratum's
-    representative: every sub-chain's rank and rows by
-    :func:`sub_chain_conditions`."""
+    """``(pair, rank, rows)`` for every composite i -> j with i < j, in the
+    order of :func:`voganlab.orbits.rank_key`, at the point with arrow
+    matrices ``x`` (ints or Fractions, in any sequences): the rank of the
+    composite and its rows of first-order conditions on v in the chain
+    coordinates (:func:`sub_chain_conditions` of the sub-chain i..j, padded
+    with zeros)."""
     offs = [0]
     for l in range(len(dims) - 1):
         offs.append(offs[-1] + dims[l] * dims[l + 1])
@@ -54,3 +55,16 @@ def tangent_pairs_at(x, dims: tuple[int, ...]) -> tuple:
             before, after = (0,) * offs[i], (0,) * (offs[-1] - offs[j])
             out.append(((i, j), rank, tuple(before + row + after for row in rows)))
     return tuple(out)
+
+
+def tangent_dim(pairs: tuple, segs_c, dims: tuple[int, ...]) -> int:
+    """Tangent dimension of the closure of ``segs_c`` at a point with
+    :func:`tangent_pairs_at` data ``pairs``: only the pairs whose rank meets
+    the bound r_C (:func:`voganlab.orbits.rank_key`) contribute condition
+    rows, and their rank, repeated rows dropped first, is subtracted from
+    the arrow dimension."""
+    bounds = orbits.rank_key(segs_c, len(dims))
+    live = (pair_rows for (_, r, pair_rows), b in zip(pairs, bounds) if r == b)
+    rows = list(dict.fromkeys(row for pair_rows in live for row in pair_rows))
+    arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
+    return arrow_dim - (linalg.rank(rows) if rows else 0)

@@ -2,8 +2,10 @@
 orbit dimensions of two-chain varieties against the rank of the group
 action, the closure order and its covers on specs of two or three chains
 against the pairwise definition, smoothness and duals on such specs against
-the tangent and conormal oracles, and the bridge as an embedding of the
-closure order into Bruhat order."""
+the tangent and conormal oracles, the tangent oracle's count of strand pairs
+on such specs and on single chains of total 8-10 against the rank of its
+condition rows, and the bridge as an embedding of the closure order into
+Bruhat order."""
 
 from fractions import Fraction
 
@@ -18,11 +20,13 @@ from voganlab.geometry import (  # noqa: E402
     conormal_dual,
     is_smooth_closure,
     pyasetskii_dual,
+    tangent_dim_at,
     tangent_smooth_closure,
 )
-from voganlab.orbits import closure_below, enumerate_orbits, hasse  # noqa: E402
+from voganlab.orbits import closure_below, enumerate_orbits, hasse, representative  # noqa: E402
 from voganlab.variety import Chain, build_variety  # noqa: E402
 
+from reference_geometry import tangent_dim, tangent_pairs_at  # noqa: E402
 from reference_kl import bruhat_leq  # noqa: E402
 from reference_orbits import (  # noqa: E402
     commutator_orbit_dim,
@@ -81,14 +85,48 @@ def test_closure_layer_matches_the_definition_on_multi_chain_specs(chains):
         assert hasse(t) == reference_hasse(t)
 
 
+def assert_tangent_count_matches_the_rows(table):
+    """tangent_dim_at(c, d) against the rank of the condition rows that
+    linear algebra builds at the representative of d, chain by chain, for
+    every pair d <= c of ``table``."""
+    v = table[0].variety
+    for d in table:
+        pairs = [
+            tangent_pairs_at(x, chain.dims) for x, chain in zip(representative(d), v.chains)
+        ]
+        for c in table:
+            if table.below[c.index] >> d.index & 1:
+                expected = sum(
+                    tangent_dim(chain_pairs, segs_c, chain.dims)
+                    for chain_pairs, segs_c, chain in zip(pairs, c.msegs, v.chains)
+                )
+                assert tangent_dim_at(c, d) == expected, (c.msegs, d.msegs)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(multi_chain_specs)
 def test_geometry_closed_forms_match_the_oracles_on_multi_chain_specs(chains):
-    # the slot-map oracles on specs with several chains and offsets
+    # the tangent and conormal oracles on specs with several chains and
+    # offsets, and the tangent oracle's count against its condition rows
     table = multi_chain_table(chains)
     for o in table:
         assert tangent_smooth_closure(o, table) == is_smooth_closure(o), o.msegs
         assert conormal_dual(o, 0, table) == pyasetskii_dual(o, table), o.msegs
+    assert_tangent_count_matches_the_rows(table)
+
+
+# single chains of total 8-10 on at most 6 grades, past the exhaustive tests
+larger_dims = (
+    st.lists(st.integers(1, 4), min_size=1, max_size=6)
+    .map(tuple)
+    .filter(lambda d: 8 <= sum(d) <= 10)
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(larger_dims)
+def test_tangent_count_matches_the_rows_on_larger_chains(dims):
+    assert_tangent_count_matches_the_rows(chain_table(dims))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from voganlab import geometry, linalg, orbits
-from voganlab.errors import InputError, InternalInvariantError, UnsupportedFamilyError
+from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.geometry import (
     conormal_dual,
     is_smooth_closure,
@@ -19,7 +19,7 @@ from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
 from conftest import dim_vectors
-from reference_geometry import sub_chain_conditions, tangent_pairs_at
+from reference_geometry import tangent_dim, tangent_pairs_at
 from reference_linalg import reference_nullspace, reference_rref
 from reference_orbits import commutator_matrix
 
@@ -130,82 +130,65 @@ def test_tangent_dim_constant_on_orbit():
             [[Fraction(e) for e in row] for row in m]
             for m in chain_representative(d.msegs[0], dims)
         ]
-        base = geometry._tangent_dim(tangent_pairs_at(x, dims), c.msegs[0], dims)
+        base = tangent_dim(tangent_pairs_at(x, dims), c.msegs[0], dims)
         gs = [random_gl(k) for k in dims]
         moved = [
             linalg.matmul(linalg.matmul(gs[i + 1], x[i]), invert(gs[i]))
             for i in range(len(dims) - 1)
         ]
         pairs = tangent_pairs_at(moved, dims)
-        assert geometry._tangent_dim(pairs, c.msegs[0], dims) == base
+        assert tangent_dim(pairs, c.msegs[0], dims) == base
         assert base == tangent_dim_at(c, d)
 
 
 def test_stratum_cache_matches_uncached_point():
-    # tangent_dim_at reads the per-stratum and per-sub-chain caches of the
-    # slot-map route; the point route rebuilds every composite, kernel and
-    # row by linear algebra from a fresh Fraction copy of the representative,
-    # and must not touch the sub-chain cache at all.
-    for total in range(1, 7):
-        for dims in compositions(total):
-            table = enumerate_orbits(gl_chain(dims))
-            for d in table:
-                x = [
-                    [[Fraction(e) for e in row] for row in m]
-                    for m in chain_representative(d.msegs[0], dims)
-                ]
-                for c in table:
-                    if closure_leq(d, c):
-                        cached = tangent_dim_at(c, d)
-                        before = geometry._sub_chain_conditions.cache_info()
-                        pairs = tangent_pairs_at(x, dims)
-                        assert geometry._sub_chain_conditions.cache_info() == before
-                        assert cached == geometry._tangent_dim(pairs, c.msegs[0], dims), (
-                            dims, c.index, d.index
-                        )
-
-
-def test_slot_map_conditions_match_the_linear_algebra(chain_suite):
-    # every sub-chain of every representative in the suite and of every
-    # chain of total 7: the same rank and the same rows in the same order
-    suite = [dims for dims, _v, _table in chain_suite]
-    suite += [dims for dims in dim_vectors(7, 7) if sum(dims) == 7]
+    # every pair d <= c of every single chain of total <= 7: tangent_dim_at
+    # counts strand pairs from the per-stratum cache; the point route
+    # rebuilds every composite, kernel and row by linear algebra from a fresh
+    # Fraction copy of the representative, and must not touch the cache
     checked = 0
-    for dims in suite:
-        for segs in orbits.chain_multisegments(dims):
-            x = chain_representative(segs, dims)
-            maps = geometry._slot_maps(x)
-            for i in range(len(dims)):
-                for j in range(i + 1, len(dims)):
-                    fast = geometry._sub_chain_conditions(dims[i : j + 1], maps[i:j])
-                    assert fast == sub_chain_conditions(dims[i : j + 1], x[i:j]), (segs, i, j)
+    for dims in dim_vectors(7, 7):
+        table = enumerate_orbits(gl_chain(dims))
+        for d in table:
+            x = [
+                [[Fraction(e) for e in row] for row in m]
+                for m in chain_representative(d.msegs[0], dims)
+            ]
+            before = geometry._stratum_rows.cache_info()
+            pairs = tangent_pairs_at(x, dims)
+            assert geometry._stratum_rows.cache_info() == before
+            for c in table:
+                if table.below[c.index] >> d.index & 1:
+                    assert tangent_dim_at(c, d) == tangent_dim(pairs, c.msegs[0], dims), (
+                        dims, c.msegs, d.msegs
+                    )
                     checked += 1
-    assert checked == 12444
+    assert checked == 9149
 
 
-def test_slot_maps_refuse_what_is_not_a_partial_permutation(monkeypatch):
-    x = chain_representative(((0, 1), (1, 1)), (1, 2))
-    assert geometry._slot_maps(x) == (((0, 0),),)
-    for doctored in ([[1], [1]], [[2], [0]], [[1, 1]]):
-        with pytest.raises(InternalInvariantError):
-            geometry._slot_maps([doctored])
-    # a representative with two 1s in a column reaches neither oracle
-    monkeypatch.setattr(orbits, "chain_representative", lambda segs, dims: [[[1], [1]]])
-    with pytest.raises(InternalInvariantError):
-        geometry.chain_conormal_basis(((0, 1), (1, 1)), (1, 2))
-    with pytest.raises(InternalInvariantError):
-        geometry._stratum_tangent_pairs.__wrapped__(((0, 1), (1, 1)), (1, 2))
+def test_chain_tangent_route_runs_without_linear_algebra(chain_suite, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chain tangent route called linalg")
+
+    for name in ("rank", "nullspace", "left_nullspace"):
+        monkeypatch.setattr(linalg, name, refuse)
+    geometry._stratum_rows.cache_clear()
+    for _dims, _v, table in chain_suite:
+        for o in table:
+            tangent_smooth_closure(o, table)
+            for i in orbits._bits(table.below[o.index]):
+                tangent_dim_at(o, table[i])
 
 
 def test_stratum_cache_is_immutable():
     dims = (1, 2, 1)
     table = enumerate_orbits(gl_chain(dims))
     for d in table:
-        pairs = geometry._stratum_tangent_pairs(d.msegs[0], dims)
-        assert isinstance(pairs, tuple)
-        for pair, rank, rows in pairs:
-            assert isinstance(rows, tuple)
-            assert all(isinstance(row, tuple) for row in rows)
+        rows = geometry._stratum_rows(d.msegs[0], len(dims))
+        assert isinstance(rows, tuple)
+        for weight, positions in rows:
+            assert type(weight) is int
+            assert isinstance(positions, tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +247,6 @@ def test_conormal_bases_fix_the_seeded_draws(chain_suite):
                 reference = reference_nullspace(linalg.transpose(action))
                 assert geometry.chain_conormal_basis(segs, dims) == reference, (dims, segs)
             assert all(type(x) is int for vec in conormal_basis(o) for x in vec)
-            for _pair, _rank, rows in geometry._stratum_tangent_pairs(segs, dims):
-                assert all(type(x) is int for row in rows for x in row)
     for family in ("sp-dual", "so-even"):
         v = two_eigenvalue_variety(family, 4)
         for o in enumerate_orbits(v):
