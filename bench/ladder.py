@@ -8,7 +8,8 @@ Run from anywhere; the library is imported from ``src/`` of this checkout.
 Each run of a case is a fresh ``python -m voganlab.cli ...`` process, timed
 from start to exit (interpreter start-up included) and killed after
 ``TIMEOUT_S`` seconds.  A case's wall time is the median of ``REPEAT`` runs;
-a run that times out ends the case.  With ``--parent DIR`` each of the
+a run that times out ends the case.  With ``--parent DIR``, the top
+directory of a git checkout (so that its commit is recorded), each of the
 ``REPEAT`` rounds of a case runs it on this checkout and then on the library
 in ``DIR/src``, so drift of the host's speed during the ladder reaches both
 trees alike; a timeout ends only that tree's runs of the case.  Each library
@@ -174,16 +175,18 @@ def largest_rungs(cases: list[dict], limit_s: float) -> dict[str, str | None]:
     return {family: c and c["name"] for family, c in best.items()}
 
 
-def _commit(root: Path = ROOT) -> str | None:
-    def git(*args):
-        try:
-            proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=root)
-        except OSError:
-            return None
-        return proc.stdout.strip() if proc.returncode == 0 else None
+def _git(root: Path, *args: str) -> str | None:
+    """Stripped stdout of ``git args`` run in ``root``; None when it fails."""
+    try:
+        proc = subprocess.run(["git", *args], capture_output=True, text=True, cwd=root)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
-    head = git("rev-parse", "HEAD")
-    if head and git("status", "--porcelain", "--untracked-files=no"):
+
+def _commit(root: Path = ROOT) -> str | None:
+    head = _git(root, "rev-parse", "HEAD")
+    if head and _git(root, "status", "--porcelain", "--untracked-files=no"):
         head += "-dirty"
     return head
 
@@ -227,6 +230,11 @@ def main(argv=None) -> int:
     if args.parent is not None:
         if not (args.parent / "src" / "voganlab").is_dir():
             parser.error(f"--parent {args.parent} has no src/voganlab")
+        top = _git(args.parent, "rev-parse", "--show-toplevel")
+        if top is None or Path(top).resolve() != args.parent.resolve():
+            # an export, or a directory inside another checkout, whose HEAD
+            # would be recorded as the parent's commit
+            parser.error(f"--parent {args.parent} is not the top directory of a git checkout")
         srcs.append((args.parent / "src").resolve())
 
     for src in srcs:

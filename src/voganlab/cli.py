@@ -14,6 +14,7 @@ byte-identical output.
 from __future__ import annotations
 
 import sys
+from typing import TYPE_CHECKING
 
 from . import arthur, datasets, geometry, orbits, report
 from .errors import InputError, InternalInvariantError
@@ -24,6 +25,9 @@ from .variety import (
     two_eigenvalue_variety,
     variety_from_json,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:

@@ -32,24 +32,24 @@ exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
 vanish to order >= 2).  Every stratum D <= C is scanned.
 
-Tangent spaces count strand pairs.  At the representative x_D of a chain
-stratum (:func:`orbits.chain_slot_maps`) every segment copy f = [b_f, e_f]
-of D is a strand of slots, one per grade it covers.  The kernel of the
-composite i -> j is spanned by the slots at i of the strands that end
-before j, its cokernel by the slots at j of the strands that start after i,
-so a kernel strand f and a cokernel strand g give the 0/1 condition row
-with cells (l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f.
-The row is nonzero iff b_f < b_g <= e_f + 1 <= e_g, it is the same row for
-every composite with b_f <= i < b_g and e_f < j <= e_g, and it counts when
-one of those has r_D(i, j) = r_C(i, j) (:func:`orbits.rank_key`).  Each cell
-names both of its strands, so the rows of distinct strand pairs have
-disjoint supports and are independent:
-
-    dim T_{x_D} cl(C) = dim V - sum of mult_f * mult_g over counting (f, g),
-
-with no elimination.  The linear-algebra route it replaces, the rank of the
-rows built at any point of the orbit, is the tests' reference
-(``tests/reference_geometry.py``).
+Strand pairs.  At the representative x_D of a chain stratum
+(:func:`orbits.chain_strands`) every segment copy f = [b_f, e_f] of D is a
+strand of slots, one per grade it covers.  The kernel of the composite
+i -> j is spanned by the slots at i of the strands that end before j, its
+cokernel by the slots at j of the strands that start after i, so a kernel
+strand f and a cokernel strand g give the 0/1 condition row with cells
+(l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f
+(:func:`_strand_pairs`).  It is nonzero iff b_f < b_g <= e_f + 1 <= e_g, the
+same for every composite with b_f <= i < b_g and e_f < j <= e_g, and counts
+when one of those has r_D(i, j) = r_C(i, j) (:func:`orbits.rank_key`).  Each
+cell names both of its strands, so rows of distinct strand pairs have
+disjoint supports, and dim T_{x_D} cl(C) = dim V - #counting rows, with no
+elimination.  At D = C every row counts: the codim C rows span the
+annihilator of T_{x_C} C, the conormal fibre { xi : [x_C, xi] = 0 }, and
+ordered by their last coordinate they are its Gauss-Jordan kernel basis over
+Q (:func:`chain_conormal_basis`).  The tests' references build the rows and
+the commutator at x_C by linear algebra and take a rank and a kernel
+(``tests/reference_geometry.py``, ``tests/reference_orbits.py``).
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
@@ -67,9 +67,9 @@ the conormal space with one sampler for chains and two-eigenvalue shapes:
 seeded random covectors with verification retries, then one exact symbolic
 fallback (ranks over the rational function field), which the tests force.
 The basis is the Gauss-Jordan kernel basis over Q times one common positive
-integer (1 on chains, whose basis :func:`chain_conormal_basis` reads off the
-slot maps with no elimination), so each seeded covector is that integer
-times the covector drawn over Q, with the same ranks.
+integer (1 on chains, whose basis is the strand-pair rows at x_C), so each
+seeded covector is that integer times the covector drawn over Q, with the
+same ranks.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from functools import lru_cache
 
 from . import linalg, orbits
@@ -98,20 +97,26 @@ MAX_RETRIES = 8
 
 
 @lru_cache(maxsize=None)
-def _stratum_rows(segs_d: ChainSegs, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The condition rows at the representative of the stratum ``segs_d`` on
-    k grades, one entry per ordered pair (f, g) of its distinct segments with
-    b_f < b_g <= e_f + 1 <= e_g: the weight mult_f * mult_g (one row per pair
-    of segment copies), and the :func:`orbits.rank_key` positions of the
-    composites i -> j, b_f <= i < b_g and e_f < j <= e_g, whose conditions
-    hold those rows."""
+def _strand_pairs(segs: ChainSegs, dims: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
+    """The condition rows at the representative of ``segs``, one entry per
+    ordered pair (f, g) of its distinct segments with b_f < b_g <= e_f + 1
+    <= e_g: the :func:`orbits.rank_key` positions of the composites i -> j,
+    b_f <= i < b_g and e_f < j <= e_g, whose conditions hold the pair's rows,
+    and one row per pair of copies, as the arrow-layout coordinates of its
+    cells (l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f."""
+    k = len(dims)
     position = {pair: n for n, pair in enumerate(itertools.combinations(range(k), 2))}
-    mult = Counter(segs_d)
+    offs = list(itertools.accumulate((dims[l] * dims[l + 1] for l in range(k - 1)), initial=0))
+    strands = orbits.chain_strands(segs, dims)
     return tuple(
-        (mf * mg, tuple(position[i, j] for i in range(bf, bg) for j in range(ef + 1, eg + 1)))
-        for (bf, ef), mf in mult.items()
-        for (bg, eg), mg in mult.items()
-        if bf < bg <= ef + 1 <= eg
+        (
+            tuple(position[i, j] for i in range(bf, bg) for j in range(ef + 1, eg + 1)),
+            tuple(
+                tuple(offs[l] + g[l + 1 - bg] * dims[l] + f[l - bf] for l in range(bg - 1, ef + 1))
+                for f in strands[bf, ef] for g in strands[bg, eg]
+            ),
+        )
+        for bf, ef in strands for bg, eg in strands if bf < bg <= ef + 1 <= eg
     )
 
 
@@ -134,8 +139,8 @@ def _tangent_dim_below(c: OrbitRecord, d: OrbitRecord) -> int:
         bounds = orbits.rank_key(segs_c, chain.length)
         ranks = orbits.rank_key(segs_d, chain.length)
         rows += sum(
-            weight
-            for weight, positions in _stratum_rows(segs_d, chain.length)
+            len(pair_rows)
+            for positions, pair_rows in _strand_pairs(segs_d, chain.dims)
             if any(ranks[p] == bounds[p] for p in positions)
         )
     return v.total_dim - rows
@@ -190,65 +195,17 @@ def tangent_smooth_closure(c: OrbitRecord, table: OrbitTable) -> bool:
 # conormal spaces
 
 
-def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[int]]:
+def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Integer basis of { xi : [x, xi] = 0 } in dual coordinates of one
-    chain, at the representative x of ``segs``.
+    chain at the representative x of ``segs``, as the supports of its 0/1
+    vectors: the rows of :func:`_strand_pairs`, by their last coordinate.
 
     The trace pairing matches the dual coordinate of the arrow entry
     (l; a, b) with the entry (b, a) of the reversed arrow xi_l, with no
     rescaling, so these vectors read directly as reversed-arrow blocks.
-
-    x is a partial permutation on every arrow (its slot maps,
-    :func:`orbits.chain_slot_maps`), so the coordinate (g; a, b) of [x, xi]
-    in gl(E_g) has at most two terms, xi(g - 1; a, pre(b)) - xi(g; next(a), b):
-    a one-term equation forces its coordinate to 0 and a two-term one makes
-    its two coordinates equal.  The basis holds one 0/1 indicator per class
-    of equal coordinates that no equation forces to 0, ordered by the class's
-    largest coordinate -- the Gauss-Jordan kernel basis of the linear system.
     """
-    k = len(dims)
-    if k <= 1:
-        return []
-    maps = orbits.chain_slot_maps(segs, dims)
-    offs = [0]
-    for l in range(k - 1):
-        offs.append(offs[-1] + dims[l] * dims[l + 1])
-    parent = list(range(offs[-1]))
-
-    def find(t: int) -> int:
-        while parent[t] != t:
-            parent[t] = t = parent[parent[t]]
-        return t
-
-    forced = []
-    for g in range(k):
-        pre = {t: s for s, t in maps[g - 1].items()} if g else {}
-        nxt = maps[g] if g < k - 1 else {}
-        for a in range(dims[g]):
-            na = nxt.get(a)
-            for b in range(dims[g]):
-                pb = pre.get(b)
-                if pb is None:
-                    if na is not None:
-                        forced.append(offs[g] + na * dims[g] + b)
-                elif na is None:
-                    forced.append(offs[g - 1] + a * dims[g - 1] + pb)
-                else:
-                    left = find(offs[g - 1] + a * dims[g - 1] + pb)
-                    parent[left] = find(offs[g] + na * dims[g] + b)
-    zero = {find(t) for t in forced}
-    classes: dict[int, list[int]] = {}
-    for t in range(offs[-1]):
-        root = find(t)
-        if root not in zero:
-            classes.setdefault(root, []).append(t)
-    basis = []
-    for members in sorted(classes.values(), key=lambda members: members[-1]):
-        vec = [0] * offs[-1]
-        for t in members:
-            vec[t] = 1
-        basis.append(vec)
-    return basis
+    rows = (row for _, pair_rows in _strand_pairs(segs, dims) for row in pair_rows)
+    return sorted(rows, key=lambda row: row[-1])
 
 
 def _two_eig_conormal_basis(v: VoganVariety, rank: int) -> list[list[int]]:
@@ -285,8 +242,9 @@ def _combination(coeffs, supports, width: int) -> list:
     return out
 
 
-def _generic_key(basis, width: int, key_of, rng: random.Random) -> tuple[int, ...]:
-    """Generic value of ``key_of(vec, rank)`` over the span of ``basis``.
+def _generic_key(supports, width: int, key_of, rng: random.Random) -> tuple[int, ...]:
+    """Generic value of ``key_of(vec, rank)`` over the span of the basis with
+    :func:`_supports` ``supports``.
 
     ``key_of`` returns a tuple of ranks, each lower semicontinuous, so the
     generic key is the entrywise maximum over the span.  Seeded random
@@ -294,11 +252,10 @@ def _generic_key(basis, width: int, key_of, rng: random.Random) -> tuple[int, ..
     further samples confirm it, and after ``MAX_RETRIES`` samples the exact
     symbolic fallback decides.
     """
-    supports = _supports(basis)
     best: tuple[int, ...] | None = None
     confirmations = 0
     for _ in range(MAX_RETRIES):
-        coeffs = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in basis]
+        coeffs = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in supports]
         key = key_of(_combination(coeffs, supports, width), linalg.rank)
         if best is None:
             best = key
@@ -357,7 +314,7 @@ def _generic_chain_dual(
     if k <= 1:
         return segs
     key = _generic_key(
-        chain_conormal_basis(segs, dims),
+        [[(t, 1) for t in row] for row in chain_conormal_basis(segs, dims)],
         sum(dims[l] * dims[l + 1] for l in range(k - 1)),
         lambda vec, rank: _chain_rank_key(vec, dims, rank),
         rng,
@@ -401,7 +358,7 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
         return table.by_key[complement]
     n = v.n
     (dual_rank,) = _generic_key(
-        _two_eig_conormal_basis(v, orbit.rank),
+        _supports(_two_eig_conormal_basis(v, orbit.rank)),
         n * n,
         lambda vec, rank: (rank([vec[i * n : (i + 1) * n] for i in range(n)]),),
         rng,

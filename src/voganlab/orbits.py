@@ -94,34 +94,30 @@ def segments_of_rank_key(key: Sequence[int], dims: tuple[int, ...]) -> ChainSegs
     return tuple(segs)
 
 
-def chain_slot_maps(segs: ChainSegs, dims: tuple[int, ...]) -> list[dict[int, int]]:
-    """The arrows of the shift-operator sum as slot maps: on arrow l, source
-    slot -> target slot for each segment that crosses l -> l + 1.
-
-    Each segment is a strand of slots, one at every grade it covers, and
-    longer segments claim lower slot indices, so rank strata come out in
-    partial-identity normal form (e.g. diag(I_r, 0) on two grades).  A slot
-    carries one strand, so every map is a partial permutation.
-    """
+def chain_strands(segs: ChainSegs, dims: tuple[int, ...]) -> dict[Seg, list[tuple[int, ...]]]:
+    """Each segment copy [b, e] as a strand, its slots at the grades b .. e,
+    listed under its segment.  Longer segments claim lower slot indices, so
+    rank strata come out in partial-identity normal form (e.g. diag(I_r, 0)
+    on two grades), and a slot carries one strand."""
     slot_next = [0] * len(dims)
-    maps: list[dict[int, int]] = [{} for _ in dims[1:]]
+    strands: dict[Seg, list[tuple[int, ...]]] = {}
     for b, e in sorted(segs, key=lambda s: (s[0] - s[1], s[0])):
-        for l in range(b, e):
-            maps[l][slot_next[l]] = slot_next[l + 1]
+        strands.setdefault((b, e), []).append(tuple(slot_next[b : e + 1]))
         for i in range(b, e + 1):
             slot_next[i] += 1
     if slot_next != list(dims):
         raise InputError("segment coverage does not match chain dims")
-    return maps
+    return strands
 
 
 def chain_representative(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[list[int]]]:
-    """Arrow matrices (one per adjacent grade pair): the 0/1 matrices of
-    :func:`chain_slot_maps`."""
+    """Arrow matrices (one per adjacent grade pair): each strand of
+    :func:`chain_strands` maps its slot at l to its slot at l + 1."""
     arrows = [[[0] * dims[l] for _ in range(dims[l + 1])] for l in range(len(dims) - 1)]
-    for arrow, slot_map in zip(arrows, chain_slot_maps(segs, dims)):
-        for s, t in slot_map.items():
-            arrow[t][s] = 1
+    for (b, e), copies in chain_strands(segs, dims).items():
+        for slots in copies:
+            for l in range(b, e):
+                arrows[l][slots[l - b + 1]][slots[l - b]] = 1
     return arrows
 
 

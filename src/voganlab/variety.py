@@ -372,14 +372,17 @@ def variety_from_dict(doc: dict) -> VoganVariety:
         bad = [d for d in rc["dims"] if not isinstance(d, int) or isinstance(d, bool)]
         if bad:
             raise InputError(f"bad chain entry {rc!r}: dims must be integers, got {bad[0]!r}")
-        text = str(rc.get("offset", 0))
-        if "e" in text.lower():
-            # Fraction("1e99999999999999999999") would compute 10**exponent
-            raise InputError(f"bad chain entry {rc!r}: offset {text!r} has an exponent")
-        try:
-            offset = Fraction(text)
+        offset = rc.get("offset", 0)
+        if isinstance(offset, bool) or not isinstance(offset, (int, float, str)):
+            kind = type(offset).__name__
+            raise InputError(f"bad chain entry {rc!r}: offset is a {kind}, not a number or string")
+        text = str(offset)
+        try:  # numeric text with an exponent, which Fraction expands to 10**exponent, is a float
+            offset = float(text) if "e" in text.lower() else Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad chain entry {rc!r}: {exc}") from exc
+            raise InputError(f"bad chain entry {rc!r}: offset {text!r} is not a fraction") from exc
+        if isinstance(offset, float):
+            raise InputError(f"bad chain entry {rc!r}: offset {text!r} has an exponent")
         chain = Chain(offset, tuple(rc["dims"]))
         _check_total(chain.total, "bad chain entry")
         chains.append(chain)

@@ -4,7 +4,8 @@ action, the closure order and its covers on specs of two or three chains
 against the pairwise definition, smoothness and duals on such specs against
 the tangent and conormal oracles, the tangent oracle's count of strand pairs
 on such specs and on single chains of total 8-10 against the rank of its
-condition rows, and the bridge as an embedding of the closure order into
+condition rows (and, on the latter, at each orbit itself against its
+dimension and the size of its conormal basis), and the bridge as an embedding of the closure order into
 Bruhat order."""
 
 from fractions import Fraction
@@ -17,6 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from voganlab.bridge import multisegment_to_permutation  # noqa: E402
 from voganlab.geometry import (  # noqa: E402
+    _tangent_dim_below,
+    chain_conormal_basis,
     conormal_dual,
     is_smooth_closure,
     pyasetskii_dual,
@@ -126,7 +129,13 @@ larger_dims = (
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(larger_dims)
 def test_tangent_count_matches_the_rows_on_larger_chains(dims):
-    assert_tangent_count_matches_the_rows(chain_table(dims))
+    # at the orbit itself every strand-pair row counts: codim C rows, which
+    # are the conormal basis, and a tangent space of dimension dim C
+    table = chain_table(dims)
+    assert_tangent_count_matches_the_rows(table)
+    for c in table:
+        assert len(chain_conormal_basis(c.msegs[0], dims)) == c.variety.total_dim - c.dim
+        assert _tangent_dim_below(c, c) == c.dim
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

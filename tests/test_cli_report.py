@@ -207,6 +207,18 @@ def test_bad_spec_exits_2(tmp_path, capsys):
     assert "steinberg" in err
 
 
+# offsets of a wrong type or with non-numeric text, by their spec documents,
+# each with a fragment of the message it must exit with
+BAD_OFFSETS = {
+    json.dumps({"family": "gl", "chains": [{"dims": [2], "offset": offset}]}): message
+    for offset, message in [
+        (None, "offset is a NoneType, not a number or string"),
+        (True, "offset is a bool, not a number or string"),
+        ("one", "offset 'one' is not a fraction"),
+    ]
+}
+
+
 @pytest.mark.parametrize("doc", [
     {"family": "gl", "chains": 5},
     {"family": "gl", "chains": [5]},
@@ -232,6 +244,7 @@ def test_bad_spec_exits_2(tmp_path, capsys):
     {"family": "sp-dual", "kind": "chain", "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
     {"family": "gl", "kind": "chain", "n": 2, "chains": [{"dims": [2]}]},
     {"family": "gl", "kind": "steinberg", "n": 2, "chains": [{"offset": "-1/2", "dims": [1, 1]}]},
+    *map(json.loads, BAD_OFFSETS),
 ])
 def test_malformed_spec_shapes_exit_2(tmp_path, capsys, doc):
     spec = tmp_path / "bad.json"
@@ -241,6 +254,7 @@ def test_malformed_spec_shapes_exit_2(tmp_path, capsys, doc):
         assert code == 2, (command, doc)
         assert out == ""
         assert err.startswith("error: ")
+        assert BAD_OFFSETS.get(json.dumps(doc), "") in err
 
 
 def test_overlong_integer_in_spec_exits_2(tmp_path, capsys):

@@ -154,9 +154,9 @@ def test_stratum_cache_matches_uncached_point():
                 [[Fraction(e) for e in row] for row in m]
                 for m in chain_representative(d.msegs[0], dims)
             ]
-            before = geometry._stratum_rows.cache_info()
+            before = geometry._strand_pairs.cache_info()
             pairs = tangent_pairs_at(x, dims)
-            assert geometry._stratum_rows.cache_info() == before
+            assert geometry._strand_pairs.cache_info() == before
             for c in table:
                 if table.below[c.index] >> d.index & 1:
                     assert tangent_dim_at(c, d) == tangent_dim(pairs, c.msegs[0], dims), (
@@ -167,32 +167,41 @@ def test_stratum_cache_matches_uncached_point():
 
 
 def test_chain_tangent_route_runs_without_linear_algebra(chain_suite, monkeypatch):
+    # the tangent count and the conormal basis both read the strand pairs
     def refuse(*args):
         raise AssertionError("the chain tangent route called linalg")
 
     for name in ("rank", "nullspace", "left_nullspace"):
         monkeypatch.setattr(linalg, name, refuse)
-    geometry._stratum_rows.cache_clear()
-    for _dims, _v, table in chain_suite:
+    geometry._strand_pairs.cache_clear()
+    for dims, _v, table in chain_suite:
         for o in table:
             tangent_smooth_closure(o, table)
             for i in orbits._bits(table.below[o.index]):
                 tangent_dim_at(o, table[i])
+            geometry.chain_conormal_basis(o.msegs[0], dims)
 
 
 def test_stratum_cache_is_immutable():
     dims = (1, 2, 1)
     table = enumerate_orbits(gl_chain(dims))
     for d in table:
-        rows = geometry._stratum_rows(d.msegs[0], len(dims))
-        assert isinstance(rows, tuple)
-        for weight, positions in rows:
-            assert type(weight) is int
+        entries = geometry._strand_pairs(d.msegs[0], dims)
+        assert isinstance(entries, tuple)
+        for positions, rows in entries:
             assert isinstance(positions, tuple)
+            assert isinstance(rows, tuple)
+            assert all(isinstance(row, tuple) for row in rows)
+            assert all(type(t) is int for p in (positions, *rows) for t in p)
 
 
 # ---------------------------------------------------------------------------
 # conormal spaces
+
+
+def dense(rows, width):
+    """The 0/1 vectors of length ``width`` with the supports ``rows``."""
+    return [[int(t in row) for t in range(width)] for row in rows]
 
 
 def conormal_basis(o):
@@ -201,7 +210,7 @@ def conormal_basis(o):
     v = o.variety
     if v.kind == "chain":
         (segs,), (chain,) = o.msegs, v.chains
-        return geometry.chain_conormal_basis(segs, chain.dims)
+        return dense(geometry.chain_conormal_basis(segs, chain.dims), v.total_dim)
     return geometry._two_eig_conormal_basis(v, o.rank)
 
 
@@ -235,18 +244,21 @@ def test_conormal_of_two_grade_line():
     assert len(conormal_basis(zero)) == 1
 
 
-def test_conormal_bases_fix_the_seeded_draws(chain_suite):
-    # conormal_dual combines these basis vectors with seeded integers: the
-    # chain basis is exactly the Gauss-Jordan kernel of the commutator, so
-    # the drawn covectors are those drawn over Q
-    for dims, _v, table in chain_suite:
-        for o in table:
+def test_conormal_bases_fix_the_seeded_draws():
+    # conormal_dual combines these basis vectors with seeded integers: on
+    # every chain of total <= 7 the chain basis is exactly the Gauss-Jordan
+    # kernel of the commutator, so the drawn covectors are those drawn over Q
+    checked = 0
+    for dims in dim_vectors(7, 7):
+        for o in enumerate_orbits(gl_chain(dims)):
             segs = o.msegs[0]
+            basis = conormal_basis(o)
             if len(dims) > 1:
                 action = commutator_matrix(chain_representative(segs, dims), dims)
-                reference = reference_nullspace(linalg.transpose(action))
-                assert geometry.chain_conormal_basis(segs, dims) == reference, (dims, segs)
-            assert all(type(x) is int for vec in conormal_basis(o) for x in vec)
+                assert basis == reference_nullspace(linalg.transpose(action)), (dims, segs)
+            assert all(type(x) is int for vec in basis for x in vec)
+            checked += 1
+    assert checked == 1472
     for family in ("sp-dual", "so-even"):
         v = two_eigenvalue_variety(family, 4)
         for o in enumerate_orbits(v):

@@ -1,9 +1,13 @@
 """The size ladder (bench/ladder.py): its cases name varieties that the CLI
-accepts, its summaries read the right rows, and with a parent tree its runs
-alternate between the two trees."""
+accepts, its summaries read the right rows, and with a parent tree, which
+must be the top directory of a git checkout, its runs alternate between the
+two trees."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from voganlab import cli
 from voganlab.variety import VoganVariety
@@ -78,3 +82,33 @@ def test_a_timeout_ends_only_that_trees_runs(tmp_path):
     assert there == {"wall_s": None, "timed_out": True, "exit": None, "report_bytes": None}
     (alone,) = ladder.run_case(["verify"], tmp_path, [parent], run)
     assert alone["timed_out"] and calls[-1] == parent
+
+
+def test_parent_must_be_the_top_of_a_checkout(tmp_path, monkeypatch, capsys):
+    # refused before any compiling or timing: a plain export has no commit,
+    # and a directory inside another checkout would record that one's HEAD
+    ladder = load_ladder()
+
+    class Started(Exception):
+        pass
+
+    def start(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(ladder.compileall, "compile_dir", start)
+    monkeypatch.setattr(ladder, "run_case", start)
+    out = tmp_path / "BENCH_1.json"
+    export = tmp_path / "export"
+    (export / "src" / "voganlab").mkdir(parents=True)
+    checkout = tmp_path / "checkout"
+    (checkout / "inner" / "src" / "voganlab").mkdir(parents=True)
+    (checkout / "src" / "voganlab").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(checkout)], check=True)
+    for parent in (export, checkout / "inner"):
+        with pytest.raises(SystemExit) as exc:
+            ladder.main(["--out", str(out), "--parent", str(parent)])
+        assert exc.value.code == 2
+        assert "is not the top directory of a git checkout" in capsys.readouterr().err
+    with pytest.raises(Started):
+        ladder.main(["--out", str(out), "--parent", str(checkout)])
+    assert not out.exists()

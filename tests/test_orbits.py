@@ -10,7 +10,7 @@ from voganlab.orbits import (
     chain_multisegments,
     chain_orbit_dim,
     chain_representative,
-    chain_slot_maps,
+    chain_strands,
     closure_below,
     closure_leq,
     enumerate_orbits,
@@ -158,34 +158,34 @@ def test_open_line_representative_has_unit_arrows():
     assert arrows == [[[1]], [[1]]]
 
 
-def test_representative_is_the_dense_form_of_the_slot_maps():
-    # every multisegment of total <= 7: each slot map is a partial
-    # permutation with one entry per segment crossing its arrow, and the
-    # representative holds a 1 exactly at each (target, source) pair
+def test_representative_is_the_dense_form_of_the_strands():
+    # every multisegment of total <= 7: the strands of the segment copies
+    # partition the slots of every grade, and the representative holds a 1
+    # exactly where a strand steps from its slot at l to its slot at l + 1
     checked = 0
     for dims in dim_vectors(7, 7):
         for segs in chain_multisegments(dims):
-            maps = chain_slot_maps(segs, dims)
-            assert len(maps) == len(dims) - 1
-            dense = []
-            for l, slot_map in enumerate(maps):
-                assert set(slot_map) <= set(range(dims[l]))
-                assert set(slot_map.values()) <= set(range(dims[l + 1]))
-                assert len(set(slot_map.values())) == len(slot_map)
-                assert len(slot_map) == sum(b <= l < e for b, e in segs)
-                dense.append([
-                    [int(slot_map.get(s) == t) for s in range(dims[l])]
-                    for t in range(dims[l + 1])
-                ])
+            strands = chain_strands(segs, dims)
+            assert sorted(seg for seg, copies in strands.items() for _ in copies) == sorted(segs)
+            slots = [[] for _ in dims]
+            dense = [[[0] * dims[l] for _ in range(dims[l + 1])] for l in range(len(dims) - 1)]
+            for (b, e), copies in strands.items():
+                for strand in copies:
+                    assert len(strand) == e - b + 1
+                    for i, slot in enumerate(strand, b):
+                        slots[i].append(slot)
+                    for l in range(b, e):
+                        dense[l][strand[l + 1 - b]][strand[l - b]] = 1
+            assert all(sorted(at) == list(range(d)) for at, d in zip(slots, dims)), (dims, segs)
             assert chain_representative(segs, dims) == dense, (dims, segs)
             checked += 1
     assert checked == 1472
 
 
-def test_slot_maps_refuse_a_coverage_mismatch():
+def test_strands_refuse_a_coverage_mismatch():
     for segs, dims in [(((0, 1),), (1, 2)), (((0, 0), (0, 0)), (1,)), ((), (1,))]:
         with pytest.raises(InputError):
-            chain_slot_maps(segs, dims)
+            chain_strands(segs, dims)
         with pytest.raises(InputError):
             chain_representative(segs, dims)
 
