@@ -75,6 +75,7 @@ CASES = [
     ("verify gl", "verify gl (2,2,2,2,2,2)", "verify", {"dims": [2, 2, 2, 2, 2, 2]}),
     ("verify gl", "verify gl (1,2,3,3,2,1)", "verify", {"dims": [1, 2, 3, 3, 2, 1]}),
     ("verify gl", "verify gl (2,2,2,2,2,2,2)", "verify", {"dims": [2, 2, 2, 2, 2, 2, 2]}),
+    ("verify gl", "verify gl steinberg 13", "verify", ["--family", "gl", "--steinberg", "13"]),
     ("verify sp-dual steinberg", "verify sp-dual steinberg 6", "verify",
      ["--family", "sp-dual", "--steinberg", "6"]),
     ("verify sp-dual steinberg", "verify sp-dual steinberg 8", "verify",

@@ -17,9 +17,11 @@ A two-eigenvalue closure (a determinantal variety of (anti)symmetric
 matrices) is smooth iff its orbit is open or closed, and a Steinberg closure
 is a coordinate subspace, always smooth.
 
-The oracle, :func:`tangent_smooth_closure`, compares scheme tangent spaces
-with the orbit dimension at every stratum.  The closure of a chain orbit C
-is cut out by the conditions rank(composite arrow map i -> j) <= r_C[i][j]
+The oracle, :func:`tangent_smooth_closure`, compares the scheme tangent
+space at 0, the closed orbit, with dim C: tangent dimension is upper
+semicontinuous and the scalings contract the closure to 0, so dim T_0 >=
+dim T_x at every point x.  The closure of a chain orbit C is cut out by
+the conditions rank(composite arrow map i -> j) <= r_C[i][j]
 (Abeasis-Del Fra-Kraft 1981); these rank conditions generate a radical
 ideal (a classical fact for equioriented type-A loci, and for the
 (anti)symmetric determinantal loci of the two-eigenvalue shapes), so the
@@ -30,7 +32,10 @@ contributes the conditions
 
 exactly when the rank of c at x equals the bound r_C[i][j]; pairs where the
 rank at x is strictly smaller contribute nothing at first order (their minors
-vanish to order >= 2).  Every stratum D <= C is scanned.
+vanish to order >= 2).  At 0 only the arrows with r_C(l, l+1) = 0 give
+conditions: the oracle is the span formula above, through condition rows.
+:func:`tangent_dim_at` at the other strata D <= C decides whether cl(C) is
+smooth along D (on chains, m[D][C] = 1); no ``verify`` row checks that yet.
 
 Strand pairs.  At the representative x_D of a chain stratum
 (:func:`orbits.chain_strands`) every segment copy f = [b_f, e_f] of D is a
@@ -124,11 +129,6 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
     """Dimension of the scheme tangent space to the closure of c at x_d."""
     if not orbits.closure_leq(d, c):
         raise InputError("tangent_dim_at requires d <= c in the closure order")
-    return _tangent_dim_below(c, d)
-
-
-def _tangent_dim_below(c: OrbitRecord, d: OrbitRecord) -> int:
-    """:func:`tangent_dim_at` for a pair d <= c taken from the closure order."""
     v = c.variety
     if v.kind == "steinberg":
         return c.dim  # closures are coordinate subspaces
@@ -186,9 +186,9 @@ def is_smooth_closure(c: OrbitRecord) -> bool:
 
 
 def tangent_smooth_closure(c: OrbitRecord, table: OrbitTable) -> bool:
-    """Oracle for :func:`is_smooth_closure`: tangent dim = dim c at every
-    stratum of the closure, the strata d <= c read from ``table.below``."""
-    return all(_tangent_dim_below(c, table[i]) == c.dim for i in orbits._bits(table.below[c.index]))
+    """Oracle for :func:`is_smooth_closure`: tangent dim = dim c at the cone
+    point, the closed orbit ``table[0]`` (ids sort by dimension)."""
+    return tangent_dim_at(c, table[0]) == c.dim
 
 
 # ---------------------------------------------------------------------------

@@ -196,11 +196,10 @@ class RootDatum(namedtuple("RootDatum", "rank family roots center_generators")):
                     )
         return super().__new__(cls, rank, family, roots, center_generators)
 
-    def root_subset(self, indices) -> list[tuple[int, ...]]:
-        try:
-            return [self.roots[i] for i in indices]
-        except IndexError:
-            raise InputError(f"root index out of range (have {len(self.roots)} roots)") from None
+    def root_subset(self, indices: list[int]) -> list[tuple[int, ...]]:
+        if not all(0 <= i < len(self.roots) for i in indices):
+            raise InputError(f"root index out of range (have {len(self.roots)} roots)")
+        return [self.roots[i] for i in indices]
 
 
 def _snf_for_subset(rd: RootDatum, subset) -> tuple[IntMat, list[int]]:

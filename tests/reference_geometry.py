@@ -1,9 +1,11 @@
 """The tangent oracle's condition rows at an arbitrary point of a chain, and
 the tangent dimension as their rank, by exact linear algebra: the reference
 for the chain tangent route of ``voganlab.geometry``, which counts the
-independent rows of pairs of strands of a 0/1 representative."""
+independent rows of pairs of strands of a 0/1 representative.  Also the
+smoothness test at every stratum of a closure, the reference for the
+oracle that reads the cone point alone."""
 
-from voganlab import linalg, orbits
+from voganlab import geometry, linalg, orbits
 
 
 def sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
@@ -68,3 +70,13 @@ def tangent_dim(pairs: tuple, segs_c, dims: tuple[int, ...]) -> int:
     rows = list(dict.fromkeys(row for pair_rows in live for row in pair_rows))
     arrow_dim = sum(dims[i] * dims[i + 1] for i in range(len(dims) - 1))
     return arrow_dim - (linalg.rank(rows) if rows else 0)
+
+
+def tangent_smooth_closure_scan(c, table) -> bool:
+    """Tangent dimension = dim c at every stratum d <= c of the closure, the
+    strata read from ``table.below``: smoothness with no appeal to the cone
+    argument of :func:`voganlab.geometry.tangent_smooth_closure`."""
+    return all(
+        geometry.tangent_dim_at(c, table[i]) == c.dim
+        for i in orbits._bits(table.below[c.index])
+    )

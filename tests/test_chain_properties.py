@@ -18,7 +18,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from voganlab.bridge import multisegment_to_permutation  # noqa: E402
 from voganlab.geometry import (  # noqa: E402
-    _tangent_dim_below,
     chain_conormal_basis,
     conormal_dual,
     is_smooth_closure,
@@ -29,7 +28,11 @@ from voganlab.geometry import (  # noqa: E402
 from voganlab.orbits import closure_below, enumerate_orbits, hasse, representative  # noqa: E402
 from voganlab.variety import Chain, build_variety  # noqa: E402
 
-from reference_geometry import tangent_dim, tangent_pairs_at  # noqa: E402
+from reference_geometry import (  # noqa: E402
+    tangent_dim,
+    tangent_pairs_at,
+    tangent_smooth_closure_scan,
+)
 from reference_kl import bruhat_leq  # noqa: E402
 from reference_orbits import (  # noqa: E402
     commutator_orbit_dim,
@@ -113,7 +116,9 @@ def test_geometry_closed_forms_match_the_oracles_on_multi_chain_specs(chains):
     # offsets, and the tangent oracle's count against its condition rows
     table = multi_chain_table(chains)
     for o in table:
-        assert tangent_smooth_closure(o, table) == is_smooth_closure(o), o.msegs
+        smooth = is_smooth_closure(o)
+        assert tangent_smooth_closure(o, table) == smooth, o.msegs
+        assert tangent_smooth_closure_scan(o, table) == smooth, o.msegs
         assert conormal_dual(o, 0, table) == pyasetskii_dual(o, table), o.msegs
     assert_tangent_count_matches_the_rows(table)
 
@@ -135,7 +140,7 @@ def test_tangent_count_matches_the_rows_on_larger_chains(dims):
     assert_tangent_count_matches_the_rows(table)
     for c in table:
         assert len(chain_conormal_basis(c.msegs[0], dims)) == c.variety.total_dim - c.dim
-        assert _tangent_dim_below(c, c) == c.dim
+        assert tangent_dim_at(c, c) == c.dim
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

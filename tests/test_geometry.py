@@ -19,7 +19,7 @@ from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
 from conftest import dim_vectors
-from reference_geometry import tangent_dim, tangent_pairs_at
+from reference_geometry import tangent_dim, tangent_pairs_at, tangent_smooth_closure_scan
 from reference_linalg import reference_nullspace, reference_rref
 from reference_orbits import commutator_matrix
 
@@ -87,15 +87,37 @@ def classical_shapes(max_n=6):
 
 
 def test_smoothness_closed_form_matches_tangent_scan(chain_suite):
+    # the closed form, the tangent space at the cone point and the tangent
+    # spaces at every stratum give one verdict
     tables = [table for _dims, _v, table in chain_suite]
-    tables += [enumerate_orbits(v) for v in classical_shapes()]
+    tables += [enumerate_orbits(v) for v in classical_shapes(8)]
     checked = 0
     for table in tables:
         for o in table:
-            assert is_smooth_closure(o) == tangent_smooth_closure(o, table), (
-                o.variety.describe(), o.label())
+            smooth = is_smooth_closure(o)
+            assert smooth == tangent_smooth_closure(o, table) == tangent_smooth_closure_scan(
+                o, table), (o.variety.describe(), o.label())
             checked += 1
-    assert checked == 917
+    assert checked == 2304
+
+
+def test_smoothness_oracle_reads_the_closed_orbit_once(chain_suite, monkeypatch):
+    # the cone argument: one tangent evaluation per orbit, at the closed orbit
+    calls = []
+
+    def recording(c, d):
+        calls.append((c, d))
+        return tangent_dim_at(c, d)
+
+    monkeypatch.setattr(geometry, "tangent_dim_at", recording)
+    tables = [table for _dims, _v, table in chain_suite]
+    tables += [enumerate_orbits(v) for v in classical_shapes()]
+    for table in tables:
+        assert table[0].is_closed and table[0].dim == 0
+        for o in table:
+            calls.clear()
+            tangent_smooth_closure(o, table)
+            assert calls == [(o, table[0])], (o.variety.describe(), o.label())
 
 
 def test_tangent_requires_closure_relation():

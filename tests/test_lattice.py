@@ -190,6 +190,11 @@ def test_root_index_out_of_range():
     rd = builtin_root_datum("GL", 3)
     with pytest.raises(InputError):
         stabilizer_component_group(rd, [5])
+    # -1 is refused, not read as the last root (whose group here is Z/2)
+    rd = builtin_root_datum("Sp_dual_of_SO_odd", 3)
+    for route in (stabilizer_component_group, center_image):
+        with pytest.raises(InputError):
+            route(rd, [-1])
 
 
 def test_center_generator_must_pair_integrally():
