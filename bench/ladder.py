@@ -54,8 +54,9 @@ TIMEOUT_S = 60  # seconds per run
 
 # (family, name, command, flags); a "dims" entry in place of flags is a gl
 # chain at offset 0, passed as a --spec file.  Families are ladders of
-# growing orbit count.  The list holds the baseline table of ROADMAP.md and
-# rungs between and above its two verify rows.
+# growing orbit count.  The list holds the baseline table of ROADMAP.md,
+# rungs between and above its two verify rows, and two-eigenvalue verify
+# rungs, whose n + 1 orbits each cost the oracles O(n^2) coordinates.
 CASES = [
     ("analyze gl", "analyze gl two-eig 2", "analyze", ["--family", "gl", "--two-eig", "2"]),
     ("analyze gl", "analyze gl (2,2,2)", "analyze", {"dims": [2, 2, 2]}),
@@ -84,6 +85,12 @@ CASES = [
      ["--family", "sp-dual", "--steinberg", "10"]),
     ("verify sp-dual steinberg", "verify sp-dual steinberg 12", "verify",
      ["--family", "sp-dual", "--steinberg", "12"]),
+    ("verify sp-dual two-eig", "verify sp-dual two-eig 12", "verify",
+     ["--family", "sp-dual", "--two-eig", "12"]),
+    ("verify sp-dual two-eig", "verify sp-dual two-eig 16", "verify",
+     ["--family", "sp-dual", "--two-eig", "16"]),
+    ("verify sp-dual two-eig", "verify sp-dual two-eig 24", "verify",
+     ["--family", "sp-dual", "--two-eig", "24"]),
 ]
 
 COUNT_ORBITS = (

@@ -37,7 +37,7 @@ conditions: the oracle is the span formula above, through condition rows.
 :func:`tangent_dim_at` at the other strata D <= C decides whether cl(C) is
 smooth along D (on chains, m[D][C] = 1); no ``verify`` row checks that yet.
 
-Strand pairs.  At the representative x_D of a chain stratum
+Condition rows.  At the representative x_D of a chain stratum
 (:func:`orbits.chain_strands`) every segment copy f = [b_f, e_f] of D is a
 strand of slots, one per grade it covers.  The kernel of the composite
 i -> j is spanned by the slots at i of the strands that end before j, its
@@ -52,9 +52,13 @@ disjoint supports, and dim T_{x_D} cl(C) = dim V - #counting rows, with no
 elimination.  At D = C every row counts: the codim C rows span the
 annihilator of T_{x_C} C, the conormal fibre { xi : [x_C, xi] = 0 }, and
 ordered by their last coordinate they are its Gauss-Jordan kernel basis over
-Q (:func:`chain_conormal_basis`).  The tests' references build the rows and
-the commutator at x_C by linear algebra and take a rank and a kernel
-(``tests/reference_geometry.py``, ``tests/reference_orbits.py``).
+Q (:func:`chain_conormal_basis`).  At the rank-r two-eigenvalue normal form
+ker = coker = span(e_r .. e_{n-1}), so the rows are the basis matrices of V
+vanishing in their first r rows (:func:`_kernel_block`), counted when
+rank D = rank C; at D = C they are the conormal basis { Xi : x Xi = 0 }.
+The tests' references build the rows and the commutator by linear algebra
+and take a rank and a kernel (``tests/reference_geometry.py``,
+``tests/reference_orbits.py``).
 
 Duality.  V* is the opposite-orientation variety; its orbits are labelled by
 multisegments on the same grid (a segment [b, e] is a strand descending from
@@ -71,10 +75,9 @@ n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  The oracle,
 the conormal space with one sampler for chains and two-eigenvalue shapes:
 seeded random covectors with verification retries, then one exact symbolic
 fallback (ranks over the rational function field), which the tests force.
-The basis is the Gauss-Jordan kernel basis over Q times one common positive
-integer (1 on chains, whose basis is the strand-pair rows at x_C), so each
-seeded covector is that integer times the covector drawn over Q, with the
-same ranks.
+The basis is the rows at the orbit itself on both shapes (strand pairs,
+kernel block), which is the Gauss-Jordan kernel basis over Q, so each seeded
+covector is the covector drawn over Q.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -125,6 +128,19 @@ def _strand_pairs(segs: ChainSegs, dims: tuple[int, ...]) -> tuple[tuple[tuple, 
     )
 
 
+@lru_cache(maxsize=None)
+def _kernel_block(v: VoganVariety, rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The basis matrices of ``v.subspace_basis()`` that vanish in their
+    first ``rank`` rows (first position >= rank * n), as the (position,
+    entry) pairs of their nonzero entries in the n x n layout, row by row."""
+    if rank:
+        return tuple(m for m in _kernel_block(v, 0) if m[0][0] >= rank * v.n)
+    return tuple(
+        tuple((t, x) for t, x in enumerate(e for row in bm for e in row) if x)
+        for bm in v.subspace_basis()
+    )
+
+
 def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
     """Dimension of the scheme tangent space to the closure of c at x_d."""
     if not orbits.closure_leq(d, c):
@@ -133,7 +149,8 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
     if v.kind == "steinberg":
         return c.dim  # closures are coordinate subspaces
     if v.kind == "two_eigenvalue":
-        return _two_eig_tangent(c, d)
+        # below the rank bound all first-order minor (or pfaffian) data vanish
+        return v.total_dim - (len(_kernel_block(v, d.rank)) if d.rank == c.rank else 0)
     rows = 0
     for segs_c, segs_d, chain in zip(c.msegs, d.msegs, v.chains):
         bounds = orbits.rank_key(segs_c, chain.length)
@@ -144,29 +161,6 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
             if any(ranks[p] == bounds[p] for p in positions)
         )
     return v.total_dim - rows
-
-
-def _two_eig_tangent(c: OrbitRecord, d: OrbitRecord) -> int:
-    v = c.variety
-    if d.rank != c.rank:
-        # below the rank bound all first-order minor (or pfaffian) data vanishes
-        return v.total_dim
-    x = orbits.two_eig_representative(v, d.rank)
-    ker = linalg.nullspace(x)
-    cok = linalg.left_nullspace(x)
-    if not ker or not cok:
-        return v.total_dim
-    cond_cols = []
-    for bm in v.subspace_basis():
-        bt = linalg.transpose(bm)
-        col = []
-        for p in cok:
-            pb = linalg.matvec(bt, p)
-            for kv in ker:
-                col.append(sum(a * b for a, b in zip(pb, kv)))
-        cond_cols.append(col)
-    sys_rows = linalg.transpose(cond_cols)
-    return v.total_dim - (linalg.rank(sys_rows) if sys_rows else 0)
 
 
 def is_smooth_closure(c: OrbitRecord) -> bool:
@@ -208,43 +202,23 @@ def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[tuple[i
     return sorted(rows, key=lambda row: row[-1])
 
 
-def _two_eig_conormal_basis(v: VoganVariety, rank: int) -> list[list[int]]:
-    """Integer basis of { Xi of the same symmetry type : x Xi = 0 }, each
-    matrix Xi flattened row by row.
-
-    For both symmetry types the trace pairing reduces the annihilator of the
-    tangent space to the single matrix equation x Xi = 0.
-    """
-    x = orbits.two_eig_representative(v, rank)
-    mats = v.subspace_basis()
-    rows = [[e for row in linalg.matmul(x, bm) for e in row] for bm in mats]
-    flat = _supports([e for row in bm for e in row] for bm in mats)
-    return [_combination(coeffs, flat, v.n * v.n) for coeffs in linalg.left_nullspace(rows)]
-
-
 # ---------------------------------------------------------------------------
 # duality: closed forms, and the generic conormal covector as oracle
 
 
-def _supports(basis) -> list[list[tuple[int, int]]]:
-    """The (position, entry) pairs of the nonzero entries of each vector."""
-    return [[(t, x) for t, x in enumerate(bv) if x] for bv in basis]
-
-
 def _combination(coeffs, supports, width: int) -> list:
     """sum of coeffs[i] * basis[i], as a vector of length ``width``, from the
-    :func:`_supports` of the basis; each entry adds its nonzero terms in basis
-    order (one at most for a chain basis, whose supports are disjoint)."""
+    (position, entry) supports of the basis, disjoint on both shapes."""
     out = [0] * width
     for c, support in zip(coeffs, supports):
         for t, x in support:
-            out[t] += c * x
+            out[t] = c * x
     return out
 
 
 def _generic_key(supports, width: int, key_of, rng: random.Random) -> tuple[int, ...]:
     """Generic value of ``key_of(vec, rank)`` over the span of the basis with
-    :func:`_supports` ``supports``.
+    (position, entry) supports ``supports``.
 
     ``key_of`` returns a tuple of ranks, each lower semicontinuous, so the
     generic key is the entrywise maximum over the span.  Seeded random
@@ -271,8 +245,8 @@ def _generic_key(supports, width: int, key_of, rng: random.Random) -> tuple[int,
 
 def _symbolic_chain_dual(supports, width: int, key_of) -> tuple[int, ...]:
     """Exact generic key: ``key_of`` at the generic point of the span of the
-    basis with :func:`_supports` ``supports``, with ranks over the rational
-    function field (serves every shape, not only chains)."""
+    basis with (position, entry) supports ``supports``, with ranks over the
+    rational function field (serves every shape, not only chains)."""
     import sympy
 
     ts = sympy.symbols(f"t0:{len(supports)}")
@@ -358,7 +332,7 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
         return table.by_key[complement]
     n = v.n
     (dual_rank,) = _generic_key(
-        _supports(_two_eig_conormal_basis(v, orbit.rank)),
+        _kernel_block(v, orbit.rank),
         n * n,
         lambda vec, rank: (rank([vec[i * n : (i + 1) * n] for i in range(n)]),),
         rng,

@@ -14,13 +14,15 @@ which leaves the row space unchanged).  Rows are combined fraction-free
 the integers stay small.  A row's pivot is its lowest column: each row in
 turn is reduced by the pivot rows until its lowest column holds no pivot,
 and then becomes a pivot row itself (or vanishes).
-:func:`rank` needs only this forward pass.  :func:`nullspace` and
-:func:`left_nullspace` back-substitute to the reduced echelon form, which is
-unique, and return the kernel basis of Gauss-Jordan elimination over Q times
-one common positive integer (so any combination of the basis vectors is that
-integer times the same combination over Q, with the same ranks).  The tests
-check them against plain Gauss-Jordan elimination on Fractions
-(``tests/reference_linalg.py``).
+:func:`rank` needs only this forward pass.  :func:`nullspace`
+back-substitutes to the reduced echelon form, which is unique, and returns
+the kernel basis of Gauss-Jordan elimination over Q times one common
+positive integer (so any combination of the basis vectors is that integer
+times the same combination over Q, with the same ranks).  The tests check
+both against plain Gauss-Jordan elimination on Fractions
+(``tests/reference_linalg.py``).  The package calls only :func:`rank` and
+:func:`matmul`; :func:`nullspace` serves the tests' references and stays
+while ``perfbench/tracing.py`` counts its calls by name.
 """
 
 from __future__ import annotations
@@ -46,16 +48,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                     if brow[j]:
                         orow[j] += aik * brow[j]
     return out
-
-
-def matvec(a: Matrix, v: list) -> list:
-    return [sum(aij * vj for aij, vj in zip(row, v) if aij and vj) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def _primitive(row: Row) -> Row:
@@ -133,7 +125,3 @@ def nullspace(m) -> list[list[int]]:
             if fc != pc:
                 basis[fc][pc] = -x * scale
     return list(basis.values())
-
-
-def left_nullspace(m) -> list[list[int]]:
-    return nullspace(transpose(m))

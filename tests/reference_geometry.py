@@ -1,11 +1,15 @@
 """The tangent oracle's condition rows at an arbitrary point of a chain, and
 the tangent dimension as their rank, by exact linear algebra: the reference
 for the chain tangent route of ``voganlab.geometry``, which counts the
-independent rows of pairs of strands of a 0/1 representative.  Also the
+independent rows of pairs of strands of a 0/1 representative.  The same
+for the two-eigenvalue shapes at their normal forms, whose tangent count and
+conormal basis ``voganlab.geometry`` reads off the kernel block.  Also the
 smoothness test at every stratum of a closure, the reference for the
 oracle that reads the cone point alone."""
 
 from voganlab import geometry, linalg, orbits
+
+from reference_linalg import left_nullspace, matvec, transpose
 
 
 def sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
@@ -18,20 +22,20 @@ def sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
         c = linalg.matmul(a, c)
     ker = linalg.nullspace(c)
     rank = dims[0] - len(ker)  # rank-nullity
-    cok = linalg.left_nullspace(c) if ker else []
+    cok = left_nullspace(c) if ker else []
     # the factors of dc(v) on arrow l: (first -> l) . ker and coker . (l+1 -> last)
     rights = []
     for kv in ker:
         right = [kv]
         for a in arrows[:-1]:
-            right.append(linalg.matvec(a, right[-1]))
+            right.append(matvec(a, right[-1]))
         rights.append(right)
-    transposes = [linalg.transpose(a) for a in arrows[1:]]
+    transposes = [transpose(a) for a in arrows[1:]]
     rows: dict[tuple, None] = {}
     for p in cok:
         left = [p]
         for at in reversed(transposes):
-            left.append(linalg.matvec(at, left[-1]))
+            left.append(matvec(at, left[-1]))
         left.reverse()
         for right in rights:
             row = tuple(s * t for lv, rv in zip(left, right) for s in lv for t in rv)
@@ -80,3 +84,47 @@ def tangent_smooth_closure_scan(c, table) -> bool:
         geometry.tangent_dim_at(c, table[i]) == c.dim
         for i in orbits._bits(table.below[c.index])
     )
+
+
+def two_eig_tangent_dim(c, d) -> int:
+    """Tangent dimension of the closure of the two-eigenvalue orbit c at the
+    normal form of d <= c, as the rank of the conditions
+    coker(x) . dv . ker(x) = 0 on the basis matrices dv of V."""
+    v = c.variety
+    if d.rank != c.rank:
+        # below the rank bound all first-order minor (or pfaffian) data vanish
+        return v.total_dim
+    x = orbits.two_eig_representative(v, d.rank)
+    ker = linalg.nullspace(x)
+    cok = left_nullspace(x)
+    if not ker or not cok:
+        return v.total_dim
+    cond_cols = []
+    for bm in v.subspace_basis():
+        bt = transpose(bm)
+        col = []
+        for p in cok:
+            pb = matvec(bt, p)
+            for kv in ker:
+                col.append(sum(a * b for a, b in zip(pb, kv)))
+        cond_cols.append(col)
+    sys_rows = transpose(cond_cols)
+    return v.total_dim - (linalg.rank(sys_rows) if sys_rows else 0)
+
+
+def two_eig_conormal_basis(v, rank: int) -> list[list[int]]:
+    """Integer basis of { Xi of the same symmetry type : x Xi = 0 } at the
+    normal form x of rank ``rank``, each matrix Xi flattened row by row: the
+    integer left kernel of the products x B over the basis matrices B of V.
+
+    For both symmetry types the trace pairing reduces the annihilator of the
+    tangent space to the single matrix equation x Xi = 0.
+    """
+    x = orbits.two_eig_representative(v, rank)
+    mats = v.subspace_basis()
+    rows = [[e for row in linalg.matmul(x, bm) for e in row] for bm in mats]
+    flat = [[e for row in bm for e in row] for bm in mats]
+    return [
+        [sum(c * vec[t] for c, vec in zip(coeffs, flat)) for t in range(v.n * v.n)]
+        for coeffs in left_nullspace(rows)
+    ]

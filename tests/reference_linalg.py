@@ -1,7 +1,26 @@
 """Plain Gauss-Jordan elimination over Q, the reference for the integer
-kernels of ``voganlab.linalg``."""
+kernels of ``voganlab.linalg``, and the matrix helpers that the other
+references build their condition rows and commutators with: transposes,
+matrix-vector products and left kernels (the integer kernel of the
+transpose)."""
 
 from fractions import Fraction
+
+from voganlab import linalg
+
+
+def transpose(a):
+    if not a:
+        return []
+    return [list(col) for col in zip(*a)]
+
+
+def matvec(a, v) -> list:
+    return [sum(aij * vj for aij, vj in zip(row, v) if aij and vj) for row in a]
+
+
+def left_nullspace(m) -> list[list[int]]:
+    return linalg.nullspace(transpose(m))
 
 
 def reference_rref(m):

@@ -11,6 +11,8 @@ from voganlab import linalg, orbits
 from voganlab.orbits import ChainSegs, OrbitTable, closure_leq
 from voganlab.variety import VoganVariety
 
+from reference_linalg import transpose
+
 
 def commutator_matrix(arrows: list[list[list[int]]], dims: tuple[int, ...]):
     """Matrix of A -> [A, x] from the symmetry Lie algebra to the chain space."""
@@ -71,7 +73,7 @@ def two_eig_action_matrix(v: VoganVariety, x) -> list[list]:
             for i in range(n):
                 img[i][a] += x[i][b]
             cols.append(two_eig_coords(v, img))
-    return linalg.transpose(cols)
+    return transpose(cols)
 
 
 def two_eig_orbit_dim(v: VoganVariety, rank: int) -> int:

@@ -25,6 +25,7 @@ from voganlab.arthur import brute_force_arthur, is_arthur_type
 from voganlab.bridge import multiplicity_matrix, rationally_smooth
 from voganlab.cli import main
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
+from voganlab.errors import InputError
 from voganlab.geometry import conormal_dual, is_smooth_closure, mw_involution, pyasetskii_dual
 from voganlab.lattice import builtin_root_datum, center_image, stabilizer_component_group
 from voganlab.orbits import closure_leq, enumerate_orbits, gl_shadow
@@ -216,3 +217,36 @@ def test_criterion_10_determinism(capsys):
     second = capsys.readouterr().out
     ok = first == second and json.loads(first)["seed"] == 0
     report("10 (byte-identical reports for identical spec and seed)", ok)
+
+
+def test_criterion_11_abv_support_bound_on_classical_shapes():
+    # the ABV packet of C lies in B(C) = {D : C <= D and dual C <= dual D}
+    # (Cunningham-Fiori-Moussaoui-Mracek-Xu, with Evens-Mirkovic on the
+    # Fourier transform); the reported duals reverse the closure order on
+    # the Steinberg and two-eigenvalue shapes, so B(C) = {C} there and every
+    # ABV packet is a singleton by the support bound alone
+    t0 = time.time()
+    checked = exceptions = 0
+    for family in ("sp-dual", "so-even", "so-odd-dual"):
+        for make in (steinberg_variety, two_eigenvalue_variety):
+            for n in range(1, 9):
+                try:
+                    v = make(family, n)
+                except InputError:
+                    continue  # shape not defined for this (family, n)
+                table = enumerate_orbits(v)
+                dual = [r["dual_orbit"] for r in table_report(table)["orbits"]]
+                below = table.below
+                for c in range(len(table)):
+                    bound = [
+                        d for d in range(len(table))
+                        if below[d] >> c & 1 and below[dual[d]] >> dual[c] & 1
+                    ]
+                    exceptions += bound != [c]
+                    checked += 1
+    elapsed = time.time() - t0
+    report(
+        "11 (ABV support bound B(C) = {C} on classical shapes, n <= 8)",
+        checked == 1591 and exceptions == 0,
+        f"{checked} orbits, {exceptions} exceptions, {elapsed:.2f}s",
+    )

@@ -13,7 +13,7 @@ from voganlab.cli import main, verify_battery
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
 from voganlab.errors import InputError
 from voganlab.geometry import pyasetskii_dual, tangent_smooth_closure
-from voganlab.orbits import chain_multisegments, closure_below, enumerate_orbits
+from voganlab.orbits import chain_multisegments, closure_below, closure_leq, enumerate_orbits
 from voganlab.report import assemble_report, hasse_dot, report_json
 from voganlab.variety import (
     MAX_CHAIN_TOTAL,
@@ -422,6 +422,31 @@ def test_order_reversal_names_the_least_failing_pair(dims, detail):
     assert rows["duality reverses the closure order"] == (False, detail)
 
 
+def test_order_reversal_row_matches_every_related_pair(chain_suite):
+    # the row decides on the covers; its verdict and detail must equal the
+    # least failing pair over all related pairs, straight from the definition
+    varieties = [v for _dims, v, _table in chain_suite]
+    varieties += [steinberg_variety(f, n) for f in ("sp-dual", "so-odd-dual") for n in (3, 5)]
+    varieties += [two_eigenvalue_variety(f, n) for f in ("sp-dual", "so-even") for n in (4, 5)]
+    failures = 0
+    for v in varieties:
+        table = enumerate_orbits(v)
+        dual = [pyasetskii_dual(o, table) for o in table]
+        least = min(
+            ((a.index, b.index) for a in table for b in table
+             if closure_leq(a, b) and not closure_leq(dual[b.index], dual[a.index])),
+            default=None,
+        )
+        expected = (True, "")
+        if least is not None:
+            a, b = least
+            expected = (False, f"orbits {a} <= {b} but duals {dual[b].index} !<= {dual[a].index}")
+        rows = {name: (ok, d) for name, ok, d in verify_battery(v)}
+        assert rows["duality reverses the closure order"] == expected, v.describe()
+        failures += least is not None
+    assert failures == 22
+
+
 def test_report_computes_the_closure_order_once(monkeypatch):
     from voganlab import orbits
 
@@ -573,6 +598,29 @@ def test_classical_analyze_runs_no_linear_algebra(monkeypatch):
     ]
     for v in varieties:
         assert report_json(assemble_report(v))
+
+
+def test_classical_verify_takes_no_kernel(monkeypatch):
+    # the two-eigenvalue oracles read the kernel block of the normal form and
+    # the Steinberg ones are closed forms: verify eliminates no kernel
+    from voganlab import geometry, linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel elimination on the classical verify path")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    geometry._kernel_block.cache_clear()
+    checked = 0
+    for family in ("sp-dual", "so-even", "so-odd-dual"):
+        for make in (steinberg_variety, two_eigenvalue_variety):
+            for n in range(1, 7):
+                try:
+                    v = make(family, n)
+                except InputError:
+                    continue  # shape not defined for this (family, n)
+                assert all(ok for _, ok, _ in verify_battery(v)), v.describe()
+                checked += 1
+    assert checked == 27
 
 
 def test_kl_cache_dir_is_ignored(tmp_path, monkeypatch, capsys):

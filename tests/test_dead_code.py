@@ -9,7 +9,9 @@ attribute) in package code outside its own body, or read or imported by
 key elsewhere that spells a function's name calls nothing.  Being listed
 in ``voganlab.__all__`` does not count: an export that nothing runs is dead
 code too.  Matching is by name only, so two definitions that share a name
-share their callers.
+share their callers.  The definitions that only ``perfbench/`` calls are
+named in ``BENCHMARK_ONLY``, each with the file that reads it, so that the
+change to the benchmark that drops those reads knows what it frees.
 
 The references beside the tests (``tests/reference_*.py``) cannot rot
 either: each of their definitions is read or imported by a
@@ -27,6 +29,18 @@ TRACER = ROOT / "perfbench" / "tracing.py"  # wraps package functions by name
 # package definitions whose only callers are tests, each with the reason it
 # stays; none, since such code moves to tests/reference_*.py or goes
 ALLOWED: dict[str, str] = {}
+
+# package definitions whose only callers lie in perfbench/, each with the
+# perfbench file that reads it.  perfbench/ changes only together with the
+# benchmark, so these stay until that change drops the reads; then they go
+# or move beside the tests.
+BENCHMARK_ONLY: dict[str, str] = {
+    "bridge.rationally_smooth": "perfbench/answers.py",
+    "kl._kl_table": "perfbench/tracing.py",
+    "kl.load_cache": "perfbench/worker.py",
+    "kl.save_cache": "perfbench/worker.py",
+    "linalg.nullspace": "perfbench/tracing.py",
+}
 
 
 def definitions(module: str, tree):
@@ -57,15 +71,20 @@ def read_names(tree, *, imports=False, strings=False):
             yield n.value, n
 
 
-def outside_callers() -> set[str]:
-    """Every name read or imported by demos, bench and perfbench, and every
+def names_read_by(path: Path) -> set[str]:
+    """Every name read or imported by the file, and for the tracer every
+    string constant too."""
+    tree = ast.parse(path.read_text())
+    return {name for name, _ in read_names(tree, imports=True, strings=path == TRACER)}
+
+
+def outside_callers(folders=("demos", "bench", "perfbench")) -> set[str]:
+    """Every name read or imported by the files of ``folders``, and every
     string constant of the tracer."""
     names = set()
-    for folder in ("demos", "bench", "perfbench"):
+    for folder in folders:
         for path in sorted((ROOT / folder).glob("*.py")):
-            tree = ast.parse(path.read_text())
-            strings = path == TRACER
-            names |= {name for name, _ in read_names(tree, imports=True, strings=strings)}
+            names |= names_read_by(path)
     return names
 
 
@@ -89,6 +108,16 @@ def uncalled(paths, outside: set[str]) -> set[str]:
 
 def test_every_definition_has_a_caller():
     assert uncalled(sorted(SRC.glob("*.py")), outside_callers()) == set(ALLOWED)
+
+
+def test_benchmark_only_definitions_are_named():
+    # without perfbench as a caller, exactly these definitions lose their
+    # last one, and each is read by the file named for it
+    package = sorted(SRC.glob("*.py"))
+    found = uncalled(package, outside_callers(("demos", "bench"))) - set(ALLOWED)
+    assert found == set(BENCHMARK_ONLY)
+    for qualname, reader in BENCHMARK_ONLY.items():
+        assert qualname.rsplit(".", 1)[1] in names_read_by(ROOT / reader), qualname
 
 
 def test_every_reference_is_read_by_a_test():

