@@ -91,6 +91,8 @@ CASES = [
      ["--family", "sp-dual", "--two-eig", "16"]),
     ("verify sp-dual two-eig", "verify sp-dual two-eig 24", "verify",
      ["--family", "sp-dual", "--two-eig", "24"]),
+    ("verify sp-dual two-eig", "verify sp-dual two-eig 48", "verify",
+     ["--family", "sp-dual", "--two-eig", "48"]),
 ]
 
 COUNT_ORBITS = (

@@ -53,9 +53,10 @@ elimination.  At D = C every row counts: the codim C rows span the
 annihilator of T_{x_C} C, the conormal fibre { xi : [x_C, xi] = 0 }, and
 ordered by their last coordinate they are its Gauss-Jordan kernel basis over
 Q (:func:`chain_conormal_basis`).  At the rank-r two-eigenvalue normal form
-ker = coker = span(e_r .. e_{n-1}), so the rows are the basis matrices of V
-vanishing in their first r rows (:func:`_kernel_block`), counted when
-rank D = rank C; at D = C they are the conormal basis { Xi : x Xi = 0 }.
+ker = coker = span(e_r .. e_{n-1}), so the rows are the forms of the same
+symmetry type on that trailing block, the form space of size n - r
+(:func:`_kernel_block`), counted when rank D = rank C; at D = C they are
+the conormal basis { Xi : x Xi = 0 }.
 The tests' references build the rows and the commutator by linear algebra
 and take a rank and a kernel (``tests/reference_geometry.py``,
 ``tests/reference_orbits.py``).
@@ -77,7 +78,8 @@ seeded random covectors with verification retries, then one exact symbolic
 fallback (ranks over the rational function field), which the tests force.
 The basis is the rows at the orbit itself on both shapes (strand pairs,
 kernel block), which is the Gauss-Jordan kernel basis over Q, so each seeded
-covector is the covector drawn over Q.
+covector is the covector drawn over Q.  A two-eigenvalue covector is ranked
+as an (n - r) x (n - r) form, since it vanishes off the trailing block.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -94,7 +96,7 @@ from functools import lru_cache
 from . import linalg, orbits
 from .errors import InputError, UnsupportedFamilyError
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
-from .variety import VoganVariety
+from .variety import VoganVariety, form_basis
 
 RANDOM_BOUND = 1 << 16
 MAX_RETRIES = 8
@@ -130,15 +132,12 @@ def _strand_pairs(segs: ChainSegs, dims: tuple[int, ...]) -> tuple[tuple[tuple, 
 
 @lru_cache(maxsize=None)
 def _kernel_block(v: VoganVariety, rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The basis matrices of ``v.subspace_basis()`` that vanish in their
-    first ``rank`` rows (first position >= rank * n), as the (position,
-    entry) pairs of their nonzero entries in the n x n layout, row by row."""
-    if rank:
-        return tuple(m for m in _kernel_block(v, 0) if m[0][0] >= rank * v.n)
-    return tuple(
-        tuple((t, x) for t, x in enumerate(e for row in bm for e in row) if x)
-        for bm in v.subspace_basis()
-    )
+    """The forms of ``v``'s symmetry type on the trailing block
+    e_rank .. e_{n-1}, the kernel and cokernel of the rank-``rank`` normal
+    form: :func:`variety.form_basis` of size m = n - rank, in the block's
+    own m x m layout.  Embedded at (rank, rank) they are the basis matrices
+    of V that vanish in their first ``rank`` rows, in the same order."""
+    return form_basis(v.n - rank, v.symmetric_form)
 
 
 def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
@@ -330,11 +329,11 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
     if v.kind == "steinberg":
         complement = tuple(i for i in range(v.n) if i not in orbit.subset)
         return table.by_key[complement]
-    n = v.n
+    m = v.n - orbit.rank  # the covectors live on the trailing m x m block
     (dual_rank,) = _generic_key(
         _kernel_block(v, orbit.rank),
-        n * n,
-        lambda vec, rank: (rank([vec[i * n : (i + 1) * n] for i in range(n)]),),
+        m * m,
+        lambda vec, rank: (rank([vec[i * m : (i + 1) * m] for i in range(m)]),),
         rng,
     )
     return table.by_key[dual_rank]

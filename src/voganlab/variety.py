@@ -19,8 +19,8 @@ Three shapes of variety are supported:
   -1/2, 1/2; V is the subspace of Hom(E_{-1/2}, E_{1/2}) fixed by the form.
   With the dual group SO(2n) the subspace is the antisymmetric matrices in
   the basis pairing the two isotropic summands; with Sp(2n) it is the
-  symmetric matrices.  Bases are the elementary (anti)symmetric matrices
-  E_ij + E_ji (i <= j) resp. E_ij - E_ji (i < j), in row-major order.
+  symmetric matrices.  The basis of V, and of every form space cut from it,
+  is :func:`form_basis`, the one home of that coordinate convention.
 """
 
 from __future__ import annotations
@@ -119,6 +119,18 @@ def chain_orbit_count(dims: tuple[int, ...], limit: int) -> tuple[int, bool]:
     return sum(paths.values()), True
 
 
+def form_basis(n: int, symmetric: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The elementary n x n symmetric matrices E_ij + E_ji (i <= j), or
+    antisymmetric ones E_ij - E_ji (i < j), in row-major order of (i, j):
+    each as the (position, entry) pairs of its nonzero entries in the n x n
+    layout (position i * n + j), by position."""
+    sign = 1 if symmetric else -1
+    return tuple(
+        ((i * n + j, 1),) if i == j else ((i * n + j, 1), (j * n + i, sign))
+        for i in range(n) for j in range(i if symmetric else i + 1, n)
+    )
+
+
 def canonical_family(tag: str) -> str:
     try:
         return FAMILY_ALIASES[tag]
@@ -205,28 +217,6 @@ class VoganVariety(namedtuple("VoganVariety", "family kind chains n", defaults=(
         if self.kind != "two_eigenvalue":
             return None
         return self.family == SP_DUAL
-
-    def subspace_basis(self) -> list[list[list[int]]]:
-        """Explicit basis of V inside Hom(E_low, E_high) for classical shapes."""
-        if self.kind != "two_eigenvalue":
-            raise InputError("subspace_basis only applies to two-eigenvalue shapes")
-        n = self.n
-        basis = []
-        if self.symmetric_form:
-            for i in range(n):
-                for j in range(i, n):
-                    m = [[0] * n for _ in range(n)]
-                    m[i][j] = 1
-                    m[j][i] = 1
-                    basis.append(m)
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m = [[0] * n for _ in range(n)]
-                    m[i][j] = 1
-                    m[j][i] = -1
-                    basis.append(m)
-        return basis
 
     # ----- presentation ----------------------------------------------------
 

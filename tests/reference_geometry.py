@@ -8,6 +8,7 @@ smoothness test at every stratum of a closure, the reference for the
 oracle that reads the cone point alone."""
 
 from voganlab import geometry, linalg, orbits
+from voganlab.variety import form_basis
 
 from reference_linalg import left_nullspace, matvec, transpose
 
@@ -86,6 +87,15 @@ def tangent_smooth_closure_scan(c, table) -> bool:
     )
 
 
+def dense_forms(n: int, symmetric: bool) -> list[list[list[int]]]:
+    """The basis matrices of :func:`voganlab.variety.form_basis`, as dense
+    n x n integer matrices."""
+    return [
+        [[dict(support).get(i * n + j, 0) for j in range(n)] for i in range(n)]
+        for support in form_basis(n, symmetric)
+    ]
+
+
 def two_eig_tangent_dim(c, d) -> int:
     """Tangent dimension of the closure of the two-eigenvalue orbit c at the
     normal form of d <= c, as the rank of the conditions
@@ -100,7 +110,7 @@ def two_eig_tangent_dim(c, d) -> int:
     if not ker or not cok:
         return v.total_dim
     cond_cols = []
-    for bm in v.subspace_basis():
+    for bm in dense_forms(v.n, v.symmetric_form):
         bt = transpose(bm)
         col = []
         for p in cok:
@@ -121,7 +131,7 @@ def two_eig_conormal_basis(v, rank: int) -> list[list[int]]:
     tangent space to the single matrix equation x Xi = 0.
     """
     x = orbits.two_eig_representative(v, rank)
-    mats = v.subspace_basis()
+    mats = dense_forms(v.n, v.symmetric_form)
     rows = [[e for row in linalg.matmul(x, bm) for e in row] for bm in mats]
     flat = [[e for row in bm for e in row] for bm in mats]
     return [

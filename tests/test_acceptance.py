@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from voganlab import kl
+from voganlab import geometry, kl
 from voganlab.arthur import brute_force_arthur, is_arthur_type
 from voganlab.bridge import multiplicity_matrix, rationally_smooth
 from voganlab.cli import main
@@ -249,4 +249,41 @@ def test_criterion_11_abv_support_bound_on_classical_shapes():
         "11 (ABV support bound B(C) = {C} on classical shapes, n <= 8)",
         checked == 1591 and exceptions == 0,
         f"{checked} orbits, {exceptions} exceptions, {elapsed:.2f}s",
+    )
+
+
+def test_criterion_12_local_smoothness_and_microlocal_bound_on_chains(chain_suite):
+    # on chains cl(D) is smooth along C iff P_{C,D} = 1, i.e. m[C][D] = 1
+    # (Zelevinsky's embedding into type-A Schubert varieties and Peterson's
+    # ADE theorem): the KL matrix read per pair against the tangent oracle.
+    # A closure smooth along C misses T*_C V in its characteristic cycle, so
+    # the ABV packet of C lies in B'(C): C itself and the D in B(C) with both
+    # cl(D) singular along C and cl(dual D) singular along dual C
+    t0 = time.time()
+    orbit_count = pairs = mismatches = undecided = 0
+    for dims, v, table in chain_suite:
+        entries = multiplicity_matrix(table)["entries"]
+        dual = [pyasetskii_dual(o, table).index for o in table]
+        below = table.below
+        for c in table:
+            bound = [c.index]
+            for d in table:
+                if not below[d.index] >> c.index & 1:
+                    continue
+                smooth_along = geometry.tangent_dim_at(d, c) == d.dim
+                mismatches += smooth_along != (entries[c.index][d.index] == 1)
+                pairs += 1
+                dc, dd = dual[c.index], dual[d.index]
+                if (d != c and below[dd] >> dc & 1
+                        and entries[c.index][d.index] >= 2 and entries[dc][dd] >= 2):
+                    bound.append(d.index)
+            undecided += len(bound) > 1
+            orbit_count += 1
+    elapsed = time.time() - t0
+    report(
+        "12 (local smoothness m[C][D] = 1 equals the tangent oracle; B'(C) = {C} on chains)",
+        (len(chain_suite), orbit_count, pairs) == (62, 414, 1707)
+        and mismatches == 0 and undecided == 0,
+        f"{len(chain_suite)} chains, {orbit_count} orbits, {pairs} pairs, "
+        f"{mismatches} mismatches, {undecided} orbits with |B'(C)| > 1, {elapsed:.2f}s",
     )

@@ -569,6 +569,18 @@ def test_verify_reports_order_reversal_failure(tmp_path, capsys):
     assert out.count("FAIL") == 1
 
 
+def test_verify_passes_a_two_chain_spec(tmp_path, capsys):
+    # the orbit is of Arthur type iff each chain is: here the chain at offset
+    # 0 is not centred, so every orbit's verdict is negative while the chain
+    # at -1/2 alone can be, and the brute-force row must combine the chains
+    spec = tmp_path / "two_chains.json"
+    spec.write_text(json.dumps({"family": "gl", "chains": [
+        {"offset": "-1/2", "dims": [1, 1]}, {"offset": "0", "dims": [1, 1]}]}))
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(spec))
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_report_fields_for_classical_steinberg():
     rep = assemble_report(steinberg_variety("sp-dual", 2))
     by_label = {o["label"]: o for o in rep["orbits"]}

@@ -261,10 +261,14 @@ def conormal_basis(o):
     if v.kind == "chain":
         (segs,), (chain,) = o.msegs, v.chains
         return dense(geometry.chain_conormal_basis(segs, chain.dims), v.total_dim)
-    return [
-        [dict(support).get(t, 0) for t in range(v.n * v.n)]
-        for support in geometry._kernel_block(v, o.rank)
+    # the block's m x m positions, embedded at (r, r) in the n x n layout
+    n, r = v.n, o.rank
+    m = n - r
+    embedded = [
+        {(p // m + r) * n + p % m + r: x for p, x in block}
+        for block in geometry._kernel_block(v, r)
     ]
+    return [[e.get(t, 0) for t in range(n * n)] for e in embedded]
 
 
 def assert_conormal_bases(v):

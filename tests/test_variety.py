@@ -8,6 +8,7 @@ from voganlab.errors import ConfigurationError, InputError
 from voganlab.variety import (
     Chain,
     build_variety,
+    form_basis,
     point_variety,
     steinberg_variety,
     two_eigenvalue_variety,
@@ -55,11 +56,15 @@ def test_two_chain_dims_add():
 
 
 def test_classical_two_eigenvalue_basis_is_independent():
-    for family, n in [("sp-dual", 3), ("so-even", 4)]:
+    for family, n in [("sp-dual", 1), ("sp-dual", 3), ("so-even", 2), ("so-even", 4)]:
         v = two_eigenvalue_variety(family, n)
-        basis = v.subspace_basis()
-        flattened = [[m[i][j] for i in range(n) for j in range(n)] for m in basis]
+        basis = form_basis(n, v.symmetric_form)
+        flattened = [[dict(support).get(t, 0) for t in range(n * n)] for support in basis]
         assert linalg.rank(flattened) == v.total_dim == len(basis)
+        # E_ij + E_ji resp. E_ij - E_ji: the (j, i) entry mirrors the (i, j) one
+        sign = 1 if v.symmetric_form else -1
+        for row in flattened:
+            assert all(row[j * n + i] == sign * row[i * n + j] for i in range(n) for j in range(n))
 
 
 def test_classical_shape_recognition():
