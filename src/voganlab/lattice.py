@@ -2,9 +2,8 @@
 Exact integer-lattice arithmetic and torus-stabilizer component groups.
 
 Smith normal form is computed over Python integers (arbitrary precision, no
-modular shortcuts) with the two unimodular transforms carried along, and the
-inverse of the left one built beside it by the inverse column operations.
-On top of it sit the finite invariants of diagonalisable stabilizers inside a
+modular shortcuts) with the two unimodular transforms carried along.  On top
+of it sit the finite invariants of diagonalisable stabilizers inside a
 dual torus: the subgroup of a torus cut out by a set of characters has component
 group equal to the torsion of the character-lattice cokernel, and torsion
 elements of the torus (given as rational cocharacters) land in explicit
@@ -27,125 +26,72 @@ IntMat = list[list[int]]
 # Smith normal form
 
 
-def _swap_rows(m: IntMat, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: IntMat, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _addmul_row(m: IntMat, dst: int, src: int, c: int) -> None:
-    m[dst] = [a + c * b for a, b in zip(m[dst], m[src])]
-
-
-def _addmul_col(m: IntMat, dst: int, src: int, c: int) -> None:
-    for row in m:
-        row[dst] += c * row[src]
-
-
-def _smith(matrix) -> tuple[IntMat, IntMat, IntMat, IntMat]:
-    """(D, U, U^{-1}, V) with D = U * M * V.  Each row operation on U is
-    mirrored by the inverse column operation on U^{-1}."""
-    m = [[int(x) for x in row] for row in matrix]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    uinv = [row[:] for row in u]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i: int, j: int) -> None:
-        _swap_rows(m, i, j)
-        _swap_rows(u, i, j)
-        _swap_cols(uinv, i, j)
-
-    def addmul_row(dst: int, src: int, c: int) -> None:
-        # row_dst += c * row_src on the left; col_src -= c * col_dst on U^{-1}
-        _addmul_row(m, dst, src, c)
-        _addmul_row(u, dst, src, c)
-        _addmul_col(uinv, src, dst, -c)
-
-    def pivot_smallest(t: int) -> tuple[int, int] | None:
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(nr, nc):
-        pos = pivot_smallest(t)
-        if pos is None:
-            break
-        pi, pj = pos
-        swap_rows(t, pi)
-        _swap_cols(m, t, pj)
-        _swap_cols(v, t, pj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    addmul_row(i, t, -(m[i][t] // m[t][t]))
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    _addmul_col(m, j, t, -q)
-                    _addmul_col(v, j, t, -q)
-                    if m[t][j]:
-                        _swap_cols(m, t, j)
-                        _swap_cols(v, t, j)
-                        dirty = True
-        # the pivot must divide everything below-right; otherwise fold a bad
-        # entry into the pivot column and redo
-        bad = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % m[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            addmul_row(t, bad, 1)
-            continue
-        t += 1
-
-    for i in range(min(nr, nc)):
-        if m[i][i] < 0:
-            m[i] = [-x for x in m[i]]
-            u[i] = [-x for x in u[i]]
-            for row in uinv:
-                row[i] = -row[i]
-    return m, u, uinv, v
-
-
 def smith_normal_form(matrix) -> tuple[IntMat, IntMat, IntMat]:
     """
     Return (D, U, V) with D = U * M * V, U and V unimodular, D diagonal with
     non-negative entries satisfying d_1 | d_2 | ...
 
+    One pivot rule: each round moves the smallest nonzero entry of the
+    trailing block to (t, t) and subtracts quotient multiples of it from its
+    column and its row.  A remainder is smaller than the pivot, so the next
+    round pivots on it; a pivot that divides its row and column but not some
+    entry e takes e's row into the pivot row first.  The smallest entry drops
+    at least every second round, and the transforms stay small.
+
     >>> D, U, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
     """
-    d, u, _uinv, v = _smith(matrix)
-    return d, u, v
+    m = [[int(x) for x in row] for row in matrix]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    t = 0
+    while t < min(nr, nc):
+        # ties keep the earliest position, so a pivot already at (t, t) stays
+        pivot = min(
+            ((abs(m[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if m[i][j]),
+            default=None,
+        )
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        m[t], m[pi] = m[pi], m[t]
+        u[t], u[pi] = u[pi], u[t]
+        for row in m + v:
+            row[t], row[pj] = row[pj], row[t]
+        p = m[t][t]
+        for i in range(t + 1, nr):
+            q = m[i][t] // p
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                u[i] = [a - q * b for a, b in zip(u[i], u[t])]
+        for j in range(t + 1, nc):
+            q = m[t][j] // p
+            if q:
+                for row in m + v:
+                    row[j] -= q * row[t]
+        if any([row[t] for row in m[t + 1 :]]) or any(m[t][t + 1 :]):
+            continue
+        # a unit pivot divides everything
+        bad = None if p in (1, -1) else next(
+            (i for i in range(t + 1, nr) if any([x % p for x in m[i][t + 1 :]])), None)
+        if bad is not None:
+            m[t] = [a + b for a, b in zip(m[t], m[bad])]
+            u[t] = [a + b for a, b in zip(u[t], u[bad])]
+            continue
+        if p < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return m, u, v
 
 
 def elementary_divisors(matrix) -> list[int]:
     """Nonzero diagonal of the Smith form (all invariant factors, 1s included)."""
     d, _, _ = smith_normal_form(matrix)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return out
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +148,19 @@ class RootDatum(namedtuple("RootDatum", "rank family roots center_generators")):
         return [self.roots[i] for i in indices]
 
 
-def _snf_for_subset(rd: RootDatum, subset) -> tuple[IntMat, list[int]]:
+def _snf_for_subset(rd: RootDatum, subset) -> tuple[IntMat, IntMat, list[int]]:
     """Smith data for the character sublattice spanned by the chosen roots.
 
-    Returns (U_inv, divisors) where the adapted basis of the character
-    lattice is the columns of U_inv: the sublattice is spanned by
-    divisor_i * (column i of U_inv).
+    Returns (M, V, divisors) for the matrix M whose columns are the chosen
+    roots and its Smith form D = U * M * V.  Since M * V = U^{-1} * D, column
+    i of M * V is divisor_i times the i-th character of an adapted basis of
+    the character lattice, and these columns span the sublattice.
     """
     rows = rd.root_subset(sorted(set(subset)))
-    mt = [[r[i] for r in rows] for i in range(rd.rank)]
-    d, _u, uinv, _v = _smith(mt)
+    m = [[r[i] for r in rows] for i in range(rd.rank)]
+    d, _u, v = smith_normal_form(m)
     divisors = [d[i][i] for i in range(min(len(d), len(rows))) if d[i][i]]
-    return uinv, divisors
+    return m, v, divisors
 
 
 def stabilizer_component_group(rd: RootDatum, subset) -> ComponentGroup:
@@ -223,7 +170,7 @@ def stabilizer_component_group(rd: RootDatum, subset) -> ComponentGroup:
     The subset indexes ``rd.roots``.  The answer is the torsion of the
     character-lattice cokernel, read off the Smith form (divisors > 1).
     """
-    _uinv, divisors = _snf_for_subset(rd, subset)
+    _m, _v, divisors = _snf_for_subset(rd, subset)
     return ComponentGroup(tuple(d for d in divisors if d > 1))
 
 
@@ -235,32 +182,31 @@ def center_image(rd: RootDatum, subset) -> tuple[dict[int, tuple[int, ...]], boo
     coordinate vector in prod Z/d_i over the divisors d_i > 1, and
     ``surjective`` says whether the centre classes generate the whole
     component group (nontrivial local systems then all come from non-split
-    forms).
+    forms).  The coordinates are taken in the adapted basis of the Smith
+    form, so where the group is neither trivial nor Z/2 another pivot order
+    may give other coordinates for the same classes; the group and
+    ``surjective`` do not depend on it.
     """
-    uinv, divisors = _snf_for_subset(rd, subset)
-    torsion = [(i, d) for i, d in enumerate(divisors) if d > 1]
+    m, v, divisors = _snf_for_subset(rd, subset)
+    # column i of M * V is d_i times the adapted character f_i, whose value on
+    # the torsion element exp(2*pi*i*z) is exp(2*pi*i*k/d_i): z's class is k
+    # mod d_i, k = <(M * V)_i, z> an integer combination of root pairings
+    torsion = [([sum(a * b[i] for a, b in zip(row, v)) for row in m], d)
+               for i, d in enumerate(divisors) if d > 1]
     mapping: dict[int, tuple[int, ...]] = {}
     for gi, z in enumerate(rd.center_generators):
         cls = []
-        for i, d in torsion:
-            # adapted character f_i = column i of U^{-1}; its value on the
-            # torsion element exp(2*pi*i*z) is exp(2*pi*i*<f_i, z>)
-            pairing = sum(Fraction(uinv[j][i]) * z[j] for j in range(rd.rank))
-            k = pairing * d
+        for col, d in torsion:
+            k = sum(Fraction(a) * b for a, b in zip(col, z))
             if k.denominator != 1:
                 raise InputError("center generator does not lie in the stabilizer")
             cls.append(int(k) % d)
         mapping[gi] = tuple(cls)
-    if not torsion:
-        return mapping, True
     # do the classes generate prod Z/d_i?  Stack them over the relation
     # lattice: the classes surject iff the stacked lattice is all of Z^t,
     # i.e. every invariant factor is 1.
     rows = [list(cls) for cls in mapping.values()]
-    for i, (_, d) in enumerate(torsion):
-        rel = [0] * len(torsion)
-        rel[i] = d
-        rows.append(rel)
+    rows += [[d * (i == j) for j in range(len(torsion))] for i, (_, d) in enumerate(torsion)]
     surjective = all(d == 1 for d in elementary_divisors(rows))
     return mapping, surjective
 

@@ -25,7 +25,7 @@ import pytest
 
 from voganlab import geometry, kl, orbits
 from voganlab.arthur import brute_force_arthur, is_arthur_type
-from voganlab.bridge import multiplicity_matrix, rationally_smooth
+from voganlab.bridge import multiplicity_matrix, multisegment_to_permutation, rationally_smooth
 from voganlab.cli import main
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
 from voganlab.errors import InputError
@@ -267,6 +267,30 @@ def test_criterion_11_abv_support_bound_on_classical_shapes():
     )
 
 
+def _local_smoothness_and_bound(table, m):
+    """Criterion 12 on one chain table, with m(c, d) the entry m[C][D]:
+    (pairs C <= D, pairs where "cl(D) smooth along C" by the tangent oracle
+    differs from m[C][D] = 1, the (C, B'(C)) with |B'(C)| > 1)."""
+    dual = [pyasetskii_dual(o, table).index for o in table]
+    below = table.below
+    pairs = mismatches = 0
+    undecided = []
+    for c in table:
+        bound = [c.index]
+        for d in table:
+            if not below[d.index] >> c.index & 1:
+                continue
+            mcd = m(c.index, d.index)
+            mismatches += (geometry.tangent_dim_at(d, c) == d.dim) != (mcd == 1)
+            pairs += 1
+            dc, dd = dual[c.index], dual[d.index]
+            if d != c and below[dd] >> dc & 1 and mcd >= 2 and m(dc, dd) >= 2:
+                bound.append(d.index)
+        if len(bound) > 1:
+            undecided.append((c.index, bound))
+    return pairs, mismatches, undecided
+
+
 def test_criterion_12_local_smoothness_and_microlocal_bound_on_chains(chain_suite):
     # on chains cl(D) is smooth along C iff P_{C,D} = 1, i.e. m[C][D] = 1
     # (Zelevinsky's embedding into type-A Schubert varieties and Peterson's
@@ -278,22 +302,11 @@ def test_criterion_12_local_smoothness_and_microlocal_bound_on_chains(chain_suit
     orbit_count = pairs = mismatches = undecided = 0
     for dims, v, table in chain_suite:
         entries = multiplicity_matrix(table)["entries"]
-        dual = [pyasetskii_dual(o, table).index for o in table]
-        below = table.below
-        for c in table:
-            bound = [c.index]
-            for d in table:
-                if not below[d.index] >> c.index & 1:
-                    continue
-                smooth_along = geometry.tangent_dim_at(d, c) == d.dim
-                mismatches += smooth_along != (entries[c.index][d.index] == 1)
-                pairs += 1
-                dc, dd = dual[c.index], dual[d.index]
-                if (d != c and below[dd] >> dc & 1
-                        and entries[c.index][d.index] >= 2 and entries[dc][dd] >= 2):
-                    bound.append(d.index)
-            undecided += len(bound) > 1
-            orbit_count += 1
+        p, bad, wide = _local_smoothness_and_bound(table, lambda c, d: entries[c][d])
+        orbit_count += len(table)
+        pairs += p
+        mismatches += bad
+        undecided += len(wide)
     elapsed = time.time() - t0
     report(
         "12 (local smoothness m[C][D] = 1 equals the tangent oracle; B'(C) = {C} on chains)",
@@ -301,6 +314,41 @@ def test_criterion_12_local_smoothness_and_microlocal_bound_on_chains(chain_suit
         and mismatches == 0 and undecided == 0,
         f"{len(chain_suite)} chains, {orbit_count} orbits, {pairs} pairs, "
         f"{mismatches} mismatches, {undecided} orbits with |B'(C)| > 1, {elapsed:.2f}s",
+    )
+
+
+@pytest.mark.parametrize(
+    "total, expected", [(7, (64, 1026, 7199, 0)), (8, (128, 3411, 34153, 14))]
+)
+def test_criterion_12_at_totals_7_and_8(total, expected):
+    # criterion 12 past the S_6 table: every single chain of the total at
+    # offset 0, with m[C][D] = P_{w(C), w(D)}(1) read off kl.kl_column, the
+    # route the coset-column test takes past S_6.  At total 8 the bound
+    # leaves 14 orbits undecided, 13 of them of codim 3 with P = 1 + q
+    t0 = time.time()
+    chains = orbit_count = pairs = mismatches = 0
+    undecided = []
+    for dims in dim_vectors(max_total=total, max_grid=total):
+        if sum(dims) != total:
+            continue
+        table = enumerate_orbits(build_variety([Chain(Fraction(0), dims)], "gl"))
+        perms = [multisegment_to_permutation(o)[0] for o in table]
+        columns = [kl.kl_column(w) for w in perms]
+        p, bad, wide = _local_smoothness_and_bound(
+            table, lambda c, d: sum(columns[d](perms[c]))
+        )
+        chains += 1
+        orbit_count += len(table)
+        pairs += p
+        mismatches += bad
+        undecided += [(dims, c, bound) for c, bound in wide]
+    elapsed = time.time() - t0
+    report(
+        f"12 at total {total} (m[C][D] = 1 equals the tangent oracle; "
+        f"|B'(C)| > 1 on {expected[3]} orbits)",
+        (chains, orbit_count, pairs, mismatches, len(undecided)) == expected[:3] + (0, expected[3]),
+        f"{chains} chains, {orbit_count} orbits, {pairs} pairs, {mismatches} mismatches, "
+        f"|B'(C)| > 1 on {len(undecided)} orbits: {undecided}, {elapsed:.2f}s",
     )
 
 

@@ -600,7 +600,7 @@ def test_classical_analyze_runs_no_linear_algebra(monkeypatch):
 
     for name in ("rank", "nullspace", "matmul"):
         monkeypatch.setattr(linalg, name, refuse)
-    monkeypatch.setattr(lattice, "_smith", refuse)
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
     varieties = [
         steinberg_variety(family, n) for family in ("sp-dual", "so-odd-dual") for n in (1, 4, 7)
     ]

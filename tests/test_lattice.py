@@ -1,7 +1,10 @@
 import itertools
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -9,7 +12,6 @@ from voganlab.errors import InputError
 from voganlab.lattice import (
     FAMILIES,
     RootDatum,
-    _smith,
     builtin_component_group,
     builtin_root_datum,
     center_image,
@@ -26,14 +28,21 @@ def matmul(a, b):
 
 
 def det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
+    """Determinant by exact Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m]
+    out = Fraction(1)
+    for c in range(len(a)):
+        p = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            out = -out
+        out *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return int(out)
 
 
 def minors_gcd_divisors(m):
@@ -54,15 +63,25 @@ def minors_gcd_divisors(m):
     return out
 
 
-def identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass, so
+    that a Smith form whose entries blow up fails instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def check_snf(m):
     d, u, v = smith_normal_form(m)
-    d2, u2, uinv, v2 = _smith(m)
-    assert (d2, u2, v2) == (d, u, v)
-    assert matmul(u, uinv) == identity(len(m))
     assert matmul(matmul(u, m), v) == d
     assert det(u) in (1, -1)
     assert det(v) in (1, -1)
@@ -99,10 +118,42 @@ def test_snf_worked_example():
 @pytest.mark.parametrize("seed", range(25))
 def test_snf_random_matches_minor_gcds(seed):
     rng = random.Random(seed)
-    nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+    nr, nc = rng.randint(1, 5), rng.randint(1, 5)
     m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
     divisors = check_snf(m)
     assert divisors == minors_gcd_divisors(m)
+
+
+# a dense 6 x 6 matrix on which a swap-on-remainder loop, pivoting on any
+# remainder in turn, ran for over a minute while its transforms blew up
+DENSE_6X6 = [
+    [8, -4, 0, 8, -5, -3],
+    [3, 5, 9, 0, -9, -7],
+    [8, -7, -10, -6, 4, 3],
+    [5, -5, 2, -2, 12, 2],
+    [1, -8, 5, -6, -5, -10],
+    [-7, -2, 5, -10, -2, -5],
+]
+
+
+def test_snf_dense_input_stays_small():
+    t0 = time.perf_counter()
+    with time_limit(1.0):
+        d, u, v = smith_normal_form(DENSE_6X6)
+    assert time.perf_counter() - t0 < 1.0
+    assert [d[i][i] for i in range(6)] == [1, 1, 1, 1, 2, 171856]
+    assert max(abs(x).bit_length() for row in u + v for x in row) <= 64
+    assert check_snf(DENSE_6X6) == [1, 1, 1, 1, 2, 171856]
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_snf_random_square_sweep(n):
+    rng = random.Random(11 + n)
+    for _ in range(20):
+        m = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(n)]
+        with time_limit(2.0):
+            divisors = check_snf(m)
+        assert (prod(divisors) if len(divisors) == n else 0) == abs(det(m))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -227,3 +278,70 @@ def test_component_groups_match_closed_form_on_every_subset():
                     assert surjective
                     checked += 1
     assert checked == 1524
+
+
+def _integral_center(rng, rank, roots):
+    """Up to two nonzero rational cocharacters of order 2..6 pairing
+    integrally with every root, found by search over (1/k) Z^rank mod Z^rank."""
+    found = []
+    for k in rng.sample(range(2, 7), 2):
+        hits = [
+            w for w in itertools.product(range(k), repeat=rank)
+            if any(w) and all(sum(a * b for a, b in zip(r, w)) % k == 0 for r in roots)
+        ]
+        if hits:
+            found.append(tuple(Fraction(x, k) for x in rng.choice(hits)))
+    return tuple(found)
+
+
+def _random_root_datum(rng):
+    """A root datum of rank <= 4 with at most 4 roots, at least one centre
+    generator: the roots are adjusted so that a drawn w / k pairs integrally."""
+    rank = rng.randint(1, 4)
+    k = rng.randint(2, 6)
+    w = [rng.randrange(k) for _ in range(rank)]
+    c = rng.randrange(rank)
+    w[c] = 1
+    roots = []
+    for _ in range(rng.randint(1, 4)):
+        r = [rng.randint(-3, 3) for _ in range(rank)]
+        r[c] -= sum(a * b for a, b in zip(r, w)) % k
+        roots.append(tuple(r))
+    center = (tuple(Fraction(x, k) for x in w),) + _integral_center(rng, rank, roots)
+    return RootDatum(rank, "GL", tuple(roots), center)
+
+
+def _generated_order(classes, divisors):
+    """Size of the subgroup of prod Z/d_i generated by ``classes``, by closure."""
+    seen = {tuple(0 for _ in divisors)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in classes:
+            y = tuple((a + b) % d for a, b, d in zip(x, g, divisors))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_groups_of_random_root_data(seed):
+    # the Smith route against the minors-gcd divisors and a brute-force
+    # closure of the centre classes in prod Z/d_i
+    rng = random.Random(700 + seed)
+    pairs = nontrivial = 0
+    for _ in range(25):
+        rd = _random_root_datum(rng)
+        for size in range(len(rd.roots) + 1):
+            for subset in itertools.combinations(range(len(rd.roots)), size):
+                m = [[rd.roots[j][i] for j in subset] for i in range(rd.rank)]
+                group = tuple(d for d in minors_gcd_divisors(m) if d > 1)
+                assert stabilizer_component_group(rd, subset).elementary_divisors == group
+                classes, surjective = center_image(rd, subset)
+                assert sorted(classes) == list(range(len(rd.center_generators)))
+                assert all(len(cls) == len(group) for cls in classes.values())
+                assert surjective == (_generated_order(classes.values(), group) == prod(group))
+                pairs += 1
+                nontrivial += bool(group)
+    assert nontrivial > pairs // 10
