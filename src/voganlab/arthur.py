@@ -8,16 +8,20 @@ untwisted chain decomposes into rectangles centered at exponent 0, so an
 orbit is of Arthur type exactly when its multisegment splits into
 zero-centered rectangles on the true exponent grid.
 
-Decompositions are found by forced greedy extraction on grid indices:
-rectangles never mix segment lengths, and within a length class the leftmost
-remaining start b must open a run whose width a = 2 - d - 2 offset - 2b is
-pinned by the zero-center condition, so the search needs no backtracking
-(large lengths are processed first; the verdict is the contract, the
-decomposition is a witness).  Classical-family orbits are tested through
-their general-linear realisation.  For varieties with several chains the
-criterion is applied per chain and the verdict carries a caveat flag, since
-the boundedness analysis is per-twist.  This module classifies only; the
-report row (:mod:`report`) pairs each verdict with smoothness.
+Both the rule and its brute-force oracle run on integer grid indices and
+the doubled offset t = 2 offset, an integer on every half-integer grid: the
+zero-centered rectangle (d, a) has its first segment start at index
+(2 - d - a - t)/2.  The rule is forced greedy extraction: rectangles never
+mix segment lengths, and within a length class the leftmost remaining start
+b must open a run whose width a = 2 - d - t - 2b is pinned by the
+zero-center condition, so the search needs no backtracking (large lengths
+are processed first; the verdict is the contract, the decomposition is a
+witness).  The oracle tries every multiset of rectangles that fit the grid.
+Classical-family orbits are tested through their general-linear
+realisation.  For varieties with several chains the criterion is applied
+per chain and the verdict carries a caveat flag, since the boundedness
+analysis is per-twist.  This module classifies only; the report row
+(:mod:`report`) pairs each verdict with smoothness.
 """
 
 from __future__ import annotations
@@ -31,16 +35,11 @@ from .orbits import ChainSegs, OrbitRecord
 from .variety import Chain
 
 
-class Rectangle(namedtuple("Rectangle", "d a center")):
+class Rectangle(namedtuple("Rectangle", "d a center", defaults=(Fraction(0),))):
     """a segments of length d at consecutive starts, with the given center
-    (a ``Fraction``)."""
+    (a ``Fraction``); the rule's rectangles all share the default center 0."""
 
     __slots__ = ()
-
-    def segments(self) -> list[tuple[Fraction, Fraction]]:
-        """Expand to (start, end) pairs in true exponents."""
-        s0 = self.center - Fraction(self.d + self.a, 2) + 1
-        return [(s0 + i, s0 + i + self.d - 1) for i in range(self.a)]
 
 
 class ArthurVerdict(
@@ -68,7 +67,7 @@ def _chain_rectangles(chain: Chain, segs: ChainSegs) -> list[Rectangle] | None:
     by_length: dict[int, list[int]] = {}
     for b, e in segs:
         by_length.setdefault(e - b + 1, []).append(b)
-    twice_offset = int(2 * chain.offset)
+    twice_offset = 2 * chain.offset.numerator // chain.offset.denominator
     out: list[Rectangle] = []
     for d in sorted(by_length, reverse=True):
         starts = sorted(by_length[d])
@@ -83,7 +82,7 @@ def _chain_rectangles(chain: Chain, segs: ChainSegs) -> list[Rectangle] | None:
                     starts.remove(s)
                 except ValueError:
                     return None
-            out.append(Rectangle(d, a, Fraction(0)))
+            out.append(Rectangle(d, a))
     return out
 
 
@@ -105,21 +104,20 @@ def is_arthur_type(orbit: OrbitRecord) -> ArthurVerdict:
 
 @lru_cache(maxsize=None)
 def _rectangle_expansions(
-    offset: Fraction, length: int, total: int
+    twice_offset: int, length: int, total: int
 ) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Sorted segments, as grid-index pairs (exponent - ``offset``), of every
-    zero-centered rectangle (d, a) with d * a <= ``total`` that lies on the
-    grid offset .. offset + length - 1, in the (d, a) order the brute-force
-    search tries them.  Rectangles whose ends fall between grid points are
-    left out: they match no segment."""
+    """Sorted segments, as grid-index pairs, of every zero-centered rectangle
+    (d, a) with d * a <= ``total`` that lies on the grid of ``length``
+    points from exponent ``twice_offset`` / 2, in the (d, a) order the
+    brute-force search tries them.  Rectangles whose ends fall between grid
+    points are left out: they match no segment."""
     out = []
     for d in range(1, total + 1):
         for a in range(1, total // d + 1):
-            spans = [(s - offset, e - offset) for s, e in Rectangle(d, a, Fraction(0)).segments()]
-            lo, hi = spans[0][0], spans[-1][1]
-            if lo.denominator != 1 or lo < 0 or hi > length - 1:
-                continue
-            out.append(tuple((int(s), int(e)) for s, e in spans))
+            num = 2 - d - a - twice_offset  # twice the first start index
+            lo = num // 2
+            if num % 2 == 0 and num >= 0 and lo + a + d - 2 <= length - 1:
+                out.append(tuple((lo + i, lo + i + d - 1) for i in range(a)))
     return tuple(out)
 
 
@@ -127,7 +125,8 @@ def brute_force_arthur(chain: Chain, segs: ChainSegs) -> bool:
     """Independent oracle: search over all multisets of zero-centered
     rectangles with total content equal to the chain coverage."""
     total = sum(e - b + 1 for b, e in segs)
-    expansions = _rectangle_expansions(chain.offset, chain.length, total)
+    twice_offset = 2 * chain.offset.numerator // chain.offset.denominator
+    expansions = _rectangle_expansions(twice_offset, chain.length, total)
 
     def search(remaining: list, idx: int) -> bool:
         if not remaining:

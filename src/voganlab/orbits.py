@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import classical
@@ -348,7 +347,5 @@ def gl_shadow(orbit: OrbitRecord) -> list[tuple[Chain, ChainSegs]]:
     if v.kind == "chain":
         return list(zip(v.chains, orbit.msegs))
     if v.kind == "steinberg":
-        chain, segs = classical.gl_multisegment_of_subset(v.family, v.n, orbit.subset)
-        return [(chain, segs)]
-    chain = Chain(Fraction(-1, 2), (v.n, v.n))
-    return [(chain, classical.two_eigenvalue_gl_segments(v.n, orbit.rank))]
+        return [classical.gl_multisegment_of_subset(v.family, v.n, orbit.subset)]
+    return [(v.chains[0], classical.two_eigenvalue_gl_segments(v.n, orbit.rank))]

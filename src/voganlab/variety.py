@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ConfigurationError, InputError
 
@@ -38,7 +38,10 @@ from .errors import ConfigurationError, InputError
 # several grades still does not finish.  A variety is also refused, before
 # enumerating, when its predicted orbit count exceeds MAX_ORBITS: 2**N
 # (2**(N-1) for GL) for a Steinberg grading of rank N, and the product of
-# the multisegment counts (chain_orbit_count) for chains.
+# the multisegment counts (chain_orbit_count) for chains.  A classical
+# two-eigenvalue shape (n, n) has few orbits, each with an n x n
+# representative, so it is refused when orbits x n**2 exceeds MAX_ORBITS**2,
+# the cell count of the largest accepted chain matrix.
 MAX_CHAIN_TOTAL = 1000
 MAX_ORBITS = 8192
 
@@ -282,9 +285,11 @@ def _recognise_classical(chains: tuple[Chain, ...], family: str) -> VoganVariety
     raise ConfigurationError(f"unrecognised ({family}, dims) combination; {supported}")
 
 
+@lru_cache(maxsize=None)
 def steinberg_grading(family: str, n: int) -> Chain:
     """Grading of the dual group's standard representation at the principal
-    (Steinberg) parameter; exponents are the pairings with the coroot sum."""
+    (Steinberg) parameter; exponents are the pairings with the coroot sum.
+    Memoised: the GL shadow of every Steinberg orbit reads it."""
     family = canonical_family(family)
     if n < 1:
         raise InputError("n must be >= 1")
@@ -335,6 +340,12 @@ def two_eigenvalue_variety(family: str, n: int) -> VoganVariety:
         )
     if family == SO_EVEN and n < 2:
         raise ConfigurationError("SO_even_dual two-eigenvalue needs n >= 2")
+    cells = ((n if family == SP_DUAL else n // 2) + 1) * n * n  # orbits x n^2 entries
+    if cells > MAX_ORBITS**2:
+        raise InputError(
+            f"two-eigenvalue grading ({n}, {n}): {cells} representative cells predicted, "
+            f"over MAX_ORBITS**2 = {MAX_ORBITS**2}"
+        )
     return VoganVariety(family, "two_eigenvalue", (chain,), n=n)
 
 

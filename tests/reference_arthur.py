@@ -1,6 +1,8 @@
-"""A single zero-centered rectangle expanded to its chain and multisegment,
-the fixtures of the rectangle tests in ``test_arthur.py``, and every Arthur
-parameter of an orbit, the reference of acceptance criterion 14."""
+"""A rectangle expanded in true exponents, the reference for the package's
+integer expansions, and a single zero-centered rectangle expanded to its
+chain and multisegment, the fixtures of the rectangle tests in
+``test_arthur.py``; and every Arthur parameter of an orbit, the reference of
+acceptance criterion 14."""
 
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +14,17 @@ from voganlab.variety import SO_EVEN, SO_ODD, SP_DUAL, Chain
 
 # the form of the dual group's standard representation: True = orthogonal
 DUAL_FORM_ORTHOGONAL = {SP_DUAL: False, SO_EVEN: True, SO_ODD: True}
+
+
+def rectangle_segments(d: int, a: int, center) -> list[tuple[Fraction, Fraction]]:
+    """The a segments of length d, at consecutive starts, of the rectangle
+    with the given center, as (start, end) pairs in true exponents.
+
+    >>> [(str(s), str(e)) for s, e in rectangle_segments(3, 2, 0)]
+    [('-3/2', '1/2'), ('-1/2', '3/2')]
+    """
+    s0 = Fraction(center) - Fraction(d + a, 2) + 1
+    return [(s0 + i, s0 + i + d - 1) for i in range(a)]
 
 
 def rectangle_multisegment(d: int, a: int, center) -> tuple[Chain, ChainSegs]:

@@ -439,3 +439,39 @@ def test_criterion_14_enhanced_shahidi_on_every_psi():
         f"{violations} violations, is_arthur without a psi on {len(differs)} orbits: "
         f"{differs}, {elapsed:.2f}s",
     )
+
+
+def test_criterion_15_arthur_type_and_smooth_forces_open_or_closed():
+    # the paper's closing speculation on single chains: an orbit of Arthur
+    # type that is neither open nor closed has a singular closure.  On every
+    # chain of total <= 9 centred at -(k - 1)/2 no middle orbit is both; the
+    # converse (singular => Arthur type) fails on the middle orbits counted
+    # as "not Arthur type, singular".  Totals 2-4 are counted together
+    t0 = time.time()
+    counts: dict[int, list[int]] = {}  # [middle, Arthur type, both, neither Arthur nor smooth]
+    for dims in dim_vectors(max_total=9, max_grid=9):
+        chain = Chain(Fraction(1 - len(dims), 2), dims)
+        row = counts.setdefault(max(sum(dims), 4), [0, 0, 0, 0])
+        for o in enumerate_orbits(build_variety([chain], "gl")):
+            if o.is_open or o.is_closed:
+                continue
+            arthur, smooth = is_arthur_type(o).is_arthur, is_smooth_closure(o)
+            row[0] += 1
+            row[1] += arthur
+            row[2] += arthur and smooth
+            row[3] += not (arthur or smooth)
+    expected = {
+        4: [16, 2, 0, 0],
+        5: [63, 1, 0, 12],
+        6: [247, 8, 0, 59],
+        7: [899, 4, 0, 293],
+        8: [3156, 23, 0, 1201],
+        9: [10849, 14, 0, 4785],
+    }
+    elapsed = time.time() - t0
+    report(
+        "15 (Arthur type and smooth closure => open or closed, single centred chains)",
+        counts == expected,
+        "middle orbits, Arthur type, both, neither Arthur type nor smooth, by total "
+        f"(<= 4 together): {counts}, {elapsed:.2f}s",
+    )

@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from voganlab.arthur import (
-    Rectangle,
-    _rectangle_expansions,
-    brute_force_arthur,
-    is_arthur_type,
-)
+from voganlab.arthur import _rectangle_expansions, brute_force_arthur, is_arthur_type
 from voganlab.classical import gl_multisegment_of_subset
 from voganlab.errors import InputError
 from voganlab.orbits import enumerate_orbits, gl_shadow
@@ -19,11 +14,12 @@ from voganlab.variety import (
     SP_DUAL,
     Chain,
     build_variety,
+    steinberg_grading,
     steinberg_variety,
     two_eigenvalue_variety,
 )
 
-from reference_arthur import rectangle_multisegment
+from reference_arthur import rectangle_multisegment, rectangle_segments
 from reference_classical import graded_power_multisegment
 
 
@@ -71,8 +67,7 @@ def test_rectangle_parity_error():
 
 
 def test_rectangle_expansion_matches_center():
-    r = Rectangle(3, 2, Fraction(0))
-    spans = r.segments()
+    spans = rectangle_segments(3, 2, 0)
     centers = [(a + b) / 2 for a, b in spans]
     assert sum(centers) / len(centers) == 0
 
@@ -144,7 +139,7 @@ def test_decomposition_expands_to_the_multisegment():
             expanded = []
             for rect in verdict.decomposition:
                 assert rect.center == 0
-                expanded.extend(rect.segments())
+                expanded.extend(rectangle_segments(rect.d, rect.a, rect.center))
             (chain, segs), = gl_shadow(o)
             true_spans = sorted(
                 (chain.exponent(b), chain.exponent(e)) for b, e in segs
@@ -165,24 +160,33 @@ def test_agrees_with_brute_force_search():
 
 
 def test_memoised_rectangle_expansions():
-    for total in range(1, 7):
-        for dims in compositions(total):
-            # centered, shifted and one-sided grids, integer and half-integer
-            for offset in (Fraction(-t, 2) for t in range(2 * len(dims) + 1)):
-                lo, hi = offset, offset + len(dims) - 1
-                # exactly the rectangles of content <= total that lie on the
-                # grid points, as grid indices (exponent - offset)
-                fitting = [
-                    (d, a)
-                    for d in range(1, total + 1)
-                    for a in range(1, total // d + 1)
-                    if all(lo <= s and e <= hi and (s - lo).denominator == 1
-                           for s, e in Rectangle(d, a, 0).segments())
-                ]
-                assert _rectangle_expansions(offset, len(dims), total) == tuple(
-                    tuple(sorted((s - lo, e - lo) for s, e in Rectangle(d, a, 0).segments()))
-                    for d, a in fitting
+    # every doubled offset t = 2 offset from -30 to 10 (centered, shifted and
+    # one-sided grids, integer and half-integer), 1 to 15 grid points and
+    # content up to 21: exactly the rectangles of content <= total that lie
+    # on the grid points, as grid indices (exponent - offset), against the
+    # expansion in true exponents
+    rects = [(d, a) for d in range(1, 22) for a in range(1, 21 // d + 1)]
+    exponents = {(d, a): rectangle_segments(d, a, 0) for d, a in rects}
+    triples = 0
+    for t in range(-30, 11):
+        offset = Fraction(t, 2)
+        # each rectangle's sorted grid-index segments and last grid index;
+        # left out where an end misses the grid points or precedes index 0
+        on_grid = {}
+        for da, segs in exponents.items():
+            spans = sorted((s - offset, e - offset) for s, e in segs)
+            if all(s.denominator == 1 and s >= 0 for s, _e in spans):
+                on_grid[da] = tuple((int(s), int(e)) for s, e in spans), max(e for _s, e in spans)
+        for length in range(1, 16):
+            for total in range(1, 22):
+                fitting = tuple(
+                    on_grid[d, a][0]
+                    for d, a in rects
+                    if d * a <= total and (d, a) in on_grid and on_grid[d, a][1] <= length - 1
                 )
+                assert _rectangle_expansions(t, length, total) == fitting, (t, length, total)
+                triples += 1
+    assert triples == 12915
 
 
 def test_classical_steinberg_orbits_arthur_iff_extreme():
@@ -204,6 +208,33 @@ def test_steinberg_shadow_matches_dense_power_ranks():
                     family, n, o.subset)
                 checked += 1
     assert checked == 2 * (2 + 4 + 8 + 16 + 32 + 64 + 128) + (8 + 16 + 32 + 64 + 128)
+
+
+def test_classical_shadows_sit_on_the_variety_grading_and_match_brute_force():
+    # every Steinberg and two-eigenvalue orbit with n <= 8 in the three
+    # classical families: the shadow's chain is the shape's own grading, and
+    # the brute-force search agrees with the rectangle rule
+    checked = 0
+    for family in (SP_DUAL, SO_ODD, SO_EVEN):
+        for make in (steinberg_variety, two_eigenvalue_variety):
+            for n in range(1, 9):
+                try:
+                    v = make(family, n)
+                except InputError:
+                    continue  # shape not defined for this (family, n)
+                if make is steinberg_variety:
+                    grading = steinberg_grading(family, n)
+                else:
+                    grading = Chain(Fraction(-1, 2), (n, n))
+                for o in enumerate_orbits(v):
+                    (chain, segs), = gl_shadow(o)
+                    assert chain == grading, (family, v.kind, n, o.index)
+                    assert brute_force_arthur(chain, segs) == is_arthur_type(o).is_arthur, (
+                        family, v.kind, n, o.index)
+                    checked += 1
+    # Steinberg: 2^n orbits (so-even from n = 3); two-eigenvalue: n + 1
+    # (sp-dual) and n // 2 + 1 (so-even, from n = 2)
+    assert checked == 2 * 510 + 504 + 44 + 23
 
 
 @pytest.mark.parametrize("family", [SP_DUAL, SO_ODD, SO_EVEN])

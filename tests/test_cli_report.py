@@ -310,6 +310,25 @@ def test_steinberg_orbit_count_at_the_limit_is_accepted():
         steinberg_variety("sp-dual", 14)
 
 
+def test_two_eigenvalue_cells_over_the_limit_exit_2(capsys):
+    # orbits x n^2 representative cells against MAX_ORBITS**2, the cells of
+    # the largest accepted chain matrix: n + 1 orbits for sp-dual, n // 2 + 1
+    # for so-even.  The library refuses first, so no analysis runs below
+    limit = MAX_ORBITS**2
+    assert 407 * 406**2 <= limit < 408 * 407**2
+    assert two_eigenvalue_variety("sp-dual", 406).n == 406
+    n = MAX_CHAIN_TOTAL // 2
+    assert (n // 2 + 1) * n**2 <= limit and two_eigenvalue_variety("so-even", n).n == n
+    with pytest.raises(InputError, match="67584792 representative cells predicted"):
+        two_eigenvalue_variety("sp-dual", 407)
+    with pytest.raises(InputError, match="67584792 representative cells predicted"):
+        build_variety([Chain(Fraction(-1, 2), (407, 407))], "sp-dual")
+    for command in ("analyze", "verify"):
+        code, out, err = run_cli(capsys, command, "--family", "sp-dual", "--two-eig", "407")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and f"MAX_ORBITS**2 = {limit}" in err
+
+
 @pytest.mark.parametrize(
     "chains, predicted",
     [([[1] * 15], "16384"), ([[1] * 8, [1] * 8], "16384"), ([[2] * 12], "at least ")],

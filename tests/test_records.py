@@ -73,6 +73,7 @@ def test_defaults():
     verdict = ArthurVerdict(False)
     assert verdict.decomposition == ()
     assert verdict.per_chain_criterion is False
+    assert Rectangle(2, 1) == Rectangle(2, 1, Fraction(0))
     assert ComponentGroup().elementary_divisors == ()
     assert ComponentGroup().is_trivial
     assert RootDatum(1, GL, ()).center_generators == ()
