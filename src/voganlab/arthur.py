@@ -22,6 +22,45 @@ realisation.  For varieties with several chains the criterion is applied
 per chain and the verdict carries a caveat flag, since the boundedness
 analysis is per-twist.  This module classifies only; the report row
 (:mod:`report`) pairs each verdict with smoothness.
+
+The paper's closing speculation, forward direction, on one chain: an orbit
+C of Arthur type that is neither open nor closed has a singular closure.
+(An Arthur-type orbit forces the grid to be symmetric about exponent 0:
+every grade is covered, and the support of each centred rectangle is
+symmetric.)  Suppose cl(C) is smooth and C is not open; we show C is closed.
+
+1. Every closure is a cone (H contains the scalings of V), so it is smooth
+   iff it is linear, i.e. equal to its tangent space at 0.  A linear
+   closure is the sum of the arrow spaces on which x_C is nonzero (they are
+   irreducible and pairwise non-isomorphic under H), and C is the generic
+   orbit of the sub-chain on each maximal run of grades joined by nonzero
+   arrows.
+2. C is not open, so some arrow of x_C is 0.  The rectangles are symmetric
+   about 0, and so is the set of zero arrows; take an innermost one, from
+   exponent e to e + 1 with e >= -1/2.
+3. Within a rectangle with d >= 2, any two adjacent grades of its support
+   lie in one segment, and its support is an interval [-m, m].  No segment
+   crosses the zero arrow, so every such rectangle has m <= e: it lies in
+   M = [-e, e].  Grade e + 1 is not empty, so a rectangle with d = 1 covers
+   it, and its singletons [x] run over [-m, m] with m >= e + 1: every grade
+   of M holds a singleton.
+4. If M has at most one grade (e <= 0), no rectangle has d >= 2, so every
+   segment is a singleton and C is closed.  Otherwise the arrows inside M
+   are nonzero (e is innermost) and those leaving it are 0, so M is a
+   maximal run, on which C is generic: r(i, j) = min(d_i, ..., d_j).  By
+   inclusion-exclusion a grade x of M then holds d_x - min(d_{x-1}, d_x) -
+   min(d_x, d_{x+1}) + min(d_{x-1}, d_x, d_{x+1}) singletons (neighbours
+   outside M left out), which is 0 unless d_x exceeds the dims of its
+   neighbours in M.  Two adjacent grades of M cannot both exceed each
+   other, against step 3.
+
+The converse (singular => Arthur type) is false: acceptance criterion 15
+checks the forward direction on every centred chain of total <= 9 and
+counts the middle orbits that are singular but not of Arthur type.  On
+products the argument applies to each chain factor, since a product
+closure is smooth iff each factor's is: it gives only that each factor is
+open or closed.  An open factor times a closed one is neither, so there the
+speculation is refuted (two chains (1, 1) at -1/2, pinned in the tests).
 """
 
 from __future__ import annotations

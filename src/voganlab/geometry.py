@@ -75,11 +75,15 @@ n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  The oracle,
 :func:`conormal_dual`, finds the generic rank data over an integer basis of
 the conormal space with one sampler for chains and two-eigenvalue shapes:
 seeded random covectors with verification retries, then one exact symbolic
-fallback (ranks over the rational function field), which the tests force.
-The basis is the rows at the orbit itself on both shapes (strand pairs,
-kernel block), which is the Gauss-Jordan kernel basis over Q, so each seeded
-covector is the covector drawn over Q.  A two-eigenvalue covector is ranked
-as an (n - r) x (n - r) form, since it vanishes off the trailing block.
+fallback, which the tests force: the same key code with the coefficients
+the generators of a polynomial ring over Z, so that :mod:`linalg` ranks over
+the rational function field.  The basis is the rows at the orbit itself on
+both shapes (strand pairs, kernel block), which is the Gauss-Jordan kernel
+basis over Q, so each seeded covector is the covector drawn over Q.  A chain
+covector is drawn straight into the cells of its arrow blocks, and its rank
+key takes one elimination per arrow, with no product of blocks
+(:func:`_chain_rank_key`).  A two-eigenvalue covector is ranked as an
+(n - r) x (n - r) form, since it vanishes off the trailing block.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -205,19 +209,19 @@ def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[tuple[i
 # duality: closed forms, and the generic conormal covector as oracle
 
 
-def _combination(coeffs, supports, width: int) -> list:
-    """sum of coeffs[i] * basis[i], as a vector of length ``width``, from the
-    (position, entry) supports of the basis, disjoint on both shapes."""
-    out = [0] * width
-    for c, support in zip(coeffs, supports):
-        for t, x in support:
-            out[t] = c * x
-    return out
+@lru_cache(maxsize=None)
+def _arrow_cells(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The arrow (l, row a, column b) of every arrow-layout coordinate
+    offs[l] + a * dims[l] + b of a chain: the entry (a, b) of block l, which
+    maps E_l to E_{l+1} (see :func:`chain_conormal_basis`)."""
+    return tuple(
+        (l, a, b) for l in range(len(dims) - 1) for a in range(dims[l + 1]) for b in range(dims[l])
+    )
 
 
-def _generic_key(supports, width: int, key_of, rng: random.Random) -> tuple[int, ...]:
-    """Generic value of ``key_of(vec, rank)`` over the span of the basis with
-    (position, entry) supports ``supports``.
+def _generic_key(size: int, key_of, rng: random.Random) -> tuple[int, ...]:
+    """Generic value of ``key_of(coeffs)`` over the span of a basis of
+    ``size`` vectors, ``coeffs`` their coefficients.
 
     ``key_of`` returns a tuple of ranks, each lower semicontinuous, so the
     generic key is the entrywise maximum over the span.  Seeded random
@@ -228,8 +232,7 @@ def _generic_key(supports, width: int, key_of, rng: random.Random) -> tuple[int,
     best: tuple[int, ...] | None = None
     confirmations = 0
     for _ in range(MAX_RETRIES):
-        coeffs = [rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in supports]
-        key = key_of(_combination(coeffs, supports, width), linalg.rank)
+        key = key_of([rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(size)])
         if best is None:
             best = key
         elif key == best:
@@ -239,57 +242,72 @@ def _generic_key(supports, width: int, key_of, rng: random.Random) -> tuple[int,
         elif any(a > b for a, b in zip(key, best)):
             best = tuple(max(a, b) for a, b in zip(best, key))
             confirmations = 0
-    return _symbolic_chain_dual(supports, width, key_of)
+    return _symbolic_chain_dual(size, key_of)
 
 
-def _symbolic_chain_dual(supports, width: int, key_of) -> tuple[int, ...]:
-    """Exact generic key: ``key_of`` at the generic point of the span of the
-    basis with (position, entry) supports ``supports``, with ranks over the
-    rational function field (serves every shape, not only chains)."""
-    import sympy
+def _symbolic_chain_dual(size: int, key_of) -> tuple[int, ...]:
+    """Exact generic key: ``key_of`` at the generic point, the coefficients
+    the generators of Z[t_0, ..., t_{size-1}], so that :mod:`linalg` ranks
+    over the rational function field (serves every shape, not only chains)."""
+    from sympy import ZZ
+    from sympy.polys.rings import ring
 
-    ts = sympy.symbols(f"t0:{len(supports)}")
-    return key_of(_combination(ts, supports, width), lambda m: sympy.Matrix(m).rank())
+    _, *ts = ring([f"t{i}" for i in range(size)], ZZ)
+    return key_of(ts)
 
 
-def _chain_rank_key(vec, dims: tuple[int, ...], rank) -> tuple[int, ...]:
+def _chain_rank_key(arrows, coeffs, dims: tuple[int, ...]) -> tuple[int, ...]:
     """Ranks of the composites i -> j (i < j) of a covector of one chain, in
     row-major order: rank data in the format of :func:`orbits.rank_key`.
 
-    Read in arrow shape, the dual coordinates of a covector give block
-    l = xi_l^T (see :func:`chain_conormal_basis`).  The descending composite
-    xi_i ... xi_{j-1} is the transpose of the forward composite of these
-    blocks, so it has the same rank.  From each start grade the composites
-    grow one block at a time until one has rank 0; every longer composite
-    is then 0, so its rank is 0 without a product.
+    Block l = xi_l^T of the covector maps E_l to E_{l+1} (see
+    :func:`chain_conormal_basis`); ``arrows[l]`` maps each column b of it to
+    its cells (row a, t), the entry (a, b) being ``coeffs[t]``.  The
+    descending composite xi_i ... xi_{j-1} is the transpose of the forward
+    composite of these blocks, so it has the same rank.  Before block l a
+    basis of E_l follows the flag im(0 -> l) <= ... <= im(l -> l) = E_l, each
+    vector at its level i, the least with the vector in im(i -> l).  The
+    block maps the basis level by level into one echelon
+    (:func:`linalg.insert`), whose pivot count after the last image of level
+    i is r(i, l + 1); its pivot rows keep their levels, and unit vectors on
+    the other columns, at level l + 1, complete the basis of E_{l+1}.  No
+    composite is formed, and one elimination runs per block.
     """
-    blocks, pos = [], 0
-    for l in range(len(dims) - 1):
-        rows, cols = dims[l + 1], dims[l]
-        blocks.append([vec[pos + a * cols : pos + (a + 1) * cols] for a in range(rows)])
-        pos += rows * cols
-    out = []
-    for i, comp in enumerate(blocks):
-        r = rank(comp)
-        out.append(r)
-        for block in blocks[i + 1 :]:
-            if r:
-                comp = linalg.matmul(block, comp)
-                r = rank(comp)
-            out.append(r)
-    return tuple(out)
+    key: list[list[int]] = [[] for _ in dims]  # key[i]: r(i, j) for j > i
+    levels = [[{b: 1} for b in range(d)] for d in dims[:1]]  # E_0 at level 0
+    for l, columns in enumerate(arrows):
+        pivots: dict[int, dict] = {}
+        flag = []
+        for i, vectors in enumerate(levels):
+            kept = []
+            for vec in vectors:
+                image: dict = {}
+                for b, y in vec.items():
+                    for a, t in columns.get(b, ()):
+                        image[a] = image.get(a, 0) + coeffs[t] * y
+                if row := linalg.insert(pivots, {a: x for a, x in image.items() if x}):
+                    kept.append(row)
+            flag.append(kept)
+            key[i].append(len(pivots))
+        flag.append([{a: 1} for a in range(dims[l + 1]) if a not in pivots])
+        levels = flag
+    return tuple(r for ranks in key for r in ranks)
 
 
 def _generic_chain_dual(segs: ChainSegs, chain: Chain, rng: random.Random) -> ChainSegs:
-    """The orbit of a generic covector of one chain.  On one grade or none
-    the basis is empty, so the key is empty and decodes to ``segs``."""
+    """The orbit of a generic covector of one chain, drawn on the basis
+    :func:`chain_conormal_basis` straight into the cells of its blocks.  On
+    one grade or none the basis is empty, so the key is empty and decodes to
+    ``segs``."""
     dims = chain.dims
-    key = _generic_key(
-        [[(t, 1) for t in row] for row in chain_conormal_basis(segs, dims)],
-        chain.arrow_dim,
-        lambda vec, rank: _chain_rank_key(vec, dims, rank),
-        rng,
-    )
+    cell = _arrow_cells(dims)
+    basis = chain_conormal_basis(segs, dims)
+    arrows: list[dict[int, list]] = [{} for _ in dims[1:]]
+    for t, row in enumerate(basis):
+        for coord in row:
+            l, a, b = cell[coord]
+            arrows[l].setdefault(b, []).append((a, t))
+    key = _generic_key(len(basis), lambda coeffs: _chain_rank_key(arrows, coeffs, dims), rng)
     return orbits.segments_of_rank_key(key, dims)
 
 
@@ -328,12 +346,16 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
         complement = tuple(i for i in range(v.n) if i not in orbit.subset)
         return table.by_key[complement]
     m = v.n - orbit.rank  # the covectors live on the trailing m x m block
-    (dual_rank,) = _generic_key(
-        _kernel_block(v, orbit.rank),
-        m * m,
-        lambda vec, rank: (rank([vec[i * m : (i + 1) * m] for i in range(m)]),),
-        rng,
-    )
+    block = _kernel_block(v, orbit.rank)
+
+    def key_of(coeffs) -> tuple[int]:
+        xi = [[0] * m for _ in range(m)]
+        for x, support in zip(coeffs, block):
+            for t, sign in support:
+                xi[t // m][t % m] = x * sign
+        return (linalg.rank(xi),)
+
+    (dual_rank,) = _generic_key(len(block), key_of, rng)
     return table.by_key[dual_rank]
 
 

@@ -1,28 +1,33 @@
 """
-Exact linear algebra over the rationals.
+Exact linear algebra over the rationals, and over polynomial rings.
 
 Matrices are plain lists (or tuples) of rows of ``int`` or ``Fraction``
-entries.  Products of integer matrices stay integer, and kernels come back
-as integer vectors.  All ranks, kernels and solutions are exact -- no
+entries, or of elements of a polynomial ring over the integers with a
+canonical zero, such as ``sympy.polys.rings.ring(..., ZZ)``.  Kernels come
+back as integer vectors.  All ranks, kernels and solutions are exact -- no
 floating point anywhere.
 
-Elimination is sparse and runs on Python ints.  Each nonzero row becomes a
-``{column: int}`` dict of its nonzero entries, scaled by the lcm of its
-denominators and divided by the gcd of its entries (zero rows are dropped,
-which leaves the row space unchanged).  Rows are combined fraction-free
-(p * row - f * pivot row), each new row divided by the gcd of its entries so
-the integers stay small.  A row's pivot is its lowest column: each row in
-turn is reduced by the pivot rows until its lowest column holds no pivot,
-and then becomes a pivot row itself (or vanishes).
-:func:`rank` needs only this forward pass.  :func:`nullspace`
-back-substitutes to the reduced echelon form, which is unique, and returns
-the kernel basis of Gauss-Jordan elimination over Q times one common
-positive integer (so any combination of the basis vectors is that integer
-times the same combination over Q, with the same ranks).  The tests check
-both against plain Gauss-Jordan elimination on Fractions
-(``tests/reference_linalg.py``).  The package calls only :func:`rank` and
-:func:`matmul`; :func:`nullspace` serves the tests' references and stays
-while ``perfbench/tracing.py`` counts its calls by name.
+Elimination is sparse and fraction-free.  Each nonzero row becomes a
+``{column: entry}`` dict of its nonzero entries; a row with ``Fraction``
+entries is scaled by the lcm of their denominators, and a row of ints is
+divided by the gcd of its entries (zero rows are dropped, which leaves the
+row space unchanged).  Rows are combined fraction-free (p * row - f * pivot
+row), each new row of ints divided by the gcd of its entries so the
+integers stay small; ring entries are combined as they are, so over
+Z[t_0, ...] the rank is the rank over the rational function field.  A
+row's pivot is its lowest column: :func:`insert` reduces a row by the pivot
+rows until its lowest column holds no pivot, and then adds it as a pivot row
+(or drops it, if nothing is left).  :func:`rank` needs only this forward
+pass, and the conormal oracle (``geometry._chain_rank_key``) inserts its rows
+one at a time.  :func:`nullspace` back-substitutes to the reduced echelon
+form, which is unique, and returns the kernel basis of Gauss-Jordan
+elimination over Q times one common positive integer (so any combination of
+the basis vectors is that integer times the same combination over Q, with
+the same ranks).  The tests check both against plain Gauss-Jordan
+elimination on Fractions (``tests/reference_linalg.py``) and the ranks over
+Z[t] against sympy's.  The package calls :func:`rank` and :func:`insert`;
+:func:`nullspace` serves the tests' references and stays while
+``perfbench/tracing.py`` counts its calls by name.
 """
 
 from __future__ import annotations
@@ -30,30 +35,32 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Matrix = list[list[int | Fraction]]
 Row = dict[int, int]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch in matmul")
-    nb = len(b[0]) if b else 0
-    out = [[0] * nb for _ in a]
-    for i, arow in enumerate(a):
-        orow = out[i]
-        for k, aik in enumerate(arow):
-            if aik:
-                brow = b[k]
-                for j in range(nb):
-                    if brow[j]:
-                        orow[j] += aik * brow[j]
-    return out
-
-
 def _primitive(row: Row) -> Row:
-    """``row`` divided by the gcd of its entries."""
-    g = gcd(*row.values())
+    """``row`` divided by the gcd of its entries, if they are all ints."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # ring elements: left as they are
+        return row
     return {c: x // g for c, x in row.items()} if g > 1 else row
+
+
+def insert(pivots: dict[int, Row], row: Row) -> Row:
+    """Reduce the sparse ``row`` (nonzero entries only, no ``Fraction``) by
+    the echelon ``pivots`` until its lowest column holds no pivot, and add it
+    there as a pivot row: the row added, or an empty row if it reduced to 0.
+    ``row`` itself may be changed; the pivot rows already there are not."""
+    row = _primitive(row)
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            pivots[c] = row
+            break
+        row = _eliminate(row, prow, c)
+    return row
 
 
 def _echelon(m) -> dict[int, Row]:
@@ -62,18 +69,11 @@ def _echelon(m) -> dict[int, Row]:
     pivots: dict[int, Row] = {}
     for dense in m:
         row = {c: x for c, x in enumerate(dense) if x}
-        if any(type(x) is not int for x in row.values()):
+        if any(type(x) is Fraction for x in row.values()):
             ratios = {c: x.as_integer_ratio() for c, x in row.items()}
             den = lcm(*[d for _, d in ratios.values()])
             row = {c: n * (den // d) for c, (n, d) in ratios.items()}
-        row = _primitive(row)
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                break
-            row = _eliminate(row, prow, c)
+        insert(pivots, row)
     return pivots
 
 

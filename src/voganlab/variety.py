@@ -38,10 +38,11 @@ from .errors import ConfigurationError, InputError
 # several grades still does not finish.  A variety is also refused, before
 # enumerating, when its predicted orbit count exceeds MAX_ORBITS: 2**N
 # (2**(N-1) for GL) for a Steinberg grading of rank N, and the product of
-# the multisegment counts (chain_orbit_count) for chains.  A classical
-# two-eigenvalue shape (n, n) has few orbits, each with an n x n
-# representative, so it is refused when orbits x n**2 exceeds MAX_ORBITS**2,
-# the cell count of the largest accepted chain matrix.
+# the multisegment counts (chain_orbit_count) for chains.  A shape with few
+# orbits can still have large representatives, so a variety is refused too
+# when its orbits times the cells of a representative (its arrow cells on
+# chains, n**2 on a two-eigenvalue shape (n, n)) exceed MAX_ORBITS**2, the
+# cell count of the largest accepted chain matrix.
 MAX_CHAIN_TOTAL = 1000
 MAX_ORBITS = 8192
 
@@ -120,6 +121,16 @@ def chain_orbit_count(dims: tuple[int, ...], limit: int) -> tuple[int, bool]:
                     return sum(nxt.values()), False
         paths = nxt
     return sum(paths.values()), True
+
+
+def _check_cells(orbit_count: int, cells: int, what: str) -> None:
+    """Refuse ``what`` when its orbits times the cells of a representative
+    exceed MAX_ORBITS**2."""
+    if orbit_count * cells > MAX_ORBITS**2:
+        raise InputError(
+            f"{what}: {orbit_count * cells} representative cells predicted, "
+            f"over MAX_ORBITS**2 = {MAX_ORBITS**2}"
+        )
 
 
 def form_basis(n: int, symmetric: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -254,12 +265,13 @@ def build_variety(chains, family: str) -> VoganVariety:
         for c in chains:
             n, n_exact = chain_orbit_count(c.dims, MAX_ORBITS)
             count, exact = count * n, exact and n_exact
+        dims = ", ".join(str(list(c.dims)) for c in chains)
         if count > MAX_ORBITS:
-            dims = ", ".join(str(list(c.dims)) for c in chains)
             raise InputError(
                 f"chains with dims {dims}: {'' if exact else 'at least '}{count} orbits "
                 f"predicted, over MAX_ORBITS = {MAX_ORBITS}"
             )
+        _check_cells(count, sum(c.arrow_dim for c in chains), f"chains with dims {dims}")
         return VoganVariety(GL, "chain", chains)
     return _recognise_classical(chains, family)
 
@@ -331,8 +343,6 @@ def two_eigenvalue_variety(family: str, n: int) -> VoganVariety:
         raise InputError("n must be >= 1")
     _check_total(2 * n, f"two-eigenvalue grading ({n}, {n})")
     chain = Chain(Fraction(-1, 2), (n, n))
-    if family == GL:
-        return VoganVariety(GL, "chain", (chain,))
     if family == SO_ODD:
         raise ConfigurationError(
             "the odd orthogonal dual group has odd-dimensional standard "
@@ -340,12 +350,11 @@ def two_eigenvalue_variety(family: str, n: int) -> VoganVariety:
         )
     if family == SO_EVEN and n < 2:
         raise ConfigurationError("SO_even_dual two-eigenvalue needs n >= 2")
-    cells = ((n if family == SP_DUAL else n // 2) + 1) * n * n  # orbits x n^2 entries
-    if cells > MAX_ORBITS**2:
-        raise InputError(
-            f"two-eigenvalue grading ({n}, {n}): {cells} representative cells predicted, "
-            f"over MAX_ORBITS**2 = {MAX_ORBITS**2}"
-        )
+    # ranks 0 .. n, the even ones on SO(2n), each with an n x n representative
+    orbit_count = (n // 2 if family == SO_EVEN else n) + 1
+    _check_cells(orbit_count, n * n, f"two-eigenvalue grading ({n}, {n})")
+    if family == GL:
+        return VoganVariety(GL, "chain", (chain,))
     return VoganVariety(family, "two_eigenvalue", (chain,), n=n)
 
 

@@ -21,6 +21,8 @@ from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.orbits import segments_of_rank_key
 from voganlab.variety import SO_EVEN, SO_ODD, SP_DUAL, Chain, steinberg_grading
 
+from reference_linalg import matmul
+
 
 def simple_root_matrices(family: str, n: int) -> list[list[list[int]]]:
     """Root vectors for the simple roots, acting on the graded standard rep:
@@ -83,7 +85,7 @@ def graded_power_multisegment(family: str, n: int, subset) -> tuple[Chain, tuple
     k = chain.length
     powers = [x]  # powers[m - 1] = x^m
     for _ in range(k - 2):
-        powers.append(linalg.matmul(powers[-1], x))
+        powers.append(matmul(powers[-1], x))
     key = tuple(
         linalg.rank([[powers[b - a - 1][r][c] for c in buckets[a]] for r in buckets[b]])
         for a in range(k)

@@ -5,12 +5,14 @@ independent rows of pairs of strands of a 0/1 representative.  The same
 for the two-eigenvalue shapes at their normal forms, whose tangent count and
 conormal basis ``voganlab.geometry`` reads off the kernel block.  Also the
 smoothness test at every stratum of a closure, the reference for the
-oracle that reads the cone point alone."""
+oracle that reads the cone point alone.  And the rank key of a covector by
+products of its blocks, the reference for the conormal oracle's
+elimination, which forms no product."""
 
 from voganlab import geometry, linalg, orbits
 from voganlab.variety import form_basis
 
-from reference_linalg import left_nullspace, matvec, transpose
+from reference_linalg import left_nullspace, matmul, matvec, transpose
 
 
 def sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
@@ -20,7 +22,7 @@ def sub_chain_conditions(dims: tuple[int, ...], arrows) -> tuple[int, tuple]:
     repeated rows dropped, from the kernels of :mod:`voganlab.linalg`."""
     c = arrows[0]
     for a in arrows[1:]:
-        c = linalg.matmul(a, c)
+        c = matmul(a, c)
     ker = linalg.nullspace(c)
     rank = dims[0] - len(ker)  # rank-nullity
     cok = left_nullspace(c) if ker else []
@@ -132,9 +134,28 @@ def two_eig_conormal_basis(v, rank: int) -> list[list[int]]:
     """
     x = orbits.two_eig_representative(v, rank)
     mats = dense_forms(v.n, v.symmetric_form)
-    rows = [[e for row in linalg.matmul(x, bm) for e in row] for bm in mats]
+    rows = [[e for row in matmul(x, bm) for e in row] for bm in mats]
     flat = [[e for row in bm for e in row] for bm in mats]
     return [
         [sum(c * vec[t] for c, vec in zip(coeffs, flat)) for t in range(v.n * v.n)]
         for coeffs in left_nullspace(rows)
     ]
+
+
+def composite_rank_key(blocks) -> tuple[int, ...]:
+    """Ranks of the composites i -> j (i < j) of the arrow blocks
+    ``blocks[l]`` : E_l -> E_{l+1} (dims[l + 1] x dims[l] matrices), in
+    row-major order, by products of the blocks: the reference for
+    ``voganlab.geometry._chain_rank_key``.  From each start grade the
+    composites grow one block at a time until one has rank 0; every longer
+    composite is then 0, so its rank is 0 without a product."""
+    out = []
+    for i, comp in enumerate(blocks):
+        r = linalg.rank(comp)
+        out.append(r)
+        for block in blocks[i + 1 :]:
+            if r:
+                comp = matmul(block, comp)
+                r = linalg.rank(comp)
+            out.append(r)
+    return tuple(out)

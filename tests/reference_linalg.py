@@ -1,12 +1,28 @@
 """Plain Gauss-Jordan elimination over Q, the reference for the integer
 kernels of ``voganlab.linalg``, and the matrix helpers that the other
-references build their condition rows and commutators with: transposes,
-matrix-vector products and left kernels (the integer kernel of the
-transpose)."""
+references build their condition rows, commutators and composites with:
+products, transposes, matrix-vector products and left kernels (the integer
+kernel of the transpose)."""
 
 from fractions import Fraction
 
 from voganlab import linalg
+
+
+def matmul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("shape mismatch in matmul")
+    nb = len(b[0]) if b else 0
+    out = [[0] * nb for _ in a]
+    for i, arow in enumerate(a):
+        orow = out[i]
+        for k, aik in enumerate(arow):
+            if aik:
+                brow = b[k]
+                for j in range(nb):
+                    if brow[j]:
+                        orow[j] += aik * brow[j]
+    return out
 
 
 def transpose(a):

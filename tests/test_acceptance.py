@@ -13,7 +13,10 @@ so the criterion now reports the clause as refuted, with its violations,
 and requires that counterexample to be among them.  Criterion 14 likewise
 prints the orbits that the production verdict calls Arthur type although
 no psi lands in the dual group: the so-even two-eigenvalue shapes with odd
-n, where ``is_arthur`` ignores the form of SO(2n).  Every criterion passes.
+n, where ``is_arthur`` ignores the form of SO(2n).  Criterion 15 proves out
+on single chains (the proof is in ``voganlab.arthur``), and its product
+companion reports the clause refuted on a two-chain spec, which it pins,
+where ``verify`` exits 1 on that row alone.  Every criterion passes.
 """
 
 import itertools
@@ -26,14 +29,20 @@ import pytest
 from voganlab import geometry, kl, orbits
 from voganlab.arthur import brute_force_arthur, is_arthur_type
 from voganlab.bridge import multiplicity_matrix, multisegment_to_permutation, rationally_smooth
-from voganlab.cli import main
+from voganlab.cli import main, verify_battery
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
 from voganlab.errors import InputError
 from voganlab.geometry import conormal_dual, is_smooth_closure, mw_involution, pyasetskii_dual
 from voganlab.lattice import builtin_root_datum, center_image, stabilizer_component_group
 from voganlab.orbits import closure_leq, enumerate_orbits, gl_shadow
 from voganlab.report import speculation_table, table_report
-from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
+from voganlab.variety import (
+    Chain,
+    build_variety,
+    steinberg_variety,
+    two_eigenvalue_variety,
+    variety_from_dict,
+)
 
 from conftest import dim_vectors
 from reference_arthur import arthur_parameters
@@ -474,4 +483,41 @@ def test_criterion_15_arthur_type_and_smooth_forces_open_or_closed():
         counts == expected,
         "middle orbits, Arthur type, both, neither Arthur type nor smooth, by total "
         f"(<= 4 together): {counts}, {elapsed:.2f}s",
+    )
+
+
+def test_criterion_15_refuted_on_products(tmp_path, capsys):
+    # on products the single-chain proof gives only "Arthur type and smooth
+    # => each chain factor is open or closed".  On two chains (1, 1) at -1/2
+    # an open factor times a closed one is Arthur type, neither open nor
+    # closed, and smooth (a line), so the report flags a violation and verify
+    # fails that row alone.  The clause is reported refuted on products, as
+    # criterion 7 reports the order reversal, and the report is unchanged
+    spec = {"family": "gl", "chains": [{"offset": "-1/2", "dims": [1, 1]}] * 2}
+    v = variety_from_dict(spec)
+    table = enumerate_orbits(v)
+    rows = table_report(table, 0)["orbits"]
+    flagged = [o for o, r in zip(table, rows) if r["violation"]]
+    factors = [enumerate_orbits(build_variety([chain], "gl")) for chain in v.chains]
+    per_factor = all(
+        t.by_key[(segs,)].is_open or t.by_key[(segs,)].is_closed
+        for o in flagged for segs, t in zip(o.msegs, factors)
+    )
+    failing = [name for name, ok, _ in verify_battery(v) if not ok]
+    path = tmp_path / "two_chains.json"
+    path.write_text(json.dumps(spec))
+    code = main(["verify", "--spec", str(path)])
+    capsys.readouterr()
+    labels = [o.label() for o in flagged]
+    refuted = (
+        labels == ["{[-1/2], [1/2], [-1/2..1/2]}", "{[-1/2..1/2], [-1/2], [1/2]}"]
+        and all(is_arthur_type(o).is_arthur and is_smooth_closure(o) for o in flagged)
+        and failing == ["no violation of the open/closed/singular pattern"]
+        and code == 1
+    )
+    report(
+        "15 on products (refuted; each chain factor open or closed)",
+        refuted and per_factor,
+        f"violations {labels}, failing verify rows {failing}, exit {code}, "
+        f"factors open or closed: {per_factor}",
     )

@@ -19,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from voganlab.bridge import multisegment_to_permutation  # noqa: E402
 from voganlab.cli import verify_battery  # noqa: E402
 from voganlab.geometry import (  # noqa: E402
+    _chain_rank_key,
     chain_conormal_basis,
     conormal_dual,
     is_smooth_closure,
@@ -30,6 +31,7 @@ from voganlab.orbits import closure_below, enumerate_orbits, hasse, representati
 from voganlab.variety import Chain, build_variety  # noqa: E402
 
 from reference_geometry import (  # noqa: E402
+    composite_rank_key,
     tangent_dim,
     tangent_pairs_at,
     tangent_smooth_closure_scan,
@@ -163,3 +165,32 @@ def test_bridge_embeds_the_closure_order(dims):
         for c in table:
             below = table.below[d.index] >> c.index & 1
             assert below == bruhat_leq(perms[c.index], perms[d.index]), (c.index, d.index)
+
+
+@st.composite
+def chain_blocks(draw):
+    """Up to 7 grades of dimension 1-4 and an integer block for each arrow,
+    mostly zeros and small entries, so the composites drop rank."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    blocks = [
+        [draw(st.lists(entries, min_size=dims[l], max_size=dims[l])) for _ in range(dims[l + 1])]
+        for l in range(len(dims) - 1)
+    ]
+    return tuple(dims), blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(chain_blocks())
+def test_chain_rank_key_matches_products_of_blocks(case):
+    # the conormal oracle's rank key, one elimination per arrow with no
+    # product, against the ranks of the composites formed by products; every
+    # entry becomes a cell, zeros included
+    dims, blocks = case
+    coeffs, arrows = [], [{} for _ in blocks]
+    for l, block in enumerate(blocks):
+        for a, row in enumerate(block):
+            for b, x in enumerate(row):
+                arrows[l].setdefault(b, []).append((a, len(coeffs)))
+                coeffs.append(x)
+    assert _chain_rank_key(arrows, coeffs, dims) == composite_rank_key(blocks)

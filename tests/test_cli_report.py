@@ -329,6 +329,29 @@ def test_two_eigenvalue_cells_over_the_limit_exit_2(capsys):
         assert err.startswith("error: ") and f"MAX_ORBITS**2 = {limit}" in err
 
 
+def test_gl_chain_cells_over_the_limit_exit_2(capsys):
+    # the same rule on gl chains: the orbit count times the arrow cells of
+    # all chains.  (n, n) has n + 1 orbits and n^2 cells, the cutoff of
+    # sp-dual; acceptance is checked by construction, with no analysis run
+    for v in (two_eigenvalue_variety("gl", 406),
+              build_variety([Chain(Fraction(-1, 2), (406, 406))], "gl")):
+        assert (v.kind, v.chains[0].dims) == ("chain", (406, 406))
+    with pytest.raises(InputError, match="67584792 representative cells predicted"):
+        two_eigenvalue_variety("gl", 407)
+    with pytest.raises(InputError, match="67584792 representative cells predicted"):
+        build_variety([Chain(Fraction(-1, 2), (407, 407))], "gl")
+    # over chains the orbit counts multiply and the cells add: (330, 330)
+    # alone is accepted, and with a (1, 1) chain beside it 662 * 108,901
+    # cells are refused
+    assert build_variety([Chain(0, (330, 330))], "gl").total_dim == 330**2
+    with pytest.raises(InputError, match="72092462 representative cells predicted"):
+        build_variety([Chain(0, (330, 330)), Chain(0, (1, 1))], "gl")
+    for command in ("analyze", "hasse", "verify"):
+        code, out, err = run_cli(capsys, command, "--family", "gl", "--two-eig", "407")
+        assert (code, out) == (2, "")
+        assert "67584792" in err and f"MAX_ORBITS**2 = {MAX_ORBITS**2}" in err
+
+
 @pytest.mark.parametrize(
     "chains, predicted",
     [([[1] * 15], "16384"), ([[1] * 8, [1] * 8], "16384"), ([[2] * 12], "at least ")],
@@ -617,7 +640,7 @@ def test_classical_analyze_runs_no_linear_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("linear algebra on the classical analyze path")
 
-    for name in ("rank", "nullspace", "matmul"):
+    for name in ("rank", "insert", "nullspace"):
         monkeypatch.setattr(linalg, name, refuse)
     monkeypatch.setattr(lattice, "smith_normal_form", refuse)
     varieties = [

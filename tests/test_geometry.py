@@ -20,13 +20,14 @@ from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenv
 
 from conftest import dim_vectors
 from reference_geometry import (
+    composite_rank_key,
     tangent_dim,
     tangent_pairs_at,
     tangent_smooth_closure_scan,
     two_eig_conormal_basis,
     two_eig_tangent_dim,
 )
-from reference_linalg import reference_nullspace, reference_rref, transpose
+from reference_linalg import matmul, reference_nullspace, reference_rref, transpose
 from reference_orbits import commutator_matrix
 
 
@@ -161,7 +162,7 @@ def test_tangent_dim_constant_on_orbit():
         base = tangent_dim(tangent_pairs_at(x, dims), c.msegs[0], dims)
         gs = [random_gl(k) for k in dims]
         moved = [
-            linalg.matmul(linalg.matmul(gs[i + 1], x[i]), invert(gs[i]))
+            matmul(matmul(gs[i + 1], x[i]), invert(gs[i]))
             for i in range(len(dims) - 1)
         ]
         pairs = tangent_pairs_at(moved, dims)
@@ -393,6 +394,36 @@ def test_duality_battery_small_varieties():
             assert duals[duals[o.index].index].index == o.index
             assert mw_involution(o, table).index == duals[o.index].index
             assert pyasetskii_dual(o, table).index == duals[o.index].index
+
+
+def test_chain_rank_key_matches_products_on_every_seeded_sample(monkeypatch):
+    # every covector the oracle draws at seeds 0-2, on every orbit of every
+    # chain of total <= 7, ranked by one elimination per arrow and by
+    # products of its blocks
+    key = geometry._chain_rank_key
+    samples = []
+
+    def checked(arrows, coeffs, dims):
+        blocks = [[[0] * dims[l] for _ in range(dims[l + 1])] for l in range(len(dims) - 1)]
+        for l, columns in enumerate(arrows):
+            for b, cells in columns.items():
+                for a, t in cells:
+                    blocks[l][a][b] = coeffs[t]
+        out = key(arrows, coeffs, dims)
+        assert out == composite_rank_key(blocks), (dims, blocks)
+        samples.append(out)
+        return out
+
+    monkeypatch.setattr(geometry, "_chain_rank_key", checked)
+    orbit_count = 0
+    for dims in dim_vectors(7, 7):
+        table = enumerate_orbits(gl_chain(dims))
+        orbit_count += len(table)
+        for o in table:
+            for seed in range(3):
+                assert conormal_dual(o, seed, table).index == pyasetskii_dual(o, table).index
+    assert orbit_count == 1472
+    assert len(samples) == 9 * orbit_count  # every first sample is confirmed by the next two
 
 
 def test_duality_seed_independence():

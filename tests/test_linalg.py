@@ -102,3 +102,37 @@ def test_degenerate_shapes():
     assert linalg.nullspace([[2, 0, 1], [0, 3, 1]]) == [[-3, -2, 6]]
     assert linalg.nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [[-2, 3]]
     assert all(type(x) is int for x in linalg.nullspace([[Fraction(1, 2), 1]])[0])
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """Matrices of up to 4 x 4 over Z[t0, t1], from a few small polynomials
+    and zeros, the last row sometimes a polynomial combination of the first
+    two, so ranks fall below both sides."""
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    _, t0, t1 = ring("t0 t1", ZZ)
+    entries = st.sampled_from((0, 0, 1, -2, t0, t1, t0 - t1, t0 * t1 + 1, t0**2 - 3))
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    m = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows > 2 and draw(st.booleans()):
+        m[-1] = [t0 * x - t1 * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(polynomial_matrices())
+def test_rank_over_a_polynomial_ring_matches_sympy(m):
+    # the symbolic fallback of the conormal oracle ranks over Z[t]: the
+    # elimination combines ring elements as they are, with no gcd
+    import sympy
+
+    def expr(x):
+        return x.as_expr() if hasattr(x, "as_expr") else sympy.Integer(x)
+
+    expected = sympy.Matrix([[expr(x) for x in row] for row in m]).rank(
+        iszerofunc=lambda e: sympy.expand(e) == 0
+    )
+    assert linalg.rank(m) == expected

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from voganlab import linalg
 from voganlab.errors import ConfigurationError, InputError
 from voganlab.orbits import (
     OrbitTable,
@@ -22,6 +21,7 @@ from voganlab.orbits import (
 from voganlab.variety import Chain, build_variety, point_variety, steinberg_variety, two_eigenvalue_variety
 
 from conftest import dim_vectors
+from reference_geometry import composite_rank_key
 from reference_orbits import (
     commutator_orbit_dim,
     reference_below,
@@ -112,23 +112,11 @@ def test_single_long_segment_rank():
     assert rank_key(((0, 1), (2, 2)), 3) == (1, 0, 0)
 
 
-def composed_ranks(arrows, dims):
-    """Ranks of the composite arrow maps i -> j, i < j, in row-major order."""
-    out = []
-    for i in range(len(dims) - 1):
-        comp = arrows[i]
-        out.append(linalg.rank(comp))
-        for j in range(i + 2, len(dims)):
-            comp = linalg.matmul(arrows[j - 1], comp)
-            out.append(linalg.rank(comp))
-    return tuple(out)
-
-
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1)])
 def test_rank_matrix_equals_ranks_at_representative(dims):
     for segs in chain_multisegments(dims):
         arrows = chain_representative(segs, dims)
-        assert composed_ranks(arrows, dims) == rank_key(segs, len(dims))
+        assert composite_rank_key(arrows) == rank_key(segs, len(dims))
 
 
 def test_segments_of_rank_key_inverts_rank_key(chain_suite):
