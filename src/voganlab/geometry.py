@@ -43,20 +43,20 @@ strand of slots, one per grade it covers.  The kernel of the composite
 i -> j is spanned by the slots at i of the strands that end before j, its
 cokernel by the slots at j of the strands that start after i, so a kernel
 strand f and a cokernel strand g give the 0/1 condition row with cells
-(l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f
-(:func:`_strand_pairs`).  It is nonzero iff b_f < b_g <= e_f + 1 <= e_g, the
-same for every composite with b_f <= i < b_g and e_f < j <= e_g, and counts
-when one of those has r_D(i, j) = r_C(i, j) (:func:`orbits.rank_key`).  Each
-cell names both of its strands, so rows of distinct strand pairs have
-disjoint supports, and dim T_{x_D} cl(C) = dim V - #counting rows, with no
-elimination.  At D = C every row counts: the codim C rows span the
-annihilator of T_{x_C} C, the conormal fibre { xi : [x_C, xi] = 0 }, and
-ordered by their last coordinate they are its Gauss-Jordan kernel basis over
-Q (:func:`chain_conormal_basis`).  At the rank-r two-eigenvalue normal form
-ker = coker = span(e_r .. e_{n-1}), so the rows are the forms of the same
-symmetry type on that trailing block, the form space of size n - r
-(:func:`_kernel_block`), counted when rank D = rank C; at D = C they are
-the conormal basis { Xi : x Xi = 0 }.
+(l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f.  It is nonzero
+iff b_f < b_g <= e_f + 1 <= e_g, the same for every composite with
+b_f <= i < b_g and e_f < j <= e_g, and counts when one of those has
+r_D(i, j) = r_C(i, j) (:func:`orbits.rank_key`).  Each cell names both of
+its strands, so rows of distinct strand pairs have disjoint supports, and
+dim T_{x_D} cl(C) = dim V - #counting rows, with no elimination
+(:func:`_strand_pairs` counts them).  At D = C every row counts: the
+codim C rows span the annihilator of T_{x_C} C, the conormal fibre
+{ xi : [x_C, xi] = 0 }, and ordered by their last cell they are its
+Gauss-Jordan kernel basis over Q (:func:`_chain_conormal_cells`).  At the
+rank-r two-eigenvalue normal form ker = coker = span(e_r .. e_{n-1}), so
+the rows are the forms of the same symmetry type on that trailing block,
+the form space of size n - r (:func:`_kernel_block`), counted when
+rank D = rank C; at D = C they are the conormal basis { Xi : x Xi = 0 }.
 The tests' references build the rows and the commutator by linear algebra
 and take a rank and a kernel (``tests/reference_geometry.py``,
 ``tests/reference_orbits.py``).
@@ -73,17 +73,29 @@ conormal duality (Adv. Math. 117, 1996).  Steinberg duals are subset
 complements, and the dual of the rank-r two-eigenvalue stratum has rank
 n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  The oracle,
 :func:`conormal_dual`, finds the generic rank data over an integer basis of
-the conormal space with one sampler for chains and two-eigenvalue shapes:
-seeded random covectors with verification retries, then one exact symbolic
-fallback, which the tests force: the same key code with the coefficients
-the generators of a polynomial ring over Z, so that :mod:`linalg` ranks over
-the rational function field.  The basis is the rows at the orbit itself on
-both shapes (strand pairs, kernel block), which is the Gauss-Jordan kernel
-basis over Q, so each seeded covector is the covector drawn over Q.  A chain
-covector is drawn straight into the cells of its arrow blocks, and its rank
-key takes one elimination per arrow, with no product of blocks
-(:func:`_chain_rank_key`).  A two-eigenvalue covector is ranked as an
-(n - r) x (n - r) form, since it vanishes off the trailing block.
+the conormal space with one sampler for chains and two-eigenvalue shapes
+(:func:`_generic_key`).  Each seeded covector's key is a lower bound on the
+generic key (ranks are lower semicontinuous), and each covector has an
+exact upper bound from the support of the basis alone, valid on the whole
+span: a rank is at most the width of any cut its map factors through.  A
+chain composite i -> j factors through the coordinates of each middle
+grade l that the support joins to both E_i and E_j (:func:`_cut_bound`); an
+m x m form has rank at most m, and an even rank if it is antisymmetric.  A
+sample that meets the bound is the generic key, with no confirmation: on
+every orbit of every chain of total <= 8 but one, on (1, 3, 3, 1), and on
+every two-eigenvalue orbit the tests check, the first sample does.
+Elsewhere the maximum of the samples is kept after two confirmations, and
+after ``MAX_RETRIES`` samples one exact symbolic fallback decides, which the
+tests force: the same key code with the coefficients the generators of a
+polynomial ring over Z, so that :mod:`linalg` ranks over the rational
+function field.  A key above its bound is an internal error.  The basis is
+the rows at the orbit itself on both shapes (strand pairs, kernel block),
+which is the Gauss-Jordan kernel basis over Q, so each seeded covector is
+the covector drawn over Q.  A chain covector is drawn straight into the
+cells of its arrow blocks, and its rank key takes one elimination per
+arrow, with no product of blocks (:func:`_chain_rank_key`).  A
+two-eigenvalue covector is ranked as an (n - r) x (n - r) form, since it
+vanishes off the trailing block.
 
 The duality is an involution and swaps the open and closed orbits, but it
 does NOT reverse the closure order in general: on the chain with dims
@@ -98,11 +110,11 @@ import random
 from functools import lru_cache
 
 from . import linalg, orbits
-from .errors import InputError, UnsupportedFamilyError
+from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
 from .variety import Chain, VoganVariety, form_basis
 
-RANDOM_BOUND = 1 << 16
+COEFF_BITS = 17  # seeded coefficients lie in [-2^16, 2^16)
 MAX_RETRIES = 8
 
 
@@ -111,24 +123,19 @@ MAX_RETRIES = 8
 
 
 @lru_cache(maxsize=None)
-def _strand_pairs(segs: ChainSegs, dims: tuple[int, ...]) -> tuple[tuple[tuple, tuple], ...]:
+def _strand_pairs(segs: ChainSegs, dims: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """The condition rows at the representative of ``segs``, one entry per
     ordered pair (f, g) of its distinct segments with b_f < b_g <= e_f + 1
     <= e_g: the :func:`orbits.rank_key` positions of the composites i -> j,
     b_f <= i < b_g and e_f < j <= e_g, whose conditions hold the pair's rows,
-    and one row per pair of copies, as the arrow-layout coordinates of its
-    cells (l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f."""
+    and the number of its rows, one per pair of copies."""
     k = len(dims)
     position = {pair: n for n, pair in enumerate(itertools.combinations(range(k), 2))}
-    offs = list(itertools.accumulate((dims[l] * dims[l + 1] for l in range(k - 1)), initial=0))
     strands = orbits.chain_strands(segs, dims)
     return tuple(
         (
             tuple(position[i, j] for i in range(bf, bg) for j in range(ef + 1, eg + 1)),
-            tuple(
-                tuple(offs[l] + g[l + 1 - bg] * dims[l] + f[l - bf] for l in range(bg - 1, ef + 1))
-                for f in strands[bf, ef] for g in strands[bg, eg]
-            ),
+            len(strands[bf, ef]) * len(strands[bg, eg]),
         )
         for bf, ef in strands for bg, eg in strands if bf < bg <= ef + 1 <= eg
     )
@@ -159,8 +166,8 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
         bounds = orbits.rank_key(segs_c, chain.length)
         ranks = orbits.rank_key(segs_d, chain.length)
         rows += sum(
-            len(pair_rows)
-            for positions, pair_rows in _strand_pairs(segs_d, chain.dims)
+            count
+            for positions, count in _strand_pairs(segs_d, chain.dims)
             if any(ranks[p] == bounds[p] for p in positions)
         )
     return v.total_dim - rows
@@ -192,57 +199,149 @@ def tangent_smooth_closure(c: OrbitRecord, table: OrbitTable) -> bool:
 # conormal spaces
 
 
-def chain_conormal_basis(segs: ChainSegs, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Integer basis of { xi : [x, xi] = 0 } in dual coordinates of one
-    chain at the representative x of ``segs``, as the supports of its 0/1
-    vectors: the rows of :func:`_strand_pairs`, by their last coordinate.
+def _chain_conormal_cells(
+    segs: ChainSegs, dims: tuple[int, ...]
+) -> tuple[list[dict[int, list[tuple[int, int]]]], int, tuple[int, ...]]:
+    """The conormal basis of one chain at the representative of ``segs``,
+    as the cells of a covector's arrow blocks, its size, and the cut bound
+    on the rank key of every covector in its span.
 
-    The trace pairing matches the dual coordinate of the arrow entry
+    Basis vector t is the condition row of a pair of copies f, g of a strand
+    pair (b_f < b_g <= e_f + 1 <= e_g): the 0/1 vector with the cells
+    (l; slot of g at l + 1, slot of f at l), l = b_g - 1 .. e_f, where the
+    cell (l; a, b) is the entry (a, b) of block l = xi_l^T : E_l -> E_{l+1}
+    (the trace pairing matches the dual coordinate of the arrow entry
     (l; a, b) with the entry (b, a) of the reversed arrow xi_l, with no
-    rescaling, so these vectors read directly as reversed-arrow blocks.
+    rescaling).  The rows are ordered by their last cell, which makes them
+    the Gauss-Jordan kernel basis over Q.  ``arrows[l]`` maps each column b
+    of block l to its cells (row a, t), as :func:`_chain_rank_key` reads
+    them.
+
+    The bound: the composite i -> j factors through the coordinates of E_l,
+    for each l in [i, j], that the support of the blocks joins to E_i and to
+    E_j, so r(i, j) is at most the narrowest such cut
+    (:func:`_cut_bound`).
     """
-    rows = (row for _, pair_rows in _strand_pairs(segs, dims) for row in pair_rows)
-    return sorted(rows, key=lambda row: row[-1])
+    strands = orbits.chain_strands(segs, dims)
+    rows = sorted(
+        (
+            [(l, g[l + 1 - bg], f[l - bf]) for l in range(bg - 1, ef + 1)]
+            for bf, ef in strands for bg, eg in strands if bf < bg <= ef + 1 <= eg
+            for f in strands[bf, ef] for g in strands[bg, eg]
+        ),
+        key=lambda row: row[-1],
+    )
+    arrows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in dims[1:]]
+    down = [[0] * d for d in dims[:-1]]  # down[l][b]: the rows of block l column b fills
+    up = [[0] * d for d in dims[1:]]  # up[l][a]: the columns of block l row a fills
+    for t, row in enumerate(rows):
+        for l, a, b in row:
+            arrows[l].setdefault(b, []).append((a, t))
+            down[l][b] |= 1 << a
+            up[l][a] |= 1 << b
+    return arrows, len(rows), _cut_bound(down, up, dims)
+
+
+def _cut_bound(
+    down: list[list[int]], up: list[list[int]], dims: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Upper bound on r(i, j), i < j, in the format of
+    :func:`orbits.rank_key`, for every chain whose block l has its support
+    in the bitmasks ``down[l]`` (per column, the rows it may fill) and
+    ``up[l]`` (per row, the columns).
+
+    Take the coordinates of the grades as vertices and the support cells as
+    edges.  From each grade i one sweep finds reach_i(l), the coordinates
+    at l >= i that a path from E_i meets, and to each grade j one sweep
+    finds coreach_j(l), those at l <= j with a path to E_j.  The composite
+    i -> j is (l -> j) o (i -> l): the image of i -> l lies in the span of
+    reach_i(l), and l -> j kills every coordinate outside coreach_j(l), so
+    the composite factors through their intersection:
+    r(i, j) <= min over l in [i, j] of |reach_i(l) & coreach_j(l)|.
+    """
+    k = len(dims)
+    coreach = []  # coreach[j][l], l <= j
+    for j in range(k):
+        masks = [0] * (j + 1)
+        mask = masks[j] = (1 << dims[j]) - 1
+        for l in range(j - 1, -1, -1):
+            mask = masks[l] = _spread(mask, up[l])
+        coreach.append(masks)
+    bound: list[int] = []
+    for i in range(k):
+        # the narrowest cut of each i -> j so far, from l = i, where reach_i(i) = E_i
+        widths = [coreach[j][i].bit_count() for j in range(i + 1, k)]
+        mask = (1 << dims[i]) - 1
+        for l in range(i + 1, k):
+            mask = _spread(mask, down[l - 1])  # reach_i(l)
+            for j in range(l, k):
+                width = (mask & coreach[j][l]).bit_count()
+                if width < widths[j - i - 1]:
+                    widths[j - i - 1] = width
+        bound += widths
+    return tuple(bound)
+
+
+def _spread(mask: int, adjacency: list[int]) -> int:
+    """The union of ``adjacency[s]`` over the bits s of ``mask``."""
+    out = 0
+    for s, targets in enumerate(adjacency):
+        if mask >> s & 1:
+            out |= targets
+    return out
 
 
 # ---------------------------------------------------------------------------
 # duality: closed forms, and the generic conormal covector as oracle
 
 
-@lru_cache(maxsize=None)
-def _arrow_cells(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """The arrow (l, row a, column b) of every arrow-layout coordinate
-    offs[l] + a * dims[l] + b of a chain: the entry (a, b) of block l, which
-    maps E_l to E_{l+1} (see :func:`chain_conormal_basis`)."""
-    return tuple(
-        (l, a, b) for l in range(len(dims) - 1) for a in range(dims[l + 1]) for b in range(dims[l])
-    )
+def _coefficients(size: int, rng: random.Random) -> list[int]:
+    """``size`` seeded integers in [-2^16, 2^16), cut from one draw of
+    ``COEFF_BITS`` bits each."""
+    bits = rng.getrandbits(COEFF_BITS * size)
+    mask, half = (1 << COEFF_BITS) - 1, 1 << (COEFF_BITS - 1)
+    return [((bits >> COEFF_BITS * t) & mask) - half for t in range(size)]
 
 
-def _generic_key(size: int, key_of, rng: random.Random) -> tuple[int, ...]:
+def _within(key: tuple[int, ...], bound: tuple[int, ...]) -> tuple[int, ...]:
+    """``key``, after checking that no entry exceeds ``bound``'s."""
+    if any(a > b for a, b in zip(key, bound)):
+        raise InternalInvariantError(f"conormal rank key {key} exceeds its bound {bound}")
+    return key
+
+
+def _generic_key(
+    size: int, key_of, rng: random.Random, bound: tuple[int, ...]
+) -> tuple[int, ...]:
     """Generic value of ``key_of(coeffs)`` over the span of a basis of
     ``size`` vectors, ``coeffs`` their coefficients.
 
     ``key_of`` returns a tuple of ranks, each lower semicontinuous, so the
-    generic key is the entrywise maximum over the span.  Seeded random
-    combinations raise a candidate to that maximum; it is accepted after two
-    further samples confirm it, and after ``MAX_RETRIES`` samples the exact
-    symbolic fallback decides.
+    generic key is the entrywise maximum over the span, and every sampled
+    key is a lower bound on it.  ``bound`` is an upper bound on it that
+    holds for every vector of the span: a rank is at most the width of any
+    cut it factors through (a chain composite through the coordinates that
+    its support joins at a middle grade, :func:`_cut_bound`), and a form of
+    size m has rank at most m, an even one if it is antisymmetric.  Once the
+    entrywise maximum of the seeded samples meets the bound, it is the
+    generic key, proven, with no further sample.  Where it does not (a bound
+    above the generic key), the maximum is accepted after two further
+    samples confirm it, and after ``MAX_RETRIES`` samples the exact symbolic
+    fallback decides.  A key above the bound, sampled or symbolic, is an
+    internal error.
     """
     best: tuple[int, ...] | None = None
     confirmations = 0
     for _ in range(MAX_RETRIES):
-        key = key_of([rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(size)])
-        if best is None:
-            best = key
+        key = _within(key_of(_coefficients(size, rng)), bound)
+        if best is None or any(a > b for a, b in zip(key, best)):
+            best = key if best is None else tuple(map(max, best, key))
+            confirmations = 0
         elif key == best:
             confirmations += 1
-            if confirmations >= 2:
-                return best
-        elif any(a > b for a, b in zip(key, best)):
-            best = tuple(max(a, b) for a, b in zip(best, key))
-            confirmations = 0
-    return _symbolic_chain_dual(size, key_of)
+        if best == bound or confirmations >= 2:
+            return best
+    return _within(_symbolic_chain_dual(size, key_of), bound)
 
 
 def _symbolic_chain_dual(size: int, key_of) -> tuple[int, ...]:
@@ -261,7 +360,7 @@ def _chain_rank_key(arrows, coeffs, dims: tuple[int, ...]) -> tuple[int, ...]:
     row-major order: rank data in the format of :func:`orbits.rank_key`.
 
     Block l = xi_l^T of the covector maps E_l to E_{l+1} (see
-    :func:`chain_conormal_basis`); ``arrows[l]`` maps each column b of it to
+    :func:`_chain_conormal_cells`); ``arrows[l]`` maps each column b of it to
     its cells (row a, t), the entry (a, b) being ``coeffs[t]``.  The
     descending composite xi_i ... xi_{j-1} is the transpose of the forward
     composite of these blocks, so it has the same rank.  Before block l a
@@ -295,19 +394,13 @@ def _chain_rank_key(arrows, coeffs, dims: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _generic_chain_dual(segs: ChainSegs, chain: Chain, rng: random.Random) -> ChainSegs:
-    """The orbit of a generic covector of one chain, drawn on the basis
-    :func:`chain_conormal_basis` straight into the cells of its blocks.  On
+    """The orbit of a generic covector of one chain, drawn on the basis of
+    :func:`_chain_conormal_cells` straight into the cells of its blocks.  On
     one grade or none the basis is empty, so the key is empty and decodes to
     ``segs``."""
     dims = chain.dims
-    cell = _arrow_cells(dims)
-    basis = chain_conormal_basis(segs, dims)
-    arrows: list[dict[int, list]] = [{} for _ in dims[1:]]
-    for t, row in enumerate(basis):
-        for coord in row:
-            l, a, b = cell[coord]
-            arrows[l].setdefault(b, []).append((a, t))
-    key = _generic_key(len(basis), lambda coeffs: _chain_rank_key(arrows, coeffs, dims), rng)
+    arrows, size, bound = _chain_conormal_cells(segs, dims)
+    key = _generic_key(size, lambda coeffs: _chain_rank_key(arrows, coeffs, dims), rng, bound)
     return orbits.segments_of_rank_key(key, dims)
 
 
@@ -355,7 +448,8 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
                 xi[t // m][t % m] = x * sign
         return (linalg.rank(xi),)
 
-    (dual_rank,) = _generic_key(len(block), key_of, rng)
+    bound = (m if v.symmetric_form else 2 * (m // 2),)
+    (dual_rank,) = _generic_key(len(block), key_of, rng, bound)
     return table.by_key[dual_rank]
 
 

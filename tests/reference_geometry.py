@@ -5,9 +5,13 @@ independent rows of pairs of strands of a 0/1 representative.  The same
 for the two-eigenvalue shapes at their normal forms, whose tangent count and
 conormal basis ``voganlab.geometry`` reads off the kernel block.  Also the
 smoothness test at every stratum of a closure, the reference for the
-oracle that reads the cone point alone.  And the rank key of a covector by
+oracle that reads the cone point alone.  The chain conormal basis in the
+arrow-layout coordinates and their arrow cells, the reference for the
+cells the conormal oracle draws into.  And the rank key of a covector by
 products of its blocks, the reference for the conormal oracle's
 elimination, which forms no product."""
+
+import itertools
 
 from voganlab import geometry, linalg, orbits
 from voganlab.variety import form_basis
@@ -159,3 +163,37 @@ def composite_rank_key(blocks) -> tuple[int, ...]:
                 r = linalg.rank(comp)
             out.append(r)
     return tuple(out)
+
+
+def chain_conormal_basis(segs, dims: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Integer basis of { xi : [x, xi] = 0 } in dual coordinates of one
+    chain at the representative x of ``segs``, as the supports of its 0/1
+    vectors: one row per pair of copies f, g of a strand pair
+    b_f < b_g <= e_f + 1 <= e_g, with the arrow-layout coordinates
+    offs[l] + a * dims[l] + b of its cells (l; a = slot of g at l + 1,
+    b = slot of f at l), l = b_g - 1 .. e_f, ordered by their last
+    coordinate.
+
+    The trace pairing matches the dual coordinate of the arrow entry
+    (l; a, b) with the entry (b, a) of the reversed arrow xi_l, with no
+    rescaling, so these vectors read directly as reversed-arrow blocks.
+    """
+    offs = list(
+        itertools.accumulate((dims[l] * dims[l + 1] for l in range(len(dims) - 1)), initial=0)
+    )
+    strands = orbits.chain_strands(segs, dims)
+    rows = (
+        tuple(offs[l] + g[l + 1 - bg] * dims[l] + f[l - bf] for l in range(bg - 1, ef + 1))
+        for bf, ef in strands for bg, eg in strands if bf < bg <= ef + 1 <= eg
+        for f in strands[bf, ef] for g in strands[bg, eg]
+    )
+    return sorted(rows, key=lambda row: row[-1])
+
+
+def arrow_cells(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The arrow (l, row a, column b) of every arrow-layout coordinate
+    offs[l] + a * dims[l] + b of a chain: the entry (a, b) of block l, which
+    maps E_l to E_{l+1} (see :func:`chain_conormal_basis`)."""
+    return tuple(
+        (l, a, b) for l in range(len(dims) - 1) for a in range(dims[l + 1]) for b in range(dims[l])
+    )

@@ -1,7 +1,7 @@
 """The references for the closed forms in ``voganlab.orbits``: orbit
 dimensions as exact ranks of the infinitesimal group action at a
 representative (whose left kernel is also the reference for
-``voganlab.geometry.chain_conormal_basis``), and the closure order and its
+``reference_geometry.chain_conormal_basis``), and the closure order and its
 covers straight from the pairwise definition,
 :func:`voganlab.orbits.closure_leq`."""
 

@@ -2,11 +2,12 @@
 orbit dimensions of two-chain varieties against the rank of the group
 action, the closure order and its covers on specs of two or three chains
 against the pairwise definition, smoothness and duals on such specs against
-the tangent and conormal oracles, the tangent oracle's count of strand pairs
-on such specs and on single chains of total 8-10 against the rank of its
-condition rows (and, on the latter, at each orbit itself against its
-dimension and the size of its conormal basis), and the bridge as an embedding of the closure order into
-Bruhat order."""
+the tangent and conormal oracles, the conormal oracle's cut bound per chain
+factor on such specs against the greedy dual's rank data, the tangent
+oracle's count of strand pairs on such specs and on single chains of total
+8-10 against the rank of its condition rows (and, on the latter, at each
+orbit itself against its dimension and the size of its conormal basis), and
+the bridge as an embedding of the closure order into Bruhat order."""
 
 from fractions import Fraction
 
@@ -16,13 +17,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from voganlab import orbits  # noqa: E402
 from voganlab.bridge import multisegment_to_permutation  # noqa: E402
 from voganlab.cli import verify_battery  # noqa: E402
 from voganlab.geometry import (  # noqa: E402
+    _chain_conormal_cells,
     _chain_rank_key,
-    chain_conormal_basis,
     conormal_dual,
     is_smooth_closure,
+    mw_chain_involution,
     pyasetskii_dual,
     tangent_dim_at,
     tangent_smooth_closure,
@@ -128,6 +131,22 @@ def test_geometry_closed_forms_match_the_oracles_on_multi_chain_specs(chains):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(multi_chain_specs)
+def test_cut_bound_holds_per_chain_factor_on_multi_chain_specs(chains):
+    # the conormal oracle's cut bound, chain factor by chain factor, is at
+    # least the generic key, the rank data of the greedy dual; the oracle's
+    # dual is the greedy one
+    table = multi_chain_table(chains)
+    v = table[0].variety
+    for o in table:
+        for segs, chain in zip(o.msegs, v.chains):
+            _arrows, _size, bound = _chain_conormal_cells(segs, chain.dims)
+            generic = orbits.rank_key(mw_chain_involution(segs), chain.length)
+            assert all(g <= b for g, b in zip(generic, bound, strict=True)), (segs, chain.dims)
+        assert conormal_dual(o, 0, table) == pyasetskii_dual(o, table), o.msegs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(multi_chain_specs)
 def test_verify_battery_passes_on_multi_chain_specs(chains):
     # every row but order reversal, which fails on chains by design
     # (criterion 7); the Arthur row reads the brute force chain by chain
@@ -152,7 +171,7 @@ def test_tangent_count_matches_the_rows_on_larger_chains(dims):
     table = chain_table(dims)
     assert_tangent_count_matches_the_rows(table)
     for c in table:
-        assert len(chain_conormal_basis(c.msegs[0], dims)) == c.variety.total_dim - c.dim
+        assert _chain_conormal_cells(c.msegs[0], dims)[1] == c.variety.total_dim - c.dim
         assert tangent_dim_at(c, c) == c.dim
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from voganlab import geometry, linalg, orbits
+from voganlab.cli import main
 from voganlab.errors import InputError, UnsupportedFamilyError
 from voganlab.geometry import (
     conormal_dual,
@@ -20,6 +21,8 @@ from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenv
 
 from conftest import dim_vectors
 from reference_geometry import (
+    arrow_cells,
+    chain_conormal_basis,
     composite_rank_key,
     tangent_dim,
     tangent_pairs_at,
@@ -208,7 +211,7 @@ def test_chain_tangent_route_runs_without_linear_algebra(chain_suite, monkeypatc
             tangent_smooth_closure(o, table)
             for i in orbits._bits(table.below[o.index]):
                 tangent_dim_at(o, table[i])
-            geometry.chain_conormal_basis(o.msegs[0], dims)
+            geometry._chain_conormal_cells(o.msegs[0], dims)
 
 
 def two_eig_tables(max_n):
@@ -239,11 +242,9 @@ def test_stratum_cache_is_immutable():
     for d in table:
         entries = geometry._strand_pairs(d.msegs[0], dims)
         assert isinstance(entries, tuple)
-        for positions, rows in entries:
+        for positions, count in entries:
             assert isinstance(positions, tuple)
-            assert isinstance(rows, tuple)
-            assert all(isinstance(row, tuple) for row in rows)
-            assert all(type(t) is int for p in (positions, *rows) for t in p)
+            assert all(type(t) is int for t in (*positions, count))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def conormal_basis(o):
     v = o.variety
     if v.kind == "chain":
         (segs,), (chain,) = o.msegs, v.chains
-        return dense(geometry.chain_conormal_basis(segs, chain.dims), v.total_dim)
+        return dense(chain_conormal_basis(segs, chain.dims), v.total_dim)
     # the block's m x m positions, embedded at (r, r) in the n x n layout
     n, r = v.n, o.rank
     m = n - r
@@ -321,6 +322,29 @@ def test_conormal_bases_fix_the_seeded_draws():
         v = two_eigenvalue_variety(family, 4)
         for o in enumerate_orbits(v):
             assert all(type(x) is int for vec in conormal_basis(o) for x in vec)
+
+
+def test_chain_conormal_cells_are_the_reference_basis():
+    # every orbit of every chain of total <= 6: coefficient t of the drawn
+    # covector fills exactly the cells of basis vector t, and there are
+    # codim C coefficients
+    checked = 0
+    for dims in dim_vectors(6, 6):
+        v = gl_chain(dims)
+        table = enumerate_orbits(v)
+        cell = arrow_cells(dims)
+        for o in table:
+            arrows, size, _bound = geometry._chain_conormal_cells(o.msegs[0], dims)
+            filled = [set() for _ in range(size)]
+            for l, columns in enumerate(arrows):
+                for b, cells in columns.items():
+                    for a, t in cells:
+                        filled[t].add((l, a, b))
+            basis = chain_conormal_basis(o.msegs[0], dims)
+            assert filled == [{cell[c] for c in row} for row in basis], (dims, o.msegs)
+            assert size == v.total_dim - o.dim
+            checked += 1
+    assert checked == 446
 
 
 def test_two_eig_kernel_block_is_the_elimination_basis():
@@ -423,7 +447,84 @@ def test_chain_rank_key_matches_products_on_every_seeded_sample(monkeypatch):
             for seed in range(3):
                 assert conormal_dual(o, seed, table).index == pyasetskii_dual(o, table).index
     assert orbit_count == 1472
-    assert len(samples) == 9 * orbit_count  # every first sample is confirmed by the next two
+    assert len(samples) == 3 * orbit_count  # every first sample meets its cut bound
+
+
+def recorded_draws(monkeypatch) -> list:
+    """Wrap ``geometry._generic_key``: each call appends its bound and the
+    list of the keys it samples."""
+    draws = []
+    generic_key = geometry._generic_key
+
+    def recording(size, key_of, rng, bound):
+        keys = []
+
+        def sampled(coeffs):
+            keys.append(key_of(coeffs))
+            return keys[-1]
+
+        draws.append((bound, keys))
+        return generic_key(size, sampled, rng, bound)
+
+    monkeypatch.setattr(geometry, "_generic_key", recording)
+    return draws
+
+
+def test_chain_samples_are_certified_by_the_cut_bound(monkeypatch):
+    # every orbit of every chain of total <= 8: every drawn key is at most
+    # the cut bound, and the first one meets it, except on one orbit of
+    # (1, 3, 3, 1), whose bound exceeds the generic key in r(1, 2); there the
+    # first sample is kept after two confirmations
+    draws = recorded_draws(monkeypatch)
+    loose = []
+    orbit_count = 0
+    for dims in dim_vectors(8, 8):
+        table = enumerate_orbits(gl_chain(dims))
+        for o in table:
+            draws.clear()
+            assert conormal_dual(o, 0, table).index == pyasetskii_dual(o, table).index
+            ((bound, keys),) = draws
+            assert all(a <= b for key in keys for a, b in zip(key, bound)), (dims, o.msegs)
+            if keys != [bound]:
+                loose.append((dims, o.msegs[0], bound, keys))
+            orbit_count += 1
+    assert orbit_count == 4883
+    assert loose == [(
+        (1, 3, 3, 1), ((0, 1), (1, 2), (1, 2), (2, 3)),
+        (1, 1, 0, 3, 1, 1), [(1, 1, 0, 2, 1, 1)] * 3,
+    )]
+
+
+def test_two_eig_orbits_take_one_sample(monkeypatch):
+    # every sp-dual and so-even two-eigenvalue orbit with n <= 12: the first
+    # sample reaches the rank bound of its m x m form, m (symmetric) or
+    # 2 * floor(m / 2) (antisymmetric)
+    draws = recorded_draws(monkeypatch)
+    checked = 0
+    for table in two_eig_tables(12):
+        for o in table:
+            draws.clear()
+            assert conormal_dual(o, 0, table).index == pyasetskii_dual(o, table).index
+            ((bound, keys),) = draws
+            assert keys == [bound], (o.variety.describe(), o.rank)
+            checked += 1
+    assert checked == 137
+
+
+@pytest.mark.parametrize("retries", [geometry.MAX_RETRIES, 0])
+@pytest.mark.parametrize("spec", [("gl", "--steinberg", "3"), ("sp-dual", "--two-eig", "3")])
+def test_key_above_the_bound_exits_3(monkeypatch, capsys, spec, retries):
+    # a rank key above its bound, sampled or symbolic, is an internal error
+    generic_key = geometry._generic_key
+
+    def inflated(size, key_of, rng, bound):
+        return generic_key(size, lambda coeffs: tuple(b + 1 for b in bound), rng, bound)
+
+    monkeypatch.setattr(geometry, "MAX_RETRIES", retries)
+    monkeypatch.setattr(geometry, "_generic_key", inflated)
+    family, *flags = spec
+    assert main(["verify", "--family", family, *flags]) == 3
+    assert "exceeds its bound" in capsys.readouterr().err
 
 
 def test_duality_seed_independence():
