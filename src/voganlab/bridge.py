@@ -92,17 +92,14 @@ def max_coset_rep(table: list[list[int]], dims: tuple[int, ...]) -> Perm:
     return tuple(word)
 
 
-def _chain_perm(segs: ChainSegs, dims: tuple[int, ...]) -> Perm:
-    return max_coset_rep(cycle_table(segs, len(dims)), dims)
-
-
 def multisegment_to_permutation(orbit: OrbitRecord) -> tuple[Perm, ...]:
     """Bridge permutations, one per chain."""
     v = orbit.variety
     if v.kind != "chain":
         raise UnsupportedFamilyError("the permutation dictionary needs a chain variety")
     return tuple(
-        _chain_perm(segs, chain.dims) for segs, chain in zip(orbit.msegs, v.chains)
+        max_coset_rep(cycle_table(segs, chain.length), chain.dims)
+        for segs, chain in zip(orbit.msegs, v.chains)
     )
 
 

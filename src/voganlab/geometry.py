@@ -55,8 +55,10 @@ codim C rows span the annihilator of T_{x_C} C, the conormal fibre
 Gauss-Jordan kernel basis over Q (:func:`_chain_conormal_cells`).  At the
 rank-r two-eigenvalue normal form ker = coker = span(e_r .. e_{n-1}), so
 the rows are the forms of the same symmetry type on that trailing block,
-the form space of size n - r (:func:`_kernel_block`), counted when
-rank D = rank C; at D = C they are the conormal basis { Xi : x Xi = 0 }.
+the form space of size n - r (:func:`variety.form_basis` in the block's own
+layout; embedded at (r, r) they are the basis matrices of V that vanish in
+their first r rows, in the same order), counted when rank D = rank C; at
+D = C they are the conormal basis { Xi : x Xi = 0 }.
 The tests' references build the rows and the commutator by linear algebra
 and take a rank and a kernel (``tests/reference_geometry.py``,
 ``tests/reference_orbits.py``).
@@ -112,7 +114,7 @@ from functools import lru_cache
 from . import linalg, orbits
 from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
 from .orbits import ChainSegs, OrbitRecord, OrbitTable
-from .variety import Chain, VoganVariety, form_basis
+from .variety import Chain, form_basis
 
 COEFF_BITS = 17  # seeded coefficients lie in [-2^16, 2^16)
 MAX_RETRIES = 8
@@ -141,16 +143,6 @@ def _strand_pairs(segs: ChainSegs, dims: tuple[int, ...]) -> tuple[tuple[tuple, 
     )
 
 
-@lru_cache(maxsize=None)
-def _kernel_block(v: VoganVariety, rank: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The forms of ``v``'s symmetry type on the trailing block
-    e_rank .. e_{n-1}, the kernel and cokernel of the rank-``rank`` normal
-    form: :func:`variety.form_basis` of size m = n - rank, in the block's
-    own m x m layout.  Embedded at (rank, rank) they are the basis matrices
-    of V that vanish in their first ``rank`` rows, in the same order."""
-    return form_basis(v.n - rank, v.symmetric_form)
-
-
 def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
     """Dimension of the scheme tangent space to the closure of c at x_d."""
     if not orbits.closure_leq(d, c):
@@ -160,7 +152,8 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
         return c.dim  # closures are coordinate subspaces
     if v.kind == "two_eigenvalue":
         # below the rank bound all first-order minor (or pfaffian) data vanish
-        return v.total_dim - (len(_kernel_block(v, d.rank)) if d.rank == c.rank else 0)
+        rows = len(form_basis(v.n - d.rank, v.symmetric_form)) if d.rank == c.rank else 0
+        return v.total_dim - rows
     rows = 0
     for segs_c, segs_d, chain in zip(c.msegs, d.msegs, v.chains):
         bounds = orbits.rank_key(segs_c, chain.length)
@@ -439,7 +432,7 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
         complement = tuple(i for i in range(v.n) if i not in orbit.subset)
         return table.by_key[complement]
     m = v.n - orbit.rank  # the covectors live on the trailing m x m block
-    block = _kernel_block(v, orbit.rank)
+    block = form_basis(m, v.symmetric_form)
 
     def key_of(coeffs) -> tuple[int]:
         xi = [[0] * m for _ in range(m)]

@@ -2,7 +2,9 @@
 Orbit enumeration, rank invariants, representatives, and the closure order.
 
 Orbits of a chain variety are multisegments: multisets of intervals [b, e] on
-the chain grid whose coverage at every grade equals the dimension there.  The
+the chain grid whose coverage at every grade equals the dimension there,
+enumerated per chain by the grade walk of :func:`variety.chain_multisegments`,
+which :func:`variety.chain_orbit_count` counts when a variety is admitted.  The
 complete orbit invariant is the rank data r(i, j), i < j (:func:`rank_key`,
 inverted by :func:`segments_of_rank_key`): the number of segments containing
 [i, j], which equals the rank of the composed arrow map i -> j at any orbit
@@ -32,7 +34,7 @@ from functools import cached_property, lru_cache
 
 from . import classical
 from .errors import InputError, InternalInvariantError, UnsupportedFamilyError
-from .variety import Chain, VoganVariety, _grade_step
+from .variety import Chain, VoganVariety, chain_multisegments
 
 Seg = tuple[int, int]
 ChainSegs = tuple[Seg, ...]
@@ -40,21 +42,6 @@ ChainSegs = tuple[Seg, ...]
 
 # ---------------------------------------------------------------------------
 # single-chain multisegment combinatorics
-
-
-def chain_multisegments(dims: tuple[int, ...]) -> list[ChainSegs]:
-    """All multisegments covering ``dims``, each once, by the grade walk that
-    :func:`variety.chain_orbit_count` counts (:func:`variety._grade_step`):
-    at each grade the open segments continue or end one grade below, and
-    fresh ones start.  A closing grade of dimension 0 ends every segment."""
-    paths = [((), ())]  # (open (start, count) pairs, segments ended so far)
-    for i, d in enumerate((*dims, 0)):
-        paths = [
-            (nxt, done + tuple((b, i - 1) for b, n in ended for _ in range(n)))
-            for state, done in paths
-            for nxt, ended in _grade_step(state, i, d)
-        ]
-    return [tuple(sorted(done)) for _, done in paths]
 
 
 @lru_cache(maxsize=None)

@@ -35,14 +35,9 @@ from .errors import ConfigurationError, InputError
 # Largest chain total (sum of dims) a spec file, --steinberg or --two-eig
 # may ask for: it rejects totals such as dims [10**26] whose list sizes
 # overflow.  It is no size limit, since a far smaller total spread over
-# several grades still does not finish.  A variety is also refused, before
-# enumerating, when its predicted orbit count exceeds MAX_ORBITS: 2**N
-# (2**(N-1) for GL) for a Steinberg grading of rank N, and the product of
-# the multisegment counts (chain_orbit_count) for chains.  A shape with few
-# orbits can still have large representatives, so a variety is refused too
-# when its orbits times the cells of a representative (its arrow cells on
-# chains, n**2 on a two-eigenvalue shape (n, n)) exceed MAX_ORBITS**2, the
-# cell count of the largest accepted chain matrix.
+# several grades still does not finish.  The size limits, on predicted orbits
+# and representative cells, are the two rules of _admit, the one gate that
+# every constructor passes before anything is enumerated.
 MAX_CHAIN_TOTAL = 1000
 MAX_ORBITS = 8192
 
@@ -123,9 +118,34 @@ def chain_orbit_count(dims: tuple[int, ...], limit: int) -> tuple[int, bool]:
     return sum(paths.values()), True
 
 
-def _check_cells(orbit_count: int, cells: int, what: str) -> None:
-    """Refuse ``what`` when its orbits times the cells of a representative
-    exceed MAX_ORBITS**2."""
+def chain_multisegments(dims: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """All multisegments covering ``dims``, each once and sorted, by the
+    grade walk that :func:`chain_orbit_count` counts (:func:`_grade_step`):
+    at each grade the open segments continue or end one grade below, and
+    fresh ones start.  A closing grade of dimension 0 ends every segment."""
+    paths = [((), ())]  # (open (start, count) pairs, segments ended so far)
+    for i, d in enumerate((*dims, 0)):
+        paths = [
+            (nxt, done + tuple((b, i - 1) for b, n in ended for _ in range(n)))
+            for state, done in paths
+            for nxt, ended in _grade_step(state, i, d)
+        ]
+    return [tuple(sorted(done)) for _, done in paths]
+
+
+def _admit(what: str, orbit_count: int, exact: bool, cells: int) -> None:
+    """Refuse ``what`` with its predicted size when its orbits
+    (``orbit_count``, a lower bound unless ``exact``) exceed MAX_ORBITS, or
+    when they times ``cells`` exceed MAX_ORBITS**2, the cell count of the
+    largest accepted chain matrix: a shape with few orbits can still have
+    large representatives.  ``cells`` is a representative's: ``total_dim``
+    for chain and Steinberg gradings, n**2 for the dense normal forms of a
+    two-eigenvalue shape (n, n)."""
+    if orbit_count > MAX_ORBITS:
+        raise InputError(
+            f"{what}: {'' if exact else 'at least '}{orbit_count} orbits "
+            f"predicted, over MAX_ORBITS = {MAX_ORBITS}"
+        )
     if orbit_count * cells > MAX_ORBITS**2:
         raise InputError(
             f"{what}: {orbit_count * cells} representative cells predicted, "
@@ -133,11 +153,13 @@ def _check_cells(orbit_count: int, cells: int, what: str) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def form_basis(n: int, symmetric: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The elementary n x n symmetric matrices E_ij + E_ji (i <= j), or
     antisymmetric ones E_ij - E_ji (i < j), in row-major order of (i, j):
     each as the (position, entry) pairs of its nonzero entries in the n x n
-    layout (position i * n + j), by position."""
+    layout (position i * n + j), by position.  Memoised: the two-eigenvalue
+    oracles read the form space of every orbit's kernel block."""
     sign = 1 if symmetric else -1
     return tuple(
         ((i * n + j, 1),) if i == j else ((i * n + j, 1), (j * n + i, sign))
@@ -265,14 +287,10 @@ def build_variety(chains, family: str) -> VoganVariety:
         for c in chains:
             n, n_exact = chain_orbit_count(c.dims, MAX_ORBITS)
             count, exact = count * n, exact and n_exact
+        v = VoganVariety(GL, "chain", chains)
         dims = ", ".join(str(list(c.dims)) for c in chains)
-        if count > MAX_ORBITS:
-            raise InputError(
-                f"chains with dims {dims}: {'' if exact else 'at least '}{count} orbits "
-                f"predicted, over MAX_ORBITS = {MAX_ORBITS}"
-            )
-        _check_cells(count, sum(c.arrow_dim for c in chains), f"chains with dims {dims}")
-        return VoganVariety(GL, "chain", chains)
+        _admit(f"chains with dims {dims}", count, exact, v.total_dim)
+        return v
     return _recognise_classical(chains, family)
 
 
@@ -327,14 +345,13 @@ def steinberg_variety(family: str, n: int) -> VoganVariety:
         # the built-in families stick to the simple range
         raise ConfigurationError("SO_even_dual steinberg is supported for n >= 3")
     chain = steinberg_grading(family, n)
-    count = 2 ** (n - (family == GL))  # subsets of the simple roots
-    if count > MAX_ORBITS:
-        raise InputError(
-            f"steinberg rank {n}: {count} orbits predicted, over MAX_ORBITS = {MAX_ORBITS}"
-        )
     if family == GL:
-        return VoganVariety(GL, "chain", (chain,))
-    return VoganVariety(family, "steinberg", (chain,), n=n)
+        v = VoganVariety(GL, "chain", (chain,))
+    else:
+        v = VoganVariety(family, "steinberg", (chain,), n=n)
+    # one orbit per subset of the simple roots
+    _admit(f"steinberg rank {n}", 2 ** (n - (family == GL)), True, v.total_dim)
+    return v
 
 
 def two_eigenvalue_variety(family: str, n: int) -> VoganVariety:
@@ -352,7 +369,7 @@ def two_eigenvalue_variety(family: str, n: int) -> VoganVariety:
         raise ConfigurationError("SO_even_dual two-eigenvalue needs n >= 2")
     # ranks 0 .. n, the even ones on SO(2n), each with an n x n representative
     orbit_count = (n // 2 if family == SO_EVEN else n) + 1
-    _check_cells(orbit_count, n * n, f"two-eigenvalue grading ({n}, {n})")
+    _admit(f"two-eigenvalue grading ({n}, {n})", orbit_count, True, n * n)
     if family == GL:
         return VoganVariety(GL, "chain", (chain,))
     return VoganVariety(family, "two_eigenvalue", (chain,), n=n)

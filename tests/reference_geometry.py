@@ -7,9 +7,10 @@ conormal basis ``voganlab.geometry`` reads off the kernel block.  Also the
 smoothness test at every stratum of a closure, the reference for the
 oracle that reads the cone point alone.  The chain conormal basis in the
 arrow-layout coordinates and their arrow cells, the reference for the
-cells the conormal oracle draws into.  And the rank key of a covector by
+cells the conormal oracle draws into.  The rank key of a covector by
 products of its blocks, the reference for the conormal oracle's
-elimination, which forms no product."""
+elimination, which forms no product.  And the linking bound on that key,
+which proves the keys the oracle accepts without meeting its cut bound."""
 
 import itertools
 
@@ -197,3 +198,62 @@ def arrow_cells(dims: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     return tuple(
         (l, a, b) for l in range(len(dims) - 1) for a in range(dims[l + 1]) for b in range(dims[l])
     )
+
+
+def linking_bound(arrows, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Upper bound on the rank key of every covector in the span of a chain
+    conormal basis, in the format of ``voganlab.orbits.rank_key``: for each
+    i < j, the most vertex-disjoint paths from the coordinates of E_i to
+    those of E_j in the support of the cells ``arrows`` (as
+    ``voganlab.geometry._chain_conormal_cells`` returns them; ``arrows[l]``
+    joins each column b of block l to its rows a).
+
+    By Lindstroem-Gessel-Viennot a minor of the composite i -> j is a sum
+    over families of vertex-disjoint paths, so every composite's rank is at
+    most this number, whatever the coefficients, tied ones included.  Every
+    cut of the geometry's cut bound separates E_i from E_j, so this is never
+    above it."""
+    k = len(dims)
+    return tuple(
+        _disjoint_paths(arrows, dims, i, j) for i in range(k) for j in range(i + 1, k)
+    )
+
+
+def _disjoint_paths(arrows, dims: tuple[int, ...], i: int, j: int) -> int:
+    """The most vertex-disjoint paths from E_i to E_j in the support of
+    ``arrows``, by augmenting paths with unit vertex capacities: each
+    coordinate (l, c) splits into ("in", l, c) -> ("out", l, c)."""
+    residual: dict = {}
+
+    def edge(u, w):
+        residual.setdefault(u, {})[w] = 1
+        residual.setdefault(w, {}).setdefault(u, 0)
+
+    for l in range(i, j + 1):
+        for c in range(dims[l]):
+            edge(("in", l, c), ("out", l, c))
+            if l == i:
+                edge("source", ("in", l, c))
+            if l == j:
+                edge(("out", l, c), "sink")
+            else:
+                for a, _t in arrows[l].get(c, ()):
+                    edge(("out", l, c), ("in", l + 1, a))
+    paths = 0
+    while True:
+        parent = {"source": None}
+        queue = ["source"]
+        for u in queue:
+            for w, capacity in residual[u].items():
+                if capacity and w not in parent:
+                    parent[w] = u
+                    queue.append(w)
+        if "sink" not in parent:
+            return paths
+        w = "sink"
+        while parent[w] is not None:
+            u = parent[w]
+            residual[u][w] -= 1
+            residual[w][u] += 1
+            w = u
+        paths += 1

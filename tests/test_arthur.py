@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from voganlab.variety import (
     two_eigenvalue_variety,
 )
 
+from conftest import compositions
 from reference_arthur import rectangle_multisegment, rectangle_segments
 from reference_classical import graded_power_multisegment
 
@@ -26,16 +26,6 @@ from reference_classical import graded_power_multisegment
 def centered_gl_chain(dims):
     k = len(dims)
     return build_variety([Chain(Fraction(-(k - 1), 2), tuple(dims))], "gl")
-
-
-def compositions(total, maxparts=5):
-    for k in range(1, min(total, maxparts) + 1):
-        for cuts in itertools.combinations(range(1, total), k - 1):
-            parts, prev = [], 0
-            for c in list(cuts) + [total]:
-                parts.append(c - prev)
-                prev = c
-            yield tuple(parts)
 
 
 # ---------------------------------------------------------------------------

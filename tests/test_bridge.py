@@ -18,12 +18,9 @@ from voganlab.kl import perm_length
 from voganlab.orbits import closure_leq, enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
 
+from conftest import gl_chain
 from reference_bridge import calibrate, min_coset_rep, multiplicity
 from reference_kl import bruhat_leq
-
-
-def gl_chain(dims, offset=0):
-    return build_variety([Chain(Fraction(offset), tuple(dims))], "gl")
 
 
 # ---------------------------------------------------------------------------

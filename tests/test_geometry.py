@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -17,13 +16,14 @@ from voganlab.geometry import (
     tangent_smooth_closure,
 )
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
-from voganlab.variety import Chain, build_variety, steinberg_variety, two_eigenvalue_variety
+from voganlab.variety import form_basis, steinberg_variety, two_eigenvalue_variety
 
-from conftest import dim_vectors
+from conftest import compositions, dim_vectors, gl_chain
 from reference_geometry import (
     arrow_cells,
     chain_conormal_basis,
     composite_rank_key,
+    linking_bound,
     tangent_dim,
     tangent_pairs_at,
     tangent_smooth_closure_scan,
@@ -32,20 +32,6 @@ from reference_geometry import (
 )
 from reference_linalg import matmul, reference_nullspace, reference_rref, transpose
 from reference_orbits import commutator_matrix
-
-
-def gl_chain(dims, offset=0):
-    return build_variety([Chain(Fraction(offset), tuple(dims))], "gl")
-
-
-def compositions(total, maxparts=5):
-    for k in range(1, min(total, maxparts) + 1):
-        for cuts in itertools.combinations(range(1, total), k - 1):
-            parts, prev = [], 0
-            for c in list(cuts) + [total]:
-                parts.append(c - prev)
-                prev = c
-            yield tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +254,7 @@ def conormal_basis(o):
     m = n - r
     embedded = [
         {(p // m + r) * n + p % m + r: x for p, x in block}
-        for block in geometry._kernel_block(v, r)
+        for block in form_basis(m, v.symmetric_form)
     ]
     return [[e.get(t, 0) for t in range(n * n)] for e in embedded]
 
@@ -493,6 +479,33 @@ def test_chain_samples_are_certified_by_the_cut_bound(monkeypatch):
         (1, 3, 3, 1), ((0, 1), (1, 2), (1, 2), (2, 3)),
         (1, 1, 0, 3, 1, 1), [(1, 1, 0, 2, 1, 1)] * 3,
     )]
+
+
+def test_loose_orbits_meet_the_linking_bound(monkeypatch):
+    # the orbits where the first sample misses the cut bound, so that the
+    # oracle accepts a key after confirmation samples: on each, the accepted
+    # key equals the linking bound, which no covector of the span exceeds,
+    # so the accepted key is the generic key, proven.  Where the first
+    # sample meets the cut bound, the linking bound, between the two, meets
+    # it too
+    draws = recorded_draws(monkeypatch)
+    loose = {}
+    for dims in [(1, 3, 3, 1), (2, 3, 3, 2), (1, 2, 3, 3, 2, 1)]:
+        table = enumerate_orbits(gl_chain(dims))
+        loose[dims] = 0
+        for o in table:
+            draws.clear()
+            dual = conormal_dual(o, 0, table)
+            ((bound, keys),) = draws
+            arrows, _size, _bound = geometry._chain_conormal_cells(o.msegs[0], dims)
+            linked = linking_bound(arrows, dims)
+            if len(keys) == 1:
+                assert linked == bound, (dims, o.msegs)
+                continue
+            assert orbits.rank_key(dual.msegs[0], len(dims)) == linked, (dims, o.msegs)
+            assert all(a <= b for a, b in zip(linked, bound)), (dims, o.msegs)
+            loose[dims] += 1
+    assert loose == {(1, 3, 3, 1): 1, (2, 3, 3, 2): 1, (1, 2, 3, 3, 2, 1): 16}
 
 
 def test_two_eig_orbits_take_one_sample(monkeypatch):

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,7 @@ from voganlab.orbits import (
 )
 from voganlab.variety import Chain, build_variety, point_variety, steinberg_variety, two_eigenvalue_variety
 
-from conftest import dim_vectors
+from conftest import compositions, dim_vectors, gl_chain
 from reference_geometry import composite_rank_key
 from reference_orbits import (
     commutator_orbit_dim,
@@ -29,20 +28,6 @@ from reference_orbits import (
     shuffled,
     two_eig_orbit_dim,
 )
-
-
-def gl_chain(dims, offset=0):
-    return build_variety([Chain(Fraction(offset), tuple(dims))], "gl")
-
-
-def compositions(total, maxparts=5):
-    for k in range(1, min(total, maxparts) + 1):
-        for cuts in itertools.combinations(range(1, total), k - 1):
-            parts, prev = [], 0
-            for c in list(cuts) + [total]:
-                parts.append(c - prev)
-                prev = c
-            yield tuple(parts)
 
 
 def hom_dim(seg_s, seg_t):
