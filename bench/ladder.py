@@ -5,11 +5,15 @@ Size ladder: cold ``voganlab`` CLI runs on varieties of growing size.
     python3 bench/ladder.py --out BENCH_<n>.json --parent ../parent-checkout
 
 Run from anywhere; the library is imported from ``src/`` of this checkout.
-Each run of a case is a fresh ``python -m voganlab.cli ...`` process, timed
-from start to exit (interpreter start-up included) and killed after
-``TIMEOUT_S`` seconds.  A case's wall time is the median of ``REPEAT`` runs;
-a run that times out ends the case.  With ``--parent DIR``, the top
-directory of a git checkout (so that its commit is recorded), each of the
+Each run of a case is a fresh process that runs ``voganlab.cli`` as
+``python -m`` does (:data:`RUN_CLI`), timed from start to exit (interpreter
+start-up included) and killed after ``TIMEOUT_S`` seconds.  At exit it
+records its own peak RSS, ``VmHWM`` from ``/proc/self/status``: Linux
+carries the parent's RSS at fork into a child's ``ru_maxrss``, and the
+ladder holds captured reports of tens of MB.  A case's wall time and peak
+RSS are the medians of ``REPEAT`` runs; a run that times out ends the
+case.  With ``--parent DIR``, the top directory of a git checkout (so that
+its commit is recorded), each of the
 ``REPEAT`` rounds of a case runs it on this checkout and then on the library
 in ``DIR/src``, so drift of the host's speed during the ladder reaches both
 trees alike; a timeout ends only that tree's runs of the case.  Each library
@@ -20,14 +24,15 @@ same timeout, that parses the same command line and enumerates the orbits.
 Both are fixed so that every ``BENCH_<n>.json`` is measured alike.
 
 The output JSON holds, per case: the command and its flags (``{"dims": ...}``
-for a chain spec), the wall time, the orbit count, the report bytes (stdout
-of ``analyze``) and the exit code, and with ``--parent`` the parent tree's
-wall time, exit code and report bytes under ``"parent"``.  For the whole run
-it holds the Python version, the platform, the commit (and the parent's),
-and per ladder family the largest rung (by orbit count) that finished within
-1 s and within 10 s.  With ``--parent`` each printed case ends with the
-ratio of the two trees' wall times, the ladder's only comparison.  The
-ladder records; it gates nothing.
+for a chain spec), the wall time, the peak RSS (None where ``/proc`` is
+missing), the orbit count, the report bytes (stdout of ``analyze``) and the
+exit code, and with ``--parent`` the parent tree's wall time, peak RSS, exit
+code and report bytes under ``"parent"``.  For the whole run it holds the
+Python version, the platform, the commit (and the parent's), and per ladder
+family the largest rung (by orbit count) that finished within 1 s and within
+10 s.  With ``--parent`` each printed case ends with the ratios of the two
+trees' wall times and peak RSS, the ladder's only comparisons.  The ladder
+records; it gates nothing.
 
 Uses the standard library only.
 """
@@ -102,6 +107,24 @@ COUNT_ORBITS = (
 )
 
 
+# ``python -c RUN_CLI PEAK_FILE analyze ...`` runs ``python -m voganlab.cli
+# analyze ...`` and at exit writes its VmHWM in kB to PEAK_FILE
+RUN_CLI = (
+    "import atexit, runpy, sys\n"
+    "peak_file = sys.argv.pop(1)\n"
+    "def record_peak():\n"
+    "    try:\n"
+    "        with open('/proc/self/status') as fh:\n"
+    "            kb = [line.split()[1] for line in fh if line.startswith('VmHWM:')]\n"
+    "    except OSError:\n"
+    "        return\n"
+    "    with open(peak_file, 'w') as fh:\n"
+    "        fh.write(''.join(kb))\n"
+    "atexit.register(record_peak)\n"
+    "runpy.run_module('voganlab.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
 def case_argv(command: str, flags, spec_dir: Path) -> list[str]:
     """CLI arguments of a case; a chain case writes its --spec file to
     ``spec_dir``."""
@@ -118,24 +141,31 @@ def _env(src: Path = SRC) -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_cli(argv: list[str], cwd: Path, src: Path) -> tuple[float, bytes, int] | None:
+def run_cli(
+    argv: list[str], cwd: Path, src: Path
+) -> tuple[float, bytes, int, float | None] | None:
     """One timed CLI process on the library in ``src``: (wall seconds,
-    stdout, exit code), or None when it times out."""
+    stdout, exit code, peak RSS in MB or None), or None when it times out."""
+    peak_file = cwd / "peak_kb"
+    peak_file.unlink(missing_ok=True)
     start = time.perf_counter()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "voganlab.cli", *argv], capture_output=True,
+            [sys.executable, "-c", RUN_CLI, str(peak_file), *argv], capture_output=True,
             env=_env(src), cwd=cwd, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return None
-    return time.perf_counter() - start, proc.stdout, proc.returncode
+    wall = time.perf_counter() - start
+    kb = peak_file.read_text() if peak_file.exists() else ""
+    return wall, proc.stdout, proc.returncode, int(kb) / 1024 if kb else None
 
 
 def run_case(argv: list[str], cwd: Path, srcs: list[Path], run=run_cli) -> list[dict]:
     """The case's run data on each library in ``srcs``: ``REPEAT`` rounds,
     each running the case once per tree, in the order of ``srcs``."""
     walls: list[list[float]] = [[] for _ in srcs]
+    peaks: list[list[float]] = [[] for _ in srcs]
     last: list[tuple[bytes, int] | None] = [(b"", None)] * len(srcs)
     for _ in range(REPEAT):
         for t, src in enumerate(srcs):
@@ -146,17 +176,21 @@ def run_case(argv: list[str], cwd: Path, srcs: list[Path], run=run_cli) -> list[
                 last[t] = None
                 continue
             walls[t].append(result[0])
-            last[t] = result[1:]
+            if result[3] is not None:
+                peaks[t].append(result[3])
+            last[t] = result[1:3]
     return [
-        {"wall_s": None, "timed_out": True, "exit": None, "report_bytes": None}
+        {"wall_s": None, "peak_rss_mb": None, "timed_out": True, "exit": None,
+         "report_bytes": None}
         if done is None
         else {
             "wall_s": round(statistics.median(tree_walls), 4),
+            "peak_rss_mb": round(statistics.median(tree_peaks), 1) if tree_peaks else None,
             "timed_out": False,
             "exit": done[1],
             "report_bytes": len(done[0]) if argv[0] == "analyze" else None,
         }
-        for tree_walls, done in zip(walls, last)
+        for tree_walls, tree_peaks, done in zip(walls, peaks, last)
     ]
 
 
@@ -220,8 +254,10 @@ def main(argv=None) -> int:
     for src in srcs:
         compileall.compile_dir(src, quiet=1)
 
-    def wall(run: dict) -> str:
-        return "timeout" if run["timed_out"] else f"{run['wall_s']:.3f} s"
+    def measured(run: dict) -> str:
+        if run["timed_out"]:
+            return "timeout"
+        return f"{run['wall_s']:.3f} s {run['peak_rss_mb']!s:>6} MB"
 
     cases = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -231,12 +267,14 @@ def main(argv=None) -> int:
             mine, *parent = run_case(cli_argv, tmp, srcs)
             row = {"family": family, "name": name, "command": command, "flags": flags,
                    "orbits": count_orbits(cli_argv, tmp), **mine}
-            line = f"{name:<34} {row['orbits']!s:>6} orbits  {wall(mine)}"
+            line = f"{name:<34} {row['orbits']!s:>6} orbits  {measured(mine)}"
             if parent:
                 row["parent"] = parent[0]
-                line += f"  parent {wall(parent[0])}"
+                line += f"  parent {measured(parent[0])}"
                 if mine["wall_s"] and parent[0]["wall_s"]:
                     line += f"  ratio {mine['wall_s'] / parent[0]['wall_s']:.2f}"
+                if mine["peak_rss_mb"] and parent[0]["peak_rss_mb"]:
+                    line += f"  rss ratio {mine['peak_rss_mb'] / parent[0]['peak_rss_mb']:.2f}"
             cases.append(row)
             print(line, flush=True)
 

@@ -64,7 +64,7 @@ def variety_from_args(args) -> VoganVariety:
 def cmd_analyze(args) -> int:
     v = variety_from_args(args)
     rep = report.assemble_report(v, seed=args.seed)
-    sys.stdout.write(report.report_json(rep))
+    sys.stdout.writelines(report.report_chunks(rep))
     return 0
 
 

@@ -5,15 +5,36 @@ the same spec, version, and seed) and to a DOT digraph for the closure order.
 Each orbit row is the only per-orbit record: it carries every verdict,
 including the ``violation`` flag of the paper's closing speculation, which
 :func:`speculation_table` aggregates.
+
+The JSON text comes in pieces (:func:`report_chunks`): the orbit-indexed
+arrays go to the encoder a batch of rows at a time.  On Python 3.11 and
+older, one encoder call keeps every token of its output as a string object
+until it joins them, some eleven bytes held per byte of text; batches bound
+that to about a thousand values, and ``analyze`` writes each piece as it comes.
+The bytes are unchanged: the pieces join to exactly one ``json.dumps`` call.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from . import arthur, bridge, geometry, lattice, orbits
 from .orbits import OrbitRecord, OrbitTable
 from .variety import VoganVariety
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# About this many JSON values go to one encoder call.  A matrix row holds one
+# value per orbit and a Hasse edge two; an orbit row is counted as
+# _ORBIT_ROW_VALUES, the keys and values of a chain orbit's row being some
+# 60 to 80.  A report of up to 32 orbits fits in one batch.
+_BATCH_VALUES = 1024
+_ORBIT_ROW_VALUES = 64
+
 
 def _multisegment_json(orbit: OrbitRecord) -> list[list[list[str]]] | None:
     if orbit.msegs is None:
@@ -93,9 +114,45 @@ def table_report(table: OrbitTable, seed: int = 0) -> dict:
     }
 
 
+def report_chunks(report: dict) -> Iterator[str]:
+    """The text of :func:`report_json` in pieces, the orbit-indexed arrays a
+    batch of rows per encoder call; a report whose arrays each fit in one
+    batch is a single piece."""
+    n = len(report["orbits"])  # also the matrix's row count
+    if n * n <= _BATCH_VALUES and 2 * len(report["hasse"]) <= _BATCH_VALUES:
+        yield _encode(report) + "\n"
+        return
+    batches = {
+        ("orbits",): _BATCH_VALUES // _ORBIT_ROW_VALUES,
+        ("multiplicity_matrix", "entries"): _BATCH_VALUES // n or 1,
+        ("hasse",): _BATCH_VALUES // 2,
+    }
+    yield from _value_chunks(report, (), batches)
+    yield "\n"
+
+
+def _value_chunks(value, path: tuple[str, ...], batches: dict) -> Iterator[str]:
+    """Compact sorted-key JSON of ``value``, found at ``path`` in the
+    report: the lists at the paths in ``batches`` go by batches of that many
+    rows, and the dicts above them key by key."""
+    size = batches.get(path)
+    if size is not None:
+        yield "["
+        for start in range(0, len(value), size):
+            yield ("," if start else "") + _encode(value[start:start + size])[1:-1]
+        yield "]"
+    elif isinstance(value, dict) and any(p[: len(path)] == path for p in batches):
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _encode(key) + ":"
+            yield from _value_chunks(value[key], (*path, key), batches)
+        yield "}"
+    else:
+        yield _encode(value)
+
+
 def report_json(report: dict) -> str:
     """One line of compact JSON; ``python -m json.tool`` pretty-prints it."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    return "".join(report_chunks(report))
 
 
 def hasse_dot(v: VoganVariety) -> str:

@@ -27,14 +27,14 @@ from fractions import Fraction
 import pytest
 
 from voganlab import geometry, kl, orbits
-from voganlab.arthur import brute_force_arthur, is_arthur_type
+from voganlab.arthur import is_arthur_type
 from voganlab.bridge import multiplicity_matrix, multisegment_to_permutation, rationally_smooth
 from voganlab.cli import main, verify_battery
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
 from voganlab.errors import InputError
 from voganlab.geometry import conormal_dual, is_smooth_closure, mw_involution, pyasetskii_dual
 from voganlab.lattice import builtin_root_datum, center_image, stabilizer_component_group
-from voganlab.orbits import closure_leq, enumerate_orbits, gl_shadow
+from voganlab.orbits import closure_leq, enumerate_orbits
 from voganlab.report import speculation_table, table_report
 from voganlab.variety import (
     Chain,

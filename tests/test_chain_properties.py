@@ -11,16 +11,13 @@ the bridge as an embedding of the closure order into Bruhat order."""
 
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from voganlab import orbits  # noqa: E402
-from voganlab.bridge import multisegment_to_permutation  # noqa: E402
-from voganlab.cli import verify_battery  # noqa: E402
-from voganlab.geometry import (  # noqa: E402
+from voganlab import orbits
+from voganlab.bridge import multisegment_to_permutation
+from voganlab.cli import verify_battery
+from voganlab.geometry import (
     _chain_conormal_cells,
     _chain_rank_key,
     conormal_dual,
@@ -30,17 +27,17 @@ from voganlab.geometry import (  # noqa: E402
     tangent_dim_at,
     tangent_smooth_closure,
 )
-from voganlab.orbits import closure_below, enumerate_orbits, hasse, representative  # noqa: E402
-from voganlab.variety import Chain, build_variety  # noqa: E402
+from voganlab.orbits import closure_below, enumerate_orbits, hasse, representative
+from voganlab.variety import Chain, build_variety
 
-from reference_geometry import (  # noqa: E402
+from reference_geometry import (
     composite_rank_key,
     tangent_dim,
     tangent_pairs_at,
     tangent_smooth_closure_scan,
 )
-from reference_kl import bruhat_leq  # noqa: E402
-from reference_orbits import (  # noqa: E402
+from reference_kl import bruhat_leq
+from reference_orbits import (
     commutator_orbit_dim,
     reference_below,
     reference_hasse,

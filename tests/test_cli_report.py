@@ -11,7 +11,7 @@ import pytest
 from voganlab.bridge import rationally_smooth
 from voganlab.cli import main, verify_battery
 from voganlab.datasets import dataset_check, dataset_table, load_dataset
-from voganlab.errors import InputError
+from voganlab.errors import ConfigurationError, InputError
 from voganlab.geometry import pyasetskii_dual, tangent_smooth_closure
 from voganlab.orbits import chain_multisegments, closure_below, closure_leq, enumerate_orbits
 from voganlab.report import assemble_report, hasse_dot, report_json
@@ -708,3 +708,83 @@ def test_reports_match_the_schema_doc():
         text = report_json(assemble_report(v))
         assert text.endswith("\n") and text.count("\n") == 1
         jsonschema.validate(json.loads(text), schema)
+
+
+def encoder_varieties(chain_suite):
+    """(name, variety) of every conftest chain, the classical shapes of rank
+    at most 6, every benchmark workload variety and a two-chain spec."""
+    out = [(str(dims), v) for dims, v, _table in chain_suite]
+    for family in ("gl", "sp-dual", "so-even", "so-odd-dual"):
+        for make in (steinberg_variety, two_eigenvalue_variety):
+            for n in range(1, 7):
+                try:
+                    out.append((f"{family} {make.__name__} {n}", make(family, n)))
+                except ConfigurationError:
+                    continue  # so-even below its simple range, so-odd-dual two-eigenvalue
+    workloads = benchmark_workloads()
+    for name in sorted(workloads.WORKLOADS):
+        for spec in workloads.golden_varieties(name):
+            out.append((workloads.name_of(spec), workloads.build(spec)))
+    out.append(("two chains", build_variety(
+        [Chain(Fraction(-1, 2), (1, 1)), Chain(Fraction(0), (1, 2, 1))], "gl")))
+    return out
+
+
+def one_dumps(rep: dict) -> str:
+    return json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def first_difference(text: str, expected: str) -> int | None:
+    """The first offset where the texts differ, None when they are equal; a
+    failing ``==`` on texts of a few hundred kB takes pytest minutes to diff."""
+    if text == expected:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+                min(len(text), len(expected)))
+
+
+@pytest.fixture(scope="module")
+def wide_report():
+    """The report of (1,2,2,2,2,1): 235 orbits, several batches per array."""
+    return assemble_report(build_variety([Chain(Fraction(0), (1, 2, 2, 2, 2, 1))], "gl"))
+
+
+def test_report_json_is_one_json_dumps(chain_suite, monkeypatch):
+    # at the shipped batch size, and at one orbit row per encoder call so
+    # that every report past 8 orbits goes through the batched route
+    from voganlab import report
+
+    for name, v in encoder_varieties(chain_suite):
+        rep = assemble_report(v)
+        expected = one_dumps(rep)
+        assert first_difference(report_json(rep), expected) is None, name
+        with monkeypatch.context() as m:
+            m.setattr(report, "_BATCH_VALUES", report._ORBIT_ROW_VALUES)
+            assert first_difference(report_json(rep), expected) is None, name
+        if len(rep["orbits"]) <= 32:
+            assert list(report.report_chunks(rep)) == [expected], name
+
+
+def test_analyze_streams_the_report_json(tmp_path, capsys, wide_report):
+    from voganlab.report import report_chunks
+
+    assert len(list(report_chunks(wide_report))) > 10
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"family": "gl", "chains": [{"offset": 0, "dims": [1, 2, 2, 2, 2, 1]}]}))
+    code, out, err = run_cli(capsys, "analyze", "--spec", str(spec))
+    assert (code, err) == (0, "")
+    assert first_difference(out, report_json(wide_report)) is None
+
+
+def test_report_json_holds_at_most_three_times_its_text(wide_report):
+    # one json.dumps call holds some 11 times its text on Python <= 3.11
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        text = report_json(wide_report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first_difference(text, one_dumps(wide_report)) is None
+    assert peak <= 3 * len(text)

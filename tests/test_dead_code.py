@@ -40,6 +40,7 @@ BENCHMARK_ONLY: dict[str, str] = {
     "kl.load_cache": "perfbench/worker.py",
     "kl.save_cache": "perfbench/worker.py",
     "linalg.nullspace": "perfbench/tracing.py",
+    "report.report_json": "perfbench/worker.py",
 }
 
 

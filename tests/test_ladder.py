@@ -1,5 +1,6 @@
 """The size ladder (bench/ladder.py): its cases name varieties that the CLI
-accepts, its summaries read the right rows, and with a parent tree, which
+accepts, its CLI runs print what ``voganlab`` prints and record their own
+peak RSS, its summaries read the right rows, and with a parent tree, which
 must be the top directory of a git checkout, its runs alternate between the
 two trees."""
 
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from voganlab import cli
-from voganlab.variety import VoganVariety
+from voganlab import cli, report
+from voganlab.variety import VoganVariety, two_eigenvalue_variety
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +33,20 @@ def test_every_ladder_case_builds_through_the_cli_parser(tmp_path):
         assert isinstance(cli.variety_from_args(args), VoganVariety), name
 
 
+def test_a_ladder_run_prints_the_report_and_records_its_own_peak(tmp_path):
+    ladder = load_ladder()
+    wall, stdout, code, peak_mb = ladder.run_cli(
+        ["analyze", "--family", "gl", "--two-eig", "2"], tmp_path, ladder.SRC
+    )
+    rep = report.assemble_report(two_eigenvalue_variety("gl", 2))
+    assert code == 0 and wall > 0
+    assert stdout.decode() == report.report_json(rep)
+    if Path("/proc/self/status").exists():
+        assert 1 < peak_mb < 1024
+    else:
+        assert peak_mb is None
+
+
 def test_ladder_summaries():
     ladder = load_ladder()
     cases = [
@@ -50,15 +65,18 @@ def test_parent_runs_alternate_with_this_checkout(tmp_path):
     mine, parent = Path("mine/src"), Path("parent/src")
     calls = []
     walls = iter([0.5, 0.9, 0.7, 1.1, 0.6, 1.0])
+    peaks = iter([20.0, 30.0, None, 31.0, 22.0, 29.0])
 
     def run(argv, cwd, src):
         calls.append(src)
-        return next(walls), b"{}" if src == mine else b"{ }", 0
+        return next(walls), b"{}" if src == mine else b"{ }", 0, next(peaks)
 
     here, there = ladder.run_case(["analyze", "--spec", "x"], tmp_path, [mine, parent], run)
     assert calls == [mine, parent] * ladder.REPEAT
-    assert here == {"wall_s": 0.6, "timed_out": False, "exit": 0, "report_bytes": 2}
-    assert there == {"wall_s": 1.0, "timed_out": False, "exit": 0, "report_bytes": 3}
+    assert here == {"wall_s": 0.6, "peak_rss_mb": 21.0, "timed_out": False, "exit": 0,
+                    "report_bytes": 2}
+    assert there == {"wall_s": 1.0, "peak_rss_mb": 30.0, "timed_out": False, "exit": 0,
+                     "report_bytes": 3}
 
 
 def test_a_timeout_ends_only_that_trees_runs(tmp_path):
@@ -68,12 +86,14 @@ def test_a_timeout_ends_only_that_trees_runs(tmp_path):
 
     def run(argv, cwd, src):
         calls.append(src)
-        return None if src == parent else (0.25, b"", 1)
+        return None if src == parent else (0.25, b"", 1, None)
 
     here, there = ladder.run_case(["verify", "--spec", "x"], tmp_path, [mine, parent], run)
     assert calls == [mine, parent] + [mine] * (ladder.REPEAT - 1)
-    assert here == {"wall_s": 0.25, "timed_out": False, "exit": 1, "report_bytes": None}
-    assert there == {"wall_s": None, "timed_out": True, "exit": None, "report_bytes": None}
+    assert here == {"wall_s": 0.25, "peak_rss_mb": None, "timed_out": False, "exit": 1,
+                    "report_bytes": None}
+    assert there == {"wall_s": None, "peak_rss_mb": None, "timed_out": True, "exit": None,
+                     "report_bytes": None}
     (alone,) = ladder.run_case(["verify"], tmp_path, [parent], run)
     assert alone["timed_out"] and calls[-1] == parent
 

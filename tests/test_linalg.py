@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voganlab import linalg
 
@@ -13,10 +14,6 @@ from reference_linalg import (
     reference_rref,
     transpose,
 )
-
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 
 entries = st.one_of(

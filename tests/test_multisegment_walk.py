@@ -3,14 +3,11 @@ written here, and the orbit count that shares its steps."""
 
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from voganlab.orbits import chain_multisegments, enumerate_orbits  # noqa: E402
-from voganlab.variety import MAX_ORBITS, Chain, build_variety, chain_orbit_count  # noqa: E402
+from voganlab.orbits import chain_multisegments, enumerate_orbits
+from voganlab.variety import MAX_ORBITS, Chain, build_variety, chain_orbit_count
 
 
 def dims_vectors(max_grades):

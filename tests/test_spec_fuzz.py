@@ -8,13 +8,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from voganlab.cli import main  # noqa: E402
-from voganlab.variety import MAX_CHAIN_TOTAL  # noqa: E402
+from voganlab.cli import main
+from voganlab.variety import MAX_CHAIN_TOTAL
 
 BUDGET = 5  # largest total of the well-formed chains of one document
 

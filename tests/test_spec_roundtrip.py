@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from voganlab.errors import ConfigurationError
 from voganlab.variety import (
@@ -17,10 +19,6 @@ from voganlab.variety import (
     two_eigenvalue_variety,
     variety_from_json,
 )
-
-pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 
 def assert_round_trips(v):
