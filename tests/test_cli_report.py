@@ -14,7 +14,7 @@ from voganlab.datasets import dataset_check, dataset_table, load_dataset
 from voganlab.errors import ConfigurationError, InputError
 from voganlab.geometry import pyasetskii_dual, tangent_smooth_closure
 from voganlab.orbits import chain_multisegments, closure_below, closure_leq, enumerate_orbits
-from voganlab.report import assemble_report, hasse_dot, report_json
+from voganlab.report import assemble_report, hasse_dot, report_chunks, report_json
 from voganlab.variety import (
     MAX_CHAIN_TOTAL,
     MAX_ORBITS,
@@ -752,25 +752,22 @@ def wide_report():
 def test_report_json_is_one_json_dumps(chain_suite, monkeypatch):
     # at the shipped batch size, and at one orbit row per encoder call so
     # that every report past 8 orbits goes through the batched route
-    from voganlab import report
-
     for name, v in encoder_varieties(chain_suite):
         rep = assemble_report(v)
         expected = one_dumps(rep)
         assert first_difference(report_json(rep), expected) is None, name
         with monkeypatch.context() as m:
-            m.setattr(report, "_BATCH_VALUES", report._ORBIT_ROW_VALUES)
+            m.setattr("voganlab.report._BATCH_VALUES", 64)
             assert first_difference(report_json(rep), expected) is None, name
         if len(rep["orbits"]) <= 32:
-            assert list(report.report_chunks(rep)) == [expected], name
+            assert list(report_chunks(rep)) == [expected], name
 
 
 def test_analyze_streams_the_report_json(tmp_path, capsys, wide_report):
-    from voganlab.report import report_chunks
-
     assert len(list(report_chunks(wide_report))) > 10
     spec = tmp_path / "wide.json"
-    spec.write_text(json.dumps({"family": "gl", "chains": [{"offset": 0, "dims": [1, 2, 2, 2, 2, 1]}]}))
+    chain = {"offset": 0, "dims": [1, 2, 2, 2, 2, 1]}
+    spec.write_text(json.dumps({"family": "gl", "chains": [chain]}))
     code, out, err = run_cli(capsys, "analyze", "--spec", str(spec))
     assert (code, err) == (0, "")
     assert first_difference(out, report_json(wide_report)) is None
