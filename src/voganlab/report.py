@@ -28,12 +28,10 @@ if TYPE_CHECKING:
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# About this many JSON values go to one encoder call.  A matrix row holds one
-# value per orbit and a Hasse edge two; an orbit row is counted as
-# _ORBIT_ROW_VALUES, the keys and values of a chain orbit's row being some
-# 60 to 80.  A report of up to 32 orbits fits in one batch.
+# About this many JSON values go to one encoder call: a matrix row holds one
+# value per orbit, a Hasse edge two, and an orbit row some 60 to 80 keys and
+# values, so orbit rows go 16 to a call.
 _BATCH_VALUES = 1024
-_ORBIT_ROW_VALUES = 64
 
 
 def _multisegment_json(orbit: OrbitRecord) -> list[list[list[str]]] | None:
@@ -115,15 +113,11 @@ def table_report(table: OrbitTable, seed: int = 0) -> dict:
 
 
 def report_chunks(report: dict) -> Iterator[str]:
-    """The text of :func:`report_json` in pieces, the orbit-indexed arrays a
-    batch of rows per encoder call; a report whose arrays each fit in one
-    batch is a single piece."""
+    """The text of :func:`report_json` in pieces: the orbit-indexed arrays a
+    batch of rows per encoder call, the rest of the report key by key."""
     n = len(report["orbits"])  # also the matrix's row count
-    if n * n <= _BATCH_VALUES and 2 * len(report["hasse"]) <= _BATCH_VALUES:
-        yield _encode(report) + "\n"
-        return
     batches = {
-        ("orbits",): _BATCH_VALUES // _ORBIT_ROW_VALUES,
+        ("orbits",): 16,
         ("multiplicity_matrix", "entries"): _BATCH_VALUES // n or 1,
         ("hasse",): _BATCH_VALUES // 2,
     }
