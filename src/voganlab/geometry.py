@@ -73,13 +73,21 @@ top grade down, the shortest segment ending at each grade that still extends
 the current chain), which Knight and Zelevinsky identify with the generic
 conormal duality (Adv. Math. 117, 1996).  Steinberg duals are subset
 complements, and the dual of the rank-r two-eigenvalue stratum has rank
-n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  The oracle,
-:func:`conormal_dual`, finds the generic rank data over an integer basis of
-the conormal space with one sampler for chains and two-eigenvalue shapes
-(:func:`_generic_key`).  Each seeded covector's key is a lower bound on the
-generic key (ranks are lower semicontinuous), and each covector has an
-exact upper bound from the support of the basis alone, valid on the whole
-span: a rank is at most the width of any cut its map factors through.  A
+n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  Each of these
+is an involution (for the greedy walk, Moeglin-Waldspurger, Crelle 1986), so
+a report runs it once per dual pair and sets both ends (:func:`dual_indices`).
+A pair set wrongly would put a wrong id in the report's ``dual_orbit``
+column, which ``verify``'s row "greedy involution agrees with the conormal
+dual" compares with the oracle on every orbit.  The walk keeps the remaining
+segments by end grade, their starts sorted, and takes each step by one
+bisection.  The oracle, :func:`conormal_dual`, finds the generic rank data
+over an integer basis of the conormal space with one sampler for chains and
+two-eigenvalue shapes (:func:`_generic_key`), and looks a chain's key up as
+rank data (:attr:`OrbitTable.by_dominance`), with no decoding into segments.
+Each seeded covector's key is a lower bound on the generic key (ranks are
+lower semicontinuous), and each covector has an exact upper bound from the
+support of the basis alone, valid on the whole span: a rank is at most the
+width of any cut its map factors through.  A
 chain composite i -> j factors through the coordinates of each middle
 grade l that the support joins to both E_i and E_j (:func:`_cut_bound`); an
 m x m form has rank at most m, and an even rank if it is antisymmetric.  A
@@ -90,8 +98,9 @@ Elsewhere the maximum of the samples is kept after two confirmations, and
 after ``MAX_RETRIES`` samples one exact symbolic fallback decides, which the
 tests force: the same key code with the coefficients the generators of a
 polynomial ring over Z, so that :mod:`linalg` ranks over the rational
-function field.  A key above its bound is an internal error.  The basis is
-the rows at the orbit itself on both shapes (strand pairs, kernel block),
+function field.  A key above its bound, or a chain key that names no orbit,
+is an internal error.  The basis is the rows at the orbit itself on both
+shapes (strand pairs, kernel block),
 which is the Gauss-Jordan kernel basis over Q, so each seeded covector is
 the covector drawn over Q.  A chain covector is drawn straight into the
 cells of its arrow blocks, and its rank key takes one elimination per
@@ -109,6 +118,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from functools import lru_cache
 
 from . import linalg, orbits
@@ -170,12 +180,15 @@ def is_smooth_closure(c: OrbitRecord) -> bool:
     """True iff the closure of c is smooth: it equals its linear span."""
     v = c.variety
     if v.kind == "chain":
-        span = sum(
-            chain.dims[l] * chain.dims[l + 1]
-            for segs, chain in zip(c.msegs, v.chains)
-            for l in range(chain.length - 1)
-            if any(b <= l < e for b, e in segs)
-        )
+        # r(l, l + 1) sits at offset + l * (k - 1) - l * (l - 1) / 2 in the
+        # chains' rank data, the cached dominance key
+        ranks, offset, span = c.dominance_key, 0, 0
+        for chain in v.chains:
+            k, dims = chain.length, chain.dims
+            for l in range(k - 1):
+                if ranks[offset + l * (k - 1) - l * (l - 1) // 2]:
+                    span += dims[l] * dims[l + 1]
+            offset += k * (k - 1) // 2
         return c.dim == span
     if v.kind == "steinberg":
         return True
@@ -267,6 +280,9 @@ def _cut_bound(
         mask = (1 << dims[i]) - 1
         for l in range(i + 1, k):
             mask = _spread(mask, down[l - 1])  # reach_i(l)
+            if not mask:  # so is every later reach: each cut from l on is empty
+                widths[l - i - 1 :] = [0] * (k - l)
+                break
             for j in range(l, k):
                 width = (mask & coreach[j][l]).bit_count()
                 if width < widths[j - i - 1]:
@@ -278,9 +294,10 @@ def _cut_bound(
 def _spread(mask: int, adjacency: list[int]) -> int:
     """The union of ``adjacency[s]`` over the bits s of ``mask``."""
     out = 0
-    for s, targets in enumerate(adjacency):
-        if mask >> s & 1:
-            out |= targets
+    while mask:
+        low = mask & -mask
+        out |= adjacency[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -386,15 +403,25 @@ def _chain_rank_key(arrows, coeffs, dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(r for ranks in key for r in ranks)
 
 
-def _generic_chain_dual(segs: ChainSegs, chain: Chain, rng: random.Random) -> ChainSegs:
-    """The orbit of a generic covector of one chain, drawn on the basis of
-    :func:`_chain_conormal_cells` straight into the cells of its blocks.  On
-    one grade or none the basis is empty, so the key is empty and decodes to
-    ``segs``."""
+def _generic_chain_key(segs: ChainSegs, chain: Chain, rng: random.Random) -> tuple[int, ...]:
+    """The rank data of a generic covector of one chain, drawn on the basis
+    of :func:`_chain_conormal_cells` straight into the cells of its blocks.
+    On one grade or none the basis and the key are empty."""
     dims = chain.dims
     arrows, size, bound = _chain_conormal_cells(segs, dims)
-    key = _generic_key(size, lambda coeffs: _chain_rank_key(arrows, coeffs, dims), rng, bound)
-    return orbits.segments_of_rank_key(key, dims)
+    return _generic_key(size, lambda coeffs: _chain_rank_key(arrows, coeffs, dims), rng, bound)
+
+
+def dual_indices(table: OrbitTable) -> list[int]:
+    """The id of the :func:`pyasetskii_dual` of every orbit of ``table``,
+    listed by id, from one call per dual pair: the duality is an involution,
+    so the dual of an orbit's dual is the orbit."""
+    duals: list[int] = [-1] * len(table)
+    for o in table:
+        if duals[o.index] < 0:
+            dual = pyasetskii_dual(o, table)
+            duals[o.index], duals[dual.index] = dual.index, o.index
+    return duals
 
 
 def pyasetskii_dual(orbit: OrbitRecord, table: OrbitTable) -> OrbitRecord:
@@ -423,11 +450,14 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
     v = orbit.variety
     rng = random.Random(seed)
     if v.kind == "chain":
-        dual_msegs = tuple(
-            _generic_chain_dual(segs, chain, rng)
+        key = tuple(
+            x
             for segs, chain in zip(orbit.msegs, v.chains)
+            for x in _generic_chain_key(segs, chain, rng)
         )
-        return table.by_key[dual_msegs]
+        if (dual := table.by_dominance.get(key)) is None:
+            raise InternalInvariantError(f"conormal rank key {key} names no orbit")
+        return dual
     if v.kind == "steinberg":
         complement = tuple(i for i in range(v.n) if i not in orbit.subset)
         return table.by_key[complement]
@@ -466,19 +496,28 @@ def mw_chain_involution(segs: ChainSegs) -> ChainSegs:
     ((0, 0), (1, 1))
     >>> mw_chain_involution(((0, 0), (1, 1), (2, 2)))
     ((0, 2),)
+
+    The remaining segments are kept by end grade, their starts sorted, so
+    each step is one :func:`bisect.bisect_left`.
     """
-    pool = list(segs)
+    top = max((e for _, e in segs), default=-1)
+    starts: list[list[int]] = [[] for _ in range(top + 1)]  # starts[e], sorted
+    for b, e in sorted(segs):
+        starts[e].append(b)
     out = []
-    while pool:
-        b = max(e for _, e in pool)
-        k, start, used = b, b + 1, []
-        while picks := [s for s in pool if s[1] == k and s[0] < start]:
-            current = max(picks)  # all end at k: the largest start
-            pool.remove(current)
-            used.append(current)
-            start, k = current[0], k - 1
-        out.append((k + 1, b))
-        pool += [(s, e - 1) for s, e in used if e > s]
+    while top >= 0:
+        if not starts[top]:
+            top -= 1
+            continue
+        k, start, used = top, top + 1, []
+        while k >= 0 and (i := bisect_left(starts[k], start)):
+            start = starts[k].pop(i - 1)  # the largest start below the last one
+            used.append((start, k))
+            k -= 1
+        out.append((k + 1, top))
+        for s, e in used:
+            if e > s:
+                insort(starts[e - 1], s)
     return tuple(sorted(out))
 
 

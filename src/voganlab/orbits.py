@@ -5,13 +5,17 @@ Orbits of a chain variety are multisegments: multisets of intervals [b, e] on
 the chain grid whose coverage at every grade equals the dimension there,
 enumerated per chain by the grade walk of :func:`variety.chain_multisegments`,
 which :func:`variety.chain_orbit_count` counts when a variety is admitted.  The
-complete orbit invariant is the rank data r(i, j), i < j (:func:`rank_key`,
-inverted by :func:`segments_of_rank_key`): the number of segments containing
-[i, j], which equals the rank of the composed arrow map i -> j at any orbit
-point.  The closure order is entrywise rank dominance (smaller orbit =
-smaller ranks; Abeasis-Del Fra-Kraft 1981): :func:`closure_leq` by its
-definition, :func:`closure_below` as integer bitsets once per
-:class:`OrbitTable` (its ``below``), and :func:`hasse` its transitive reduction.
+complete orbit invariant is the rank data r(i, j), i < j (:func:`rank_key`):
+the number of segments containing [i, j], which equals the rank of the
+composed arrow map i -> j at any orbit point.
+:attr:`OrbitTable.by_dominance` finds the orbit of given rank data (for
+several chains, their rank data one after the other, as in
+:attr:`OrbitRecord.dominance_key`), so nothing decodes rank data into
+segments; the inverse is a test reference (``tests/reference_orbits.py``).
+The closure order is entrywise rank dominance (smaller orbit = smaller
+ranks; Abeasis-Del Fra-Kraft 1981): :func:`closure_leq` by its definition,
+:func:`closure_below` as integer bitsets once per :class:`OrbitTable` (its
+``below``), and :func:`hasse` its transitive reduction.
 
 A chain orbit's dimension is dim H - dim End(M) for its multisegment module
 M = sum of segment modules, and dim Hom([b_s, e_s], [b_t, e_t]) is 1 exactly
@@ -55,29 +59,6 @@ def rank_key(segs: ChainSegs, k: int) -> tuple[int, ...]:
             for j in range(i + 1, e + 1):
                 r[i][j] += 1
     return tuple(r[i][j] for i in range(k) for j in range(i + 1, k))
-
-
-def segments_of_rank_key(key: Sequence[int], dims: tuple[int, ...]) -> ChainSegs:
-    """The multisegment with rank data ``key`` (:func:`rank_key`) on the chain
-    with grade dims ``dims``.  By inclusion-exclusion [a, b] occurs
-    r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1) times, where
-    r(i, i) = dims[i] and r vanishes off the grid."""
-    k = len(dims)
-    # row k and column k stay 0, and r[-1] is row k: the zeros off the grid
-    r = [[0] * (k + 1) for _ in range(k + 1)]
-    entries = iter(key)
-    for i in range(k):
-        r[i][i] = dims[i]
-        for j in range(i + 1, k):
-            r[i][j] = next(entries)
-    segs = []
-    for a in range(k):
-        for b in range(a, k):
-            mult = r[a][b] - r[a - 1][b] - r[a][b + 1] + r[a - 1][b + 1]
-            if mult < 0:
-                raise InputError("rank data is not a valid orbit invariant")
-            segs.extend([(a, b)] * mult)
-    return tuple(segs)
 
 
 def chain_strands(segs: ChainSegs, dims: tuple[int, ...]) -> dict[Seg, list[tuple[int, ...]]]:
@@ -176,8 +157,10 @@ def multisegment_str(v: VoganVariety, msegs: tuple[ChainSegs, ...]) -> str:
 
 class OrbitTable(tuple):
     """The orbit records of one variety, in id order, with the closure order
-    (``below``, the :func:`closure_below` bitsets) and the lookup ``key`` ->
-    record (``by_key``), each computed on first use."""
+    (``below``, the :func:`closure_below` bitsets) and two lookups, each
+    computed on first use: ``key`` -> record (``by_key``), and
+    ``dominance_key`` -> record (``by_dominance``), which finds a chain orbit
+    by its rank data with no decoding into segments."""
 
     @cached_property
     def below(self) -> list[int]:
@@ -186,6 +169,10 @@ class OrbitTable(tuple):
     @cached_property
     def by_key(self) -> dict:
         return {o.key: o for o in self}
+
+    @cached_property
+    def by_dominance(self) -> dict:
+        return {o.dominance_key: o for o in self}
 
 
 def enumerate_orbits(v: VoganVariety) -> OrbitTable:

@@ -71,6 +71,7 @@ def table_report(table: OrbitTable, seed: int = 0) -> dict:
     v = table[0].variety
     matrix = bridge.multiplicity_matrix(table)
     rational = bridge.rational_smoothness(matrix)
+    duals = geometry.dual_indices(table)
 
     def per_orbit(o: OrbitRecord) -> dict:
         verdict = arthur.is_arthur_type(o)
@@ -87,7 +88,7 @@ def table_report(table: OrbitTable, seed: int = 0) -> dict:
             "smooth_closure": smooth,
             "rationally_smooth": rational[o.index],
             "arthur": verdict.as_dict(),
-            "dual_orbit": geometry.pyasetskii_dual(o, table).index,
+            "dual_orbit": duals[o.index],
             "component_group": _component_group_json(o),
             "representative": orbits.representative(o),
             "violation": verdict.is_arthur and not (o.is_open or o.is_closed) and smooth,

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from voganlab import linalg
 from voganlab.errors import InputError, UnsupportedFamilyError
-from voganlab.orbits import segments_of_rank_key
 from voganlab.variety import SO_EVEN, SO_ODD, SP_DUAL, Chain, steinberg_grading
 
 from reference_linalg import matmul
+from reference_orbits import segments_of_rank_key
 
 
 def simple_root_matrices(family: str, n: int) -> list[list[list[int]]]:

@@ -9,8 +9,12 @@ oracle that reads the cone point alone.  The chain conormal basis in the
 arrow-layout coordinates and their arrow cells, the reference for the
 cells the conormal oracle draws into.  The rank key of a covector by
 products of its blocks, the reference for the conormal oracle's
-elimination, which forms no product.  And the linking bound on that key,
-which proves the keys the oracle accepts without meeting its cut bound."""
+elimination, which forms no product.  The cut bound on that key by sets of
+coordinates, the reference for the bitmask sweeps of the oracle, and the
+linking bound, which proves the keys the oracle accepts without meeting its
+cut bound.  And the greedy involution by a scan of the whole pool of
+segments at every step, the reference for the bucketed walk that reports
+run."""
 
 import itertools
 
@@ -257,3 +261,65 @@ def _disjoint_paths(arrows, dims: tuple[int, ...], i: int, j: int) -> int:
             residual[w][u] += 1
             w = u
         paths += 1
+
+
+def cut_bound(arrows, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """The cut bound of ``voganlab.geometry._cut_bound`` from sets of
+    coordinates, in the format of ``voganlab.orbits.rank_key``: for each
+    i < j the narrowest |reach_i(l) & coreach_j(l)| over l in [i, j].
+    reach_i(l) holds the coordinates of E_l that a path from E_i meets, and
+    coreach_j(l) those with a path to E_j, each found by a breadth-first
+    sweep one grade at a time along the cells ``arrows`` (as
+    ``voganlab.geometry._chain_conormal_cells`` returns them), with no early
+    stop."""
+    k = len(dims)
+
+    def reach(i: int) -> list[set]:  # reach_i(l), l = i .. k - 1
+        layers = [set(range(dims[i]))]
+        for l in range(i, k - 1):
+            layers.append({a for b in layers[-1] for a, _t in arrows[l].get(b, ())})
+        return layers
+
+    def coreach(j: int) -> list[set]:  # coreach_j(l), l = 0 .. j
+        layers = [set(range(dims[j]))]
+        for l in range(j - 1, -1, -1):
+            layers.append(
+                {b for b, cells in arrows[l].items() if any(a in layers[-1] for a, _t in cells)}
+            )
+        return layers[::-1]
+
+    coreaches = [coreach(j) for j in range(k)]
+    out = []
+    for i in range(k):
+        reaches = reach(i)
+        out += [
+            min(len(reaches[l - i] & coreaches[j][l]) for l in range(i, j + 1))
+            for j in range(i + 1, k)
+        ]
+    return tuple(out)
+
+
+def mw_chain_involution_scan(segs) -> tuple:
+    """The greedy involution of ``voganlab.geometry.mw_chain_involution``
+    with the remaining segments in one list, rescanned at every step.
+
+    Pass: let b be the largest grade ending a segment, and walk k = b,
+    b-1, ...: at each step take, among the remaining segments ending at k
+    whose start is strictly below the start of the segment taken last, the
+    one with the largest start; stop when none qualifies.  The pass
+    contributes the dual segment [b - steps + 1, b]; each segment used is
+    then shortened by one grade from the top (disappearing if it was a
+    singleton)."""
+    pool = list(segs)
+    out = []
+    while pool:
+        b = max(e for _, e in pool)
+        k, start, used = b, b + 1, []
+        while picks := [s for s in pool if s[1] == k and s[0] < start]:
+            current = max(picks)  # all end at k: the largest start
+            pool.remove(current)
+            used.append(current)
+            start, k = current[0], k - 1
+        out.append((k + 1, b))
+        pool += [(s, e - 1) for s, e in used if e > s]
+    return tuple(sorted(out))

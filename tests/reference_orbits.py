@@ -3,15 +3,42 @@ dimensions as exact ranks of the infinitesimal group action at a
 representative (whose left kernel is also the reference for
 ``reference_geometry.chain_conormal_basis``), and the closure order and its
 covers straight from the pairwise definition,
-:func:`voganlab.orbits.closure_leq`."""
+:func:`voganlab.orbits.closure_leq`.  Also the multisegment of given rank
+data, by inclusion-exclusion: the package looks orbits up by their rank
+data (``OrbitTable.by_dominance``) and never decodes it."""
 
 import random
+from collections.abc import Sequence
 
 from voganlab import linalg, orbits
+from voganlab.errors import InputError
 from voganlab.orbits import ChainSegs, OrbitTable, closure_leq
 from voganlab.variety import VoganVariety
 
 from reference_linalg import transpose
+
+
+def segments_of_rank_key(key: Sequence[int], dims: tuple[int, ...]) -> ChainSegs:
+    """The multisegment with rank data ``key`` (:func:`voganlab.orbits.rank_key`)
+    on the chain with grade dims ``dims``.  By inclusion-exclusion [a, b] occurs
+    r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1) times, where
+    r(i, i) = dims[i] and r vanishes off the grid."""
+    k = len(dims)
+    # row k and column k stay 0, and r[-1] is row k: the zeros off the grid
+    r = [[0] * (k + 1) for _ in range(k + 1)]
+    entries = iter(key)
+    for i in range(k):
+        r[i][i] = dims[i]
+        for j in range(i + 1, k):
+            r[i][j] = next(entries)
+    segs = []
+    for a in range(k):
+        for b in range(a, k):
+            mult = r[a][b] - r[a - 1][b] - r[a][b + 1] + r[a - 1][b + 1]
+            if mult < 0:
+                raise InputError("rank data is not a valid orbit invariant")
+            segs.extend([(a, b)] * mult)
+    return tuple(segs)
 
 
 def commutator_matrix(arrows: list[list[list[int]]], dims: tuple[int, ...]):

@@ -16,14 +16,21 @@ from voganlab.geometry import (
     tangent_smooth_closure,
 )
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
-from voganlab.variety import form_basis, steinberg_variety, two_eigenvalue_variety
+from voganlab.variety import (
+    chain_multisegments,
+    form_basis,
+    steinberg_variety,
+    two_eigenvalue_variety,
+)
 
 from conftest import compositions, dim_vectors, gl_chain
 from reference_geometry import (
     arrow_cells,
     chain_conormal_basis,
     composite_rank_key,
+    cut_bound,
     linking_bound,
+    mw_chain_involution_scan,
     tangent_dim,
     tangent_pairs_at,
     tangent_smooth_closure_scan,
@@ -481,6 +488,18 @@ def test_chain_samples_are_certified_by_the_cut_bound(monkeypatch):
     )]
 
 
+def test_cut_bound_matches_the_set_sweeps():
+    # every multisegment of every chain of total <= 7, and of (1,) * 10,
+    # where most reach sweeps empty out before the top grade and stop there
+    count = 0
+    for dims in [*dim_vectors(7, 7), (1,) * 10]:
+        for segs in chain_multisegments(dims):
+            arrows, _size, bound = geometry._chain_conormal_cells(segs, dims)
+            assert bound == cut_bound(arrows, dims), (dims, segs)
+            count += 1
+    assert count == 1472 + 512
+
+
 def test_loose_orbits_meet_the_linking_bound(monkeypatch):
     # the orbits where the first sample misses the cut bound, so that the
     # oracle accepts a key after confirmation samples: on each, the accepted
@@ -538,6 +557,14 @@ def test_key_above_the_bound_exits_3(monkeypatch, capsys, spec, retries):
     family, *flags = spec
     assert main(["verify", "--family", family, *flags]) == 3
     assert "exceeds its bound" in capsys.readouterr().err
+
+
+def test_key_naming_no_orbit_exits_3(monkeypatch, capsys):
+    # a chain key within its bound that is the rank data of no orbit,
+    # r(0, 2) = 1 with r(0, 1) = 0, is an internal error, not bad input
+    monkeypatch.setattr(geometry, "_generic_key", lambda size, key_of, rng, bound: (0, 1, 0))
+    assert main(["verify", "--family", "gl", "--steinberg", "3"]) == 3
+    assert "names no orbit" in capsys.readouterr().err
 
 
 def test_duality_seed_independence():
@@ -620,3 +647,14 @@ def test_greedy_is_an_involution_on_small_multisegments():
                 assert mw_chain_involution(mw_chain_involution(segs)) == segs
                 count += 1
     assert count == 4883
+
+
+def test_bucketed_walk_matches_the_pool_scan():
+    # every multisegment of every chain of total <= 9, of (1, 2, 3, 4, 3, 2, 1)
+    # and of (2, 2, 2, 2, 2, 2, 2)
+    count = 0
+    for dims in [*dim_vectors(9, 9), (1, 2, 3, 4, 3, 2, 1), (2,) * 7]:
+        for segs in chain_multisegments(dims):
+            assert mw_chain_involution(segs) == mw_chain_involution_scan(segs), (dims, segs)
+            count += 1
+    assert count == 22142

@@ -15,7 +15,6 @@ from voganlab.orbits import (
     hasse,
     rank_key,
     representative,
-    segments_of_rank_key,
 )
 from voganlab.variety import Chain, build_variety, point_variety, steinberg_variety, two_eigenvalue_variety
 
@@ -25,6 +24,7 @@ from reference_orbits import (
     commutator_orbit_dim,
     reference_below,
     reference_hasse,
+    segments_of_rank_key,
     shuffled,
     two_eig_orbit_dim,
 )
