@@ -24,10 +24,11 @@ same timeout, that parses the same command line and enumerates the orbits.
 Both are fixed so that every ``BENCH_<n>.json`` is measured alike.
 
 The output JSON holds, per case: the command and its flags (``{"dims": ...}``
-for a chain spec), the wall time, the peak RSS (None where ``/proc`` is
-missing), the orbit count, the report bytes (stdout of ``analyze``) and the
-exit code, and with ``--parent`` the parent tree's wall time, peak RSS, exit
-code and report bytes under ``"parent"``.  For the whole run it holds the
+for a chain spec, ``{"chains": [...]}`` for several gl chains), the wall
+time, the peak RSS (None where ``/proc`` is missing), the orbit count, the
+report bytes (stdout of ``analyze``) and the exit code, and with
+``--parent`` the parent tree's wall time, peak RSS, exit code and report
+bytes under ``"parent"``.  For the whole run it holds the
 Python version, the platform, the commit (and the parent's), and per ladder
 family the largest rung (by orbit count) that finished within 1 s and within
 10 s.  With ``--parent`` each printed case ends with the ratios of the two
@@ -57,10 +58,12 @@ REPEAT = 3  # runs per case
 TIMEOUT_S = 60  # seconds per run
 
 # (family, name, command, flags); a "dims" entry in place of flags is a gl
-# chain at offset 0, passed as a --spec file.  Families are ladders of
-# growing orbit count.  The list holds the baseline table of ROADMAP.md,
-# rungs between and above its two verify rows, and two-eigenvalue verify
-# rungs, whose n + 1 orbits each cost the oracles O(n^2) coordinates.
+# chain at offset 0, and a "chains" entry the gl chains of a spec document,
+# each passed as a --spec file.  Families are ladders of growing orbit count.
+# The list holds the baseline table of ROADMAP.md, rungs between and above its
+# two verify rows, two-eigenvalue verify rungs, whose n + 1 orbits each cost
+# the oracles O(n^2) coordinates, and analyze rungs whose chain totals are all
+# at most 6, the only ones whose multiplicity matrix takes the KL route.
 CASES = [
     ("analyze gl", "analyze gl two-eig 2", "analyze", ["--family", "gl", "--two-eig", "2"]),
     ("analyze gl", "analyze gl (2,2,2)", "analyze", {"dims": [2, 2, 2]}),
@@ -70,6 +73,15 @@ CASES = [
     ("analyze gl", "analyze gl (1,2,3,3,2,1)", "analyze", {"dims": [1, 2, 3, 3, 2, 1]}),
     ("analyze gl", "analyze gl (2,2,2,2,2,2,2)", "analyze", {"dims": [2, 2, 2, 2, 2, 2, 2]}),
     ("analyze gl", "analyze gl (1,2,3,4,3,2,1)", "analyze", {"dims": [1, 2, 3, 4, 3, 2, 1]}),
+    ("analyze gl KL range", "analyze gl (1,2,2,1) + (1,2,2,1) at 1/2", "analyze",
+     {"chains": [{"offset": "0", "dims": [1, 2, 2, 1]},
+                 {"offset": "1/2", "dims": [1, 2, 2, 1]}]}),
+    ("analyze gl KL range", "analyze gl (1,1,1,1,1,1) + (1,2,2,1) at 1/2", "analyze",
+     {"chains": [{"offset": "0", "dims": [1, 1, 1, 1, 1, 1]},
+                 {"offset": "1/2", "dims": [1, 2, 2, 1]}]}),
+    ("analyze gl KL range", "analyze gl (1,1,1,1,1,1) + (1,1,1,1,1,1) at 1/2", "analyze",
+     {"chains": [{"offset": "0", "dims": [1, 1, 1, 1, 1, 1]},
+                 {"offset": "1/2", "dims": [1, 1, 1, 1, 1, 1]}]}),
     ("analyze sp-dual steinberg", "analyze sp-dual steinberg 6", "analyze",
      ["--family", "sp-dual", "--steinberg", "6"]),
     ("analyze sp-dual steinberg", "analyze sp-dual steinberg 10", "analyze",
@@ -130,9 +142,12 @@ def case_argv(command: str, flags, spec_dir: Path) -> list[str]:
     ``spec_dir``."""
     if isinstance(flags, list):
         return [command, *flags]
-    path = spec_dir / ("chain_" + "_".join(map(str, flags["dims"])) + ".json")
-    doc = {"family": "gl", "chains": [{"offset": "0", "dims": flags["dims"]}]}
-    path.write_text(json.dumps(doc))
+    chains = flags.get("chains") or [{"offset": "0", "dims": flags["dims"]}]
+    stem = "+".join(
+        c["offset"].replace("/", "o") + "_" + "_".join(map(str, c["dims"])) for c in chains
+    )
+    path = spec_dir / f"chains_{stem}.json"
+    path.write_text(json.dumps({"family": "gl", "chains": chains}))
     return [command, "--spec", str(path)]
 
 

@@ -176,19 +176,28 @@ def tangent_dim_at(c: OrbitRecord, d: OrbitRecord) -> int:
     return v.total_dim - rows
 
 
+@lru_cache(maxsize=None)
+def _arrows(dims: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """For a chain with grade dims ``dims``: per arrow l, the position of
+    r(l, l + 1) in its rank data, l * (k - 1) - l * (l - 1) / 2, and
+    d_l * d_{l+1}; and the length of its rank data."""
+    k = len(dims)
+    arrows = tuple((l * (k - 1) - l * (l - 1) // 2, dims[l] * dims[l + 1]) for l in range(k - 1))
+    return arrows, k * (k - 1) // 2
+
+
 def is_smooth_closure(c: OrbitRecord) -> bool:
     """True iff the closure of c is smooth: it equals its linear span."""
     v = c.variety
     if v.kind == "chain":
-        # r(l, l + 1) sits at offset + l * (k - 1) - l * (l - 1) / 2 in the
-        # chains' rank data, the cached dominance key
+        # the chains' rank data one after the other: the cached dominance key
         ranks, offset, span = c.dominance_key, 0, 0
         for chain in v.chains:
-            k, dims = chain.length, chain.dims
-            for l in range(k - 1):
-                if ranks[offset + l * (k - 1) - l * (l - 1) // 2]:
-                    span += dims[l] * dims[l + 1]
-            offset += k * (k - 1) // 2
+            arrows, size = _arrows(chain.dims)
+            for position, cells in arrows:
+                if ranks[offset + position]:
+                    span += cells
+            offset += size
         return c.dim == span
     if v.kind == "steinberg":
         return True

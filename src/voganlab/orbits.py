@@ -160,7 +160,10 @@ class OrbitTable(tuple):
     (``below``, the :func:`closure_below` bitsets) and two lookups, each
     computed on first use: ``key`` -> record (``by_key``), and
     ``dominance_key`` -> record (``by_dominance``), which finds a chain orbit
-    by its rank data with no decoding into segments."""
+    by its rank data with no decoding into segments.  ``permutations`` holds
+    a slot per orbit for its bridge permutation, which
+    :func:`bridge.kl_multiplicities` fills on first use, so that the report
+    and ``verify``'s oracle build each one once per table."""
 
     @cached_property
     def below(self) -> list[int]:
@@ -173,6 +176,10 @@ class OrbitTable(tuple):
     @cached_property
     def by_dominance(self) -> dict:
         return {o.dominance_key: o for o in self}
+
+    @cached_property
+    def permutations(self) -> list:
+        return [None] * len(self)
 
 
 def enumerate_orbits(v: VoganVariety) -> OrbitTable:

@@ -118,10 +118,17 @@ def test_report_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
 
     v = build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(10), (2, 1))], "gl")
     table = enumerate_orbits(v)
-    related = sum(bin(down).count("1") for down in closure_below(table))
+    below = closure_below(table)
+    singular = [j for j, o in enumerate(table) if not tangent_smooth_closure(o, table)]
+    assert 0 < len(singular) < len(table)
+    read = 0
+    for j in singular:
+        read |= below[j]
     calls = {"max_coset_rep": 0, "kl_column": 0, "_left_max": 0, "kl_poly": 0}
 
-    # one column per orbit and chain, one coset maximum read per related pair
+    # the smooth columns come from the support rule: one permutation per
+    # orbit that a singular column reads and chain, one column per singular
+    # column and chain, one coset maximum read per pair in a singular column
     # and chain, and no re-checked permutations
     count_calls(monkeypatch, calls, bridge, "max_coset_rep")
     count_calls(monkeypatch, calls, kl, "kl_column")
@@ -129,11 +136,63 @@ def test_report_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
     count_calls(monkeypatch, calls, kl, "kl_poly")
     assemble_report(v)
     assert calls == {
+        "max_coset_rep": 2 * bin(read).count("1"),
+        "kl_column": 2 * len(singular),
+        "_left_max": 2 * sum(bin(below[j]).count("1") for j in singular),
+        "kl_poly": 0,
+    }
+
+
+def test_verify_builds_each_permutation_and_related_kl_pair_once(monkeypatch):
+    # the report reads the singular columns and verify's oracle the smooth
+    # ones, sharing the table's permutations: one of each per orbit and chain,
+    # and one coset maximum read per related pair and chain
+    from voganlab import bridge, kl
+
+    v = build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(10), (2, 1))], "gl")
+    table = enumerate_orbits(v)
+    related = sum(bin(down).count("1") for down in closure_below(table))
+    calls = {"max_coset_rep": 0, "kl_column": 0, "_left_max": 0}
+    count_calls(monkeypatch, calls, bridge, "max_coset_rep")
+    count_calls(monkeypatch, calls, kl, "kl_column")
+    count_calls(monkeypatch, calls, kl, "_left_max")
+    rows = {name: ok for name, ok, _detail in verify_battery(v)}
+    assert rows["KL rational smoothness matches the tangent test"]
+    assert rows["smooth closures force indicator multiplicities"]
+    assert calls == {
         "max_coset_rep": 2 * len(table),
         "kl_column": 2 * len(table),
         "_left_max": 2 * related,
-        "kl_poly": 0,
     }
+
+
+def test_main_runs_its_command_without_the_cycle_collector(monkeypatch, capsys):
+    # the collector is off while a command runs, and main hands back the state
+    # it found, on success and on an input error alike
+    import gc
+
+    from voganlab import cli
+
+    seen = []
+    hasse = cli.cmd_hasse
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return hasse(args)
+
+    monkeypatch.setattr(cli, "cmd_hasse", spy)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["hasse", "--family", "gl", "--two-eig", "2"]) == 0
+            assert gc.isenabled() == enabled
+            assert main(["hasse", "--family", "sp-dual"]) == 2
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False] * 4
 
 
 def test_hasse_dot_shapes(capsys):
@@ -578,6 +637,46 @@ def test_verify_checks_the_report(monkeypatch, corrupt, row, detail):
     monkeypatch.setattr(report, "table_report", corrupted)
     failed = {name: d for name, ok, d in verify_battery(v) if not ok}
     assert failed == {row: detail}
+
+
+def _kl_backed_with_singular_orbits():
+    # (3, 3): the closures of ranks 1 and 2 are determinantal, so singular,
+    # and no orbit is of Arthur type; every verify row passes
+    v = build_variety([Chain(Fraction(0), (3, 3))], "gl")
+    table = enumerate_orbits(v)
+    assert [tangent_smooth_closure(o, table) for o in table] == [True, False, False, True]
+    assert all(ok for _, ok, _ in verify_battery(v))
+    return v, table
+
+
+def test_verify_fails_when_the_kl_route_breaks_a_smooth_column(monkeypatch):
+    # the report fills smooth columns by the support rule, so only verify's
+    # KL oracle can see a wrong KL value there
+    from voganlab import bridge, kl
+
+    v, table = _kl_backed_with_singular_orbits()
+    (w_closed,), (w_open,) = (bridge.multisegment_to_permutation(table[i]) for i in (0, 3))
+    column = kl.kl_column
+
+    def broken(w):
+        col = column(w)
+        return (lambda u: (1, 1) if u == w_closed else col(u)) if w == w_open else col
+
+    monkeypatch.setattr(kl, "kl_column", broken)
+    failed = {name: d for name, ok, d in verify_battery(v) if not ok}
+    assert failed == {"smooth closures force indicator multiplicities": "entry[0][3]"}
+
+
+def test_verify_fails_when_a_singular_orbit_is_called_smooth(monkeypatch):
+    # the report then fills that column by the support rule, and its
+    # rationally_smooth flag disagrees with the tangent test
+    from voganlab import geometry
+
+    v, _table = _kl_backed_with_singular_orbits()
+    smooth = geometry.is_smooth_closure
+    monkeypatch.setattr(geometry, "is_smooth_closure", lambda o: o.index == 2 or smooth(o))
+    failed = {name: d for name, ok, d in verify_battery(v) if not ok}
+    assert failed == {"KL rational smoothness matches the tangent test": "orbit 2"}
 
 
 def test_report_formats_each_label_once(monkeypatch):

@@ -16,6 +16,7 @@ from voganlab.kl import (
     poly_str,
     right_mult_s,
 )
+from voganlab.geometry import tangent_smooth_closure
 from voganlab.orbits import enumerate_orbits
 from voganlab.variety import Chain, build_variety, steinberg_variety
 
@@ -214,11 +215,13 @@ def test_production_never_builds_the_full_table(monkeypatch, tmp_path, capsys, c
 
 def test_steinberg_6_builds_only_its_32_columns(monkeypatch, capsys):
     # the 32 orbit permutations form the Boolean interval below the Coxeter
-    # element, and the recursion reaches no column outside it.  The matrix
-    # reads one column per orbit, the identity's too (its blocks are
-    # trivial, so the column is {e: 1} at once), and each recursion stops at
-    # the longest element of its blocks (s_i, say) instead of descending to
-    # e.  So 32 columns, one per orbit.
+    # element, and the recursion reaches no column outside it.  Every closure
+    # is a coordinate subspace, so analyze fills every column by the support
+    # rule and builds no KL column.  verify's oracle reads one column per
+    # orbit, the identity's too (its blocks are trivial, so the column is
+    # {e: 1} at once), and each recursion stops at the longest element of its
+    # blocks (s_i, say) instead of descending to e.  So 32 columns, one per
+    # orbit.
     table = enumerate_orbits(steinberg_variety("gl", 6))
     perms = {bridge.multisegment_to_permutation(o)[0] for o in table}
     coxeter = max(perms, key=perm_length)
@@ -234,8 +237,37 @@ def test_steinberg_6_builds_only_its_32_columns(monkeypatch, capsys):
     build.cache_clear()
     assert main(["analyze", "--family", "gl", "--steinberg", "6"]) == 0
     capsys.readouterr()
+    assert build.cache_info().currsize == 0
+    assert main(["verify", "--family", "gl", "--steinberg", "6"]) == 0
+    capsys.readouterr()
     assert asked <= perms
     assert build.cache_info().currsize == 32
+
+
+def test_analyze_builds_the_columns_of_singular_orbits_only(monkeypatch):
+    # the KL columns a report builds are exactly those of its singular
+    # orbits' permutations and of their recursion
+    v = build_variety([Chain(Fraction(0), (1, 2, 2, 1))], "gl")
+    table = enumerate_orbits(v)
+    singular = [o for o in table if not tangent_smooth_closure(o, table)]
+    assert 0 < len(singular) < len(table)
+    build = kl._column
+    built = set()
+
+    def record(w, blk):
+        built.add((w, blk))
+        return build(w, blk)
+
+    monkeypatch.setattr(kl, "_column", record)
+    build.cache_clear()
+    for o in singular:
+        (w,) = bridge.multisegment_to_permutation(o)
+        kl._column(w, kl._value_blocks(w))
+    expected, count = set(built), build.cache_info().currsize
+    built.clear()
+    build.cache_clear()
+    bridge.multiplicity_matrix(table)
+    assert built == expected and build.cache_info().currsize == count
 
 
 def test_kl_reference_is_descent_choice_independent():

@@ -30,7 +30,12 @@ def test_every_ladder_case_builds_through_the_cli_parser(tmp_path):
     for family, name, command, flags in ladder.CASES:
         args = cli.build_parser().parse_args(ladder.case_argv(command, flags, tmp_path))
         assert args.command == command and family.startswith(command), name
-        assert isinstance(cli.variety_from_args(args), VoganVariety), name
+        v = cli.variety_from_args(args)
+        assert isinstance(v, VoganVariety), name
+        if isinstance(flags, dict):  # a --spec file of gl chains
+            chains = flags.get("chains") or [{"offset": "0", "dims": flags["dims"]}]
+            assert [list(c.dims) for c in v.chains] == [c["dims"] for c in chains], name
+            assert [str(c.offset) for c in v.chains] == [c["offset"] for c in chains], name
 
 
 def test_a_ladder_run_prints_the_report_and_records_its_own_peak(tmp_path):
