@@ -14,9 +14,11 @@ ladder holds captured reports of tens of MB.  A case's wall time and peak
 RSS are the medians of ``REPEAT`` runs; a run that times out ends the
 case.  With ``--parent DIR``, the top directory of a git checkout (so that
 its commit is recorded), each of the
-``REPEAT`` rounds of a case runs it on this checkout and then on the library
-in ``DIR/src``, so drift of the host's speed during the ladder reaches both
-trees alike; a timeout ends only that tree's runs of the case.  Each library
+``REPEAT`` rounds of a case runs it on this checkout and on the library in
+``DIR/src``, this checkout first on even rounds and the parent first on odd
+ones, so drift of the host's speed during the ladder, and any advantage of
+running first, reach both trees alike; a timeout ends only that tree's runs
+of the case.  Each library
 is byte-compiled first, so that no run pays for compiling it (as every run
 would under ``PYTHONDONTWRITEBYTECODE``) whatever bytecode the trees held
 before.  The orbit count comes from a separate, untimed process, under the
@@ -25,10 +27,10 @@ Both are fixed so that every ``BENCH_<n>.json`` is measured alike.
 
 The output JSON holds, per case: the command and its flags (``{"dims": ...}``
 for a chain spec, ``{"chains": [...]}`` for several gl chains), the wall
-time, the peak RSS (None where ``/proc`` is missing), the orbit count, the
-report bytes (stdout of ``analyze``) and the exit code, and with
-``--parent`` the parent tree's wall time, peak RSS, exit code and report
-bytes under ``"parent"``.  For the whole run it holds the
+time and every run's wall time (``walls_s``, in run order), the peak RSS
+(None where ``/proc`` is missing), the orbit count, the report bytes (stdout
+of ``analyze``) and the exit code, and with ``--parent`` the parent tree's
+wall times, peak RSS, exit code and report bytes under ``"parent"``.  For the whole run it holds the
 Python version, the platform, the commit (and the parent's), and per ladder
 family the largest rung (by orbit count) that finished within 1 s and within
 10 s.  With ``--parent`` each printed case ends with the ratios of the two
@@ -178,15 +180,18 @@ def run_cli(
 
 def run_case(argv: list[str], cwd: Path, srcs: list[Path], run=run_cli) -> list[dict]:
     """The case's run data on each library in ``srcs``: ``REPEAT`` rounds,
-    each running the case once per tree, in the order of ``srcs``."""
+    each running the case once per tree, in the order of ``srcs`` on even
+    rounds and in the reverse order on odd ones, so that no tree always
+    runs first."""
     walls: list[list[float]] = [[] for _ in srcs]
     peaks: list[list[float]] = [[] for _ in srcs]
     last: list[tuple[bytes, int] | None] = [(b"", None)] * len(srcs)
-    for _ in range(REPEAT):
-        for t, src in enumerate(srcs):
+    for repeat in range(REPEAT):
+        order = range(len(srcs)) if repeat % 2 == 0 else reversed(range(len(srcs)))
+        for t in order:
             if last[t] is None:
                 continue  # this tree timed out on the case
-            result = run(argv, cwd, src)
+            result = run(argv, cwd, srcs[t])
             if result is None:
                 last[t] = None
                 continue
@@ -195,11 +200,12 @@ def run_case(argv: list[str], cwd: Path, srcs: list[Path], run=run_cli) -> list[
                 peaks[t].append(result[3])
             last[t] = result[1:3]
     return [
-        {"wall_s": None, "peak_rss_mb": None, "timed_out": True, "exit": None,
-         "report_bytes": None}
+        {"wall_s": None, "walls_s": [round(w, 4) for w in tree_walls], "peak_rss_mb": None,
+         "timed_out": True, "exit": None, "report_bytes": None}
         if done is None
         else {
             "wall_s": round(statistics.median(tree_walls), 4),
+            "walls_s": [round(w, 4) for w in tree_walls],
             "peak_rss_mb": round(statistics.median(tree_peaks), 1) if tree_peaks else None,
             "timed_out": False,
             "exit": done[1],

@@ -52,9 +52,9 @@ def variety_from_args(args) -> VoganVariety:
         return two_eigenvalue_variety(args.family, args.two_eig)
     if args.spec is not None:
         try:
-            with open(args.spec) as fh:
+            with open(args.spec, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read spec file: {exc}") from exc
         return variety_from_json(text)
     if args.family == "gl":

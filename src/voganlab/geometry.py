@@ -73,17 +73,20 @@ top grade down, the shortest segment ending at each grade that still extends
 the current chain), which Knight and Zelevinsky identify with the generic
 conormal duality (Adv. Math. 117, 1996).  Steinberg duals are subset
 complements, and the dual of the rank-r two-eigenvalue stratum has rank
-n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  Each of these
-is an involution (for the greedy walk, Moeglin-Waldspurger, Crelle 1986), so
-a report runs it once per dual pair and sets both ends (:func:`dual_indices`).
+n - r (symmetric) or 2 * floor((n - r) / 2) (antisymmetric).  Both routes
+name the dual by its closure-order coordinates, the one key of
+:attr:`OrbitTable.by_dominance`: the rank data of the walk's segments,
+1 - x on the Steinberg indicator x, or the rank.  Each of these is an
+involution (for the greedy walk, Moeglin-Waldspurger, Crelle 1986), so a
+report runs it once per dual pair and sets both ends (:func:`dual_indices`).
 A pair set wrongly would put a wrong id in the report's ``dual_orbit``
 column, which ``verify``'s row "greedy involution agrees with the conormal
 dual" compares with the oracle on every orbit.  The walk keeps the remaining
 segments by end grade, their starts sorted, and takes each step by one
 bisection.  The oracle, :func:`conormal_dual`, finds the generic rank data
 over an integer basis of the conormal space with one sampler for chains and
-two-eigenvalue shapes (:func:`_generic_key`), and looks a chain's key up as
-rank data (:attr:`OrbitTable.by_dominance`), with no decoding into segments.
+two-eigenvalue shapes (:func:`_generic_key`), and looks the key up with no
+decoding into segments.
 Each seeded covector's key is a lower bound on the generic key (ranks are
 lower semicontinuous), and each covector has an exact upper bound from the
 support of the basis alone, valid on the whole span: a rank is at most the
@@ -98,7 +101,7 @@ Elsewhere the maximum of the samples is kept after two confirmations, and
 after ``MAX_RETRIES`` samples one exact symbolic fallback decides, which the
 tests force: the same key code with the coefficients the generators of a
 polynomial ring over Z, so that :mod:`linalg` ranks over the rational
-function field.  A key above its bound, or a chain key that names no orbit,
+function field.  A key above its bound, or a key that names no orbit,
 is an internal error.  The basis is the rows at the orbit itself on both
 shapes (strand pairs, kernel block),
 which is the Gauss-Jordan kernel basis over Q, so each seeded covector is
@@ -190,7 +193,7 @@ def is_smooth_closure(c: OrbitRecord) -> bool:
     """True iff the closure of c is smooth: it equals its linear span."""
     v = c.variety
     if v.kind == "chain":
-        # the chains' rank data one after the other: the cached dominance key
+        # the chains' rank data one after the other: the dominance key
         ranks, offset, span = c.dominance_key, 0, 0
         for chain in v.chains:
             arrows, size = _arrows(chain.dims)
@@ -437,25 +440,30 @@ def pyasetskii_dual(orbit: OrbitRecord, table: OrbitTable) -> OrbitRecord:
     """
     The dual orbit, looked up in ``table``, the canonical table of the same
     variety (orbits of the opposite-orientation variety carry the same
-    labels), by its key: the greedy involution per chain, the complementary
-    subset, or rank n - r (symmetric) or 2*floor((n - r)/2) (antisymmetric).
+    labels), by its dominance key: the rank data of the greedy involution of
+    each chain's segments, the complement 1 - x of the Steinberg indicator x,
+    or rank n - r (symmetric) or 2*floor((n - r)/2) (antisymmetric).
     """
     v = orbit.variety
     if v.kind == "chain":
-        key = tuple(mw_chain_involution(segs) for segs in orbit.msegs)
+        key = tuple(
+            x
+            for segs, chain in zip(orbit.msegs, v.chains)
+            for x in orbits.rank_key(mw_chain_involution(segs), chain.length)
+        )
     elif v.kind == "steinberg":
-        key = tuple(i for i in range(v.n) if i not in orbit.subset)
+        key = tuple(1 - x for x in orbit.dominance_key)
     elif v.symmetric_form:
-        key = v.n - orbit.rank
+        key = (v.n - orbit.rank,)
     else:
-        key = 2 * ((v.n - orbit.rank) // 2)
-    return table.by_key[key]
+        key = (2 * ((v.n - orbit.rank) // 2),)
+    return table.by_dominance[key]
 
 
 def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitRecord:
     """Oracle for :func:`pyasetskii_dual`: the orbit of a generic covector in
     the conormal space, found by :func:`_generic_key` with seeded samples and
-    looked up in ``table``."""
+    looked up in ``table`` by its dominance key."""
     v = orbit.variety
     rng = random.Random(seed)
     if v.kind == "chain":
@@ -464,25 +472,24 @@ def conormal_dual(orbit: OrbitRecord, seed: int, table: OrbitTable) -> OrbitReco
             for segs, chain in zip(orbit.msegs, v.chains)
             for x in _generic_chain_key(segs, chain, rng)
         )
-        if (dual := table.by_dominance.get(key)) is None:
-            raise InternalInvariantError(f"conormal rank key {key} names no orbit")
-        return dual
-    if v.kind == "steinberg":
-        complement = tuple(i for i in range(v.n) if i not in orbit.subset)
-        return table.by_key[complement]
-    m = v.n - orbit.rank  # the covectors live on the trailing m x m block
-    block = form_basis(m, v.symmetric_form)
+    elif v.kind == "steinberg":  # the conormal space at x is where x vanishes
+        key = tuple(1 - x for x in orbit.dominance_key)
+    else:
+        m = v.n - orbit.rank  # the covectors live on the trailing m x m block
+        block = form_basis(m, v.symmetric_form)
 
-    def key_of(coeffs) -> tuple[int]:
-        xi = [[0] * m for _ in range(m)]
-        for x, support in zip(coeffs, block):
-            for t, sign in support:
-                xi[t // m][t % m] = x * sign
-        return (linalg.rank(xi),)
+        def key_of(coeffs) -> tuple[int]:
+            xi = [[0] * m for _ in range(m)]
+            for x, support in zip(coeffs, block):
+                for t, sign in support:
+                    xi[t // m][t % m] = x * sign
+            return (linalg.rank(xi),)
 
-    bound = (m if v.symmetric_form else 2 * (m // 2),)
-    (dual_rank,) = _generic_key(len(block), key_of, rng, bound)
-    return table.by_key[dual_rank]
+        bound = (m if v.symmetric_form else 2 * (m // 2),)
+        key = _generic_key(len(block), key_of, rng, bound)
+    if (dual := table.by_dominance.get(key)) is None:
+        raise InternalInvariantError(f"conormal rank key {key} names no orbit")
+    return dual
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ enumerated per chain by the grade walk of :func:`variety.chain_multisegments`,
 which :func:`variety.chain_orbit_count` counts when a variety is admitted.  The
 complete orbit invariant is the rank data r(i, j), i < j (:func:`rank_key`):
 the number of segments containing [i, j], which equals the rank of the
-composed arrow map i -> j at any orbit point.
-:attr:`OrbitTable.by_dominance` finds the orbit of given rank data (for
-several chains, their rank data one after the other, as in
-:attr:`OrbitRecord.dominance_key`), so nothing decodes rank data into
-segments; the inverse is a test reference (``tests/reference_orbits.py``).
+composed arrow map i -> j at any orbit point.  Each record carries it from
+enumeration as its one key, ``OrbitRecord.dominance_key`` (for several
+chains, their rank data one after the other; the subset indicator or the
+rank on the classical shapes), and :attr:`OrbitTable.by_dominance` finds
+the orbit of given key, so nothing decodes rank data into segments; the
+inverse is a test reference (``tests/reference_orbits.py``).
 The closure order is entrywise rank dominance (smaller orbit = smaller
 ranks; Abeasis-Del Fra-Kraft 1981): :func:`closure_leq` by its definition,
 :func:`closure_below` as integer bitsets once per :class:`OrbitTable` (its
@@ -88,7 +89,6 @@ def chain_representative(segs: ChainSegs, dims: tuple[int, ...]) -> list[list[li
     return arrows
 
 
-@lru_cache(maxsize=None)
 def chain_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
     """dim H - #{(s, t) in M^2 : b_t <= b_s <= e_t <= e_s} (pairs with
     multiplicity), i.e. dim H - dim End of the multisegment module."""
@@ -103,40 +103,22 @@ def chain_orbit_dim(segs: ChainSegs, dims: tuple[int, ...]) -> int:
 class OrbitRecord(
     namedtuple(
         "OrbitRecord",
-        "variety index dim is_open is_closed msegs subset rank",
+        "variety index dim is_open is_closed dominance_key msegs subset rank",
         defaults=(None, None, None),
     )
 ):
     """One orbit of ``variety``: its id ``index``, dimension and open/closed
-    flags, and exactly one family-specific label: ``msegs`` (one
-    :data:`ChainSegs` per chain) for chain varieties, ``subset`` for
-    classical Steinberg shapes, ``rank`` for classical two-eigenvalue shapes.
-    No ``__slots__``: the instance ``__dict__`` holds the
-    ``cached_property`` values."""
+    flags, its ``dominance_key``, and exactly one family-specific label:
+    ``msegs`` (one :data:`ChainSegs` per chain) for chain varieties,
+    ``subset`` for classical Steinberg shapes, ``rank`` for classical
+    two-eigenvalue shapes.
 
-    @property
-    def key(self):
-        if self.msegs is not None:
-            return self.msegs
-        if self.subset is not None:
-            return self.subset
-        return self.rank
+    The dominance key holds the coordinates in which the closure order is
+    entrywise <=, and names the orbit: the rank data of its chains one after
+    the other (:func:`rank_key`), the subset's 0/1 indicator, or ``(rank,)``.
+    :func:`enumerate_orbits` sets it from the rows it sorts."""
 
-    @cached_property
-    def dominance_key(self) -> tuple[int, ...]:
-        """Coordinates in which the closure order is entrywise <=: rank data
-        for chains, the subset indicator for Steinberg shapes, the rank
-        otherwise."""
-        v = self.variety
-        if v.kind == "chain":
-            return tuple(
-                x
-                for segs, chain in zip(self.msegs, v.chains)
-                for x in rank_key(segs, chain.length)
-            )
-        if v.kind == "steinberg":
-            return tuple(int(i in self.subset) for i in range(v.n))
-        return (self.rank,)
+    __slots__ = ()
 
     def label(self) -> str:
         if self.msegs is not None:
@@ -157,21 +139,17 @@ def multisegment_str(v: VoganVariety, msegs: tuple[ChainSegs, ...]) -> str:
 
 class OrbitTable(tuple):
     """The orbit records of one variety, in id order, with the closure order
-    (``below``, the :func:`closure_below` bitsets) and two lookups, each
-    computed on first use: ``key`` -> record (``by_key``), and
-    ``dominance_key`` -> record (``by_dominance``), which finds a chain orbit
-    by its rank data with no decoding into segments.  ``permutations`` holds
-    a slot per orbit for its bridge permutation, which
-    :func:`bridge.kl_multiplicities` fills on first use, so that the report
-    and ``verify``'s oracle build each one once per table."""
+    (``below``, the :func:`closure_below` bitsets) and one lookup,
+    ``dominance_key`` -> record (``by_dominance``), each computed on first
+    use.  ``by_dominance`` finds a chain orbit by its rank data, with no
+    decoding into segments.  ``permutations`` holds a slot per orbit for its
+    bridge permutation, which :func:`bridge.kl_multiplicities` fills on
+    first use, so that the report and ``verify``'s oracle build each one
+    once per table."""
 
     @cached_property
     def below(self) -> list[int]:
         return closure_below(self)
-
-    @cached_property
-    def by_key(self) -> dict:
-        return {o.key: o for o in self}
 
     @cached_property
     def by_dominance(self) -> dict:
@@ -184,31 +162,34 @@ class OrbitTable(tuple):
 
 def enumerate_orbits(v: VoganVariety) -> OrbitTable:
     """Complete, duplicate-free orbit list with deterministic ids: rows
-    (dim, sort key, label), sorted by their first two entries."""
+    (dim, sort key, dominance key, label), sorted by their first two
+    entries.  A chain orbit's sort key is its dominance key, the flattened
+    rank data: every orbit of the variety has rank data of the same length
+    per chain, so flattening keeps the order of the per-chain tuples."""
     if v.kind == "chain":
         field = "msegs"
-        rows = [
-            (
-                sum(chain_orbit_dim(segs, c.dims) for segs, c in zip(combo, v.chains)),
-                tuple(rank_key(segs, c.length) for segs, c in zip(combo, v.chains)),
-                combo,
-            )
-            for combo in itertools.product(*(chain_multisegments(c.dims) for c in v.chains))
-        ]
+        rows = []
+        for combo in itertools.product(*(chain_multisegments(c.dims) for c in v.chains)):
+            key = tuple(x for segs, c in zip(combo, v.chains) for x in rank_key(segs, c.length))
+            dim = sum(chain_orbit_dim(segs, c.dims) for segs, c in zip(combo, v.chains))
+            rows.append((dim, key, key, combo))
     elif v.kind == "steinberg":
         field = "subset"
-        rows = [(r, s, s) for r in range(v.n + 1) for s in itertools.combinations(range(v.n), r)]
+        rows = [
+            (r, s, tuple(int(i in s) for i in range(v.n)), s)
+            for r in range(v.n + 1) for s in itertools.combinations(range(v.n), r)
+        ]
     elif v.kind == "two_eigenvalue":
         field = "rank"
         sign, step = (-1, 1) if v.symmetric_form else (1, 2)
-        rows = [(v.n * r - r * (r + sign) // 2, r, r) for r in range(0, v.n + 1, step)]
+        rows = [(v.n * r - r * (r + sign) // 2, r, (r,), r) for r in range(0, v.n + 1, step)]
     else:
         raise UnsupportedFamilyError(f"cannot enumerate orbits for kind {v.kind!r}")
     rows.sort(key=lambda row: row[:2])
     total = v.total_dim
     records = OrbitTable(
-        OrbitRecord(v, i, dim, is_open=dim == total, is_closed=dim == 0, **{field: label})
-        for i, (dim, _, label) in enumerate(rows)
+        OrbitRecord(v, i, dim, dim == total, dim == 0, key, **{field: label})
+        for i, (dim, _, key, label) in enumerate(rows)
     )
     if sum(r.is_open for r in records) != 1 or sum(r.is_closed for r in records) != 1:
         raise InternalInvariantError("expected exactly one open and one closed orbit")

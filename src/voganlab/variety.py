@@ -284,9 +284,12 @@ def build_variety(chains, family: str) -> VoganVariety:
     chains = tuple(chains)
     if family == GL:
         count, exact = 1, True
-        for c in chains:
+        for t, c in enumerate(chains):
             n, n_exact = chain_orbit_count(c.dims, MAX_ORBITS)
             count, exact = count * n, exact and n_exact
+            if count > MAX_ORBITS:  # a lower bound: every further chain has an orbit
+                exact = exact and t == len(chains) - 1
+                break
         v = VoganVariety(GL, "chain", chains)
         dims = ", ".join(str(list(c.dims)) for c in chains)
         _admit(f"chains with dims {dims}", count, exact, v.total_dim)
@@ -435,7 +438,9 @@ def variety_from_dict(doc: dict) -> VoganVariety:
 def variety_from_json(text: str) -> VoganVariety:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
+    # JSONDecodeError, an integer literal over 4300 digits, or nesting past
+    # the parser's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("variety spec must be a JSON object")

@@ -500,8 +500,8 @@ def test_criterion_15_refuted_on_products(tmp_path, capsys):
     flagged = [o for o, r in zip(table, rows) if r["violation"]]
     factors = [enumerate_orbits(build_variety([chain], "gl")) for chain in v.chains]
     per_factor = all(
-        t.by_key[(segs,)].is_open or t.by_key[(segs,)].is_closed
-        for o in flagged for segs, t in zip(o.msegs, factors)
+        (f := t.by_dominance[orbits.rank_key(segs, chain.length)]).is_open or f.is_closed
+        for o in flagged for segs, chain, t in zip(o.msegs, v.chains, factors)
     )
     failing = [name for name, ok, _ in verify_battery(v) if not ok]
     path = tmp_path / "two_chains.json"

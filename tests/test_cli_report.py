@@ -413,11 +413,14 @@ def test_gl_chain_cells_over_the_limit_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "chains, predicted",
-    [([[1] * 15], "16384"), ([[1] * 8, [1] * 8], "16384"), ([[2] * 12], "at least ")],
+    [([[1] * 15], "16384"), ([[1] * 8, [1] * 8], "16384"), ([[2] * 12], "at least "),
+     ([[1, 1]] * 14, ": 16384 orbits"), ([[1, 1]] * 20_000, "at least 16384 orbits")],
 )
 def test_chain_orbit_count_over_the_limit_exits_2(tmp_path, chains, predicted):
-    # the multisegment count of each chain, multiplied over chains; a
-    # subprocess with a timeout, so a missing check fails instead of hanging
+    # the multisegment count of each chain, multiplied over chains until it
+    # passes the limit, a lower bound unless no chain is left (2^20000 would
+    # not even print); a subprocess with a timeout, so a missing check fails
+    # instead of hanging
     spec = tmp_path / "wide.json"
     spec.write_text(json.dumps({"family": "gl", "chains": [{"dims": d} for d in chains]}))
     proc = subprocess.run(

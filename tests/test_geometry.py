@@ -17,6 +17,8 @@ from voganlab.geometry import (
 )
 from voganlab.orbits import chain_representative, closure_leq, enumerate_orbits
 from voganlab.variety import (
+    Chain,
+    build_variety,
     chain_multisegments,
     form_basis,
     steinberg_variety,
@@ -394,6 +396,33 @@ def test_classical_steinberg_duality_complements_subsets():
     for o in table:
         dual = pyasetskii_dual(o, table)
         assert set(dual.subset) == set(range(2)) - set(o.subset)
+
+
+def label_of_dual(o):
+    """The dual's label field and value by the closed forms on labels: the
+    greedy walk's segments, the subset complement, or the dual rank."""
+    v = o.variety
+    if v.kind == "chain":
+        return "msegs", tuple(mw_chain_involution(segs) for segs in o.msegs)
+    if v.kind == "steinberg":
+        return "subset", tuple(i for i in range(v.n) if i not in o.subset)
+    m = v.n - o.rank
+    return "rank", m if v.symmetric_form else 2 * (m // 2)
+
+
+def test_duals_found_by_rank_data_are_the_duals_named_by_label(chain_suite):
+    two_chains = build_variety([Chain(Fraction(0), (1, 2, 1)), Chain(Fraction(7), (2, 2))], "gl")
+    tables = [table for _, _, table in chain_suite] + [enumerate_orbits(two_chains)]
+    for family in ("so-even", "sp-dual", "so-odd-dual"):
+        for n in range(1, 7):
+            if family != "so-even" or n >= 3:
+                tables.append(enumerate_orbits(steinberg_variety(family, n)))
+            if family == "sp-dual" or family == "so-even" and n >= 2:
+                tables.append(enumerate_orbits(two_eigenvalue_variety(family, n)))
+    for table in tables:
+        for o in table:
+            field, label = label_of_dual(o)
+            assert getattr(pyasetskii_dual(o, table), field) == label, o.label()
 
 
 def test_duality_battery_small_varieties():

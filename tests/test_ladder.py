@@ -77,11 +77,13 @@ def test_parent_runs_alternate_with_this_checkout(tmp_path):
         return next(walls), b"{}" if src == mine else b"{ }", 0, next(peaks)
 
     here, there = ladder.run_case(["analyze", "--spec", "x"], tmp_path, [mine, parent], run)
-    assert calls == [mine, parent] * ladder.REPEAT
-    assert here == {"wall_s": 0.6, "peak_rss_mb": 21.0, "timed_out": False, "exit": 0,
-                    "report_bytes": 2}
-    assert there == {"wall_s": 1.0, "peak_rss_mb": 30.0, "timed_out": False, "exit": 0,
-                     "report_bytes": 3}
+    # this checkout first on even rounds, the parent first on odd ones
+    assert ladder.REPEAT == 3
+    assert calls == [mine, parent, parent, mine, mine, parent]
+    assert here == {"wall_s": 0.6, "walls_s": [0.5, 1.1, 0.6], "peak_rss_mb": 22.0,
+                    "timed_out": False, "exit": 0, "report_bytes": 2}
+    assert there == {"wall_s": 0.9, "walls_s": [0.9, 0.7, 1.0], "peak_rss_mb": 29.5,
+                     "timed_out": False, "exit": 0, "report_bytes": 3}
 
 
 def test_a_timeout_ends_only_that_trees_runs(tmp_path):
@@ -95,10 +97,10 @@ def test_a_timeout_ends_only_that_trees_runs(tmp_path):
 
     here, there = ladder.run_case(["verify", "--spec", "x"], tmp_path, [mine, parent], run)
     assert calls == [mine, parent] + [mine] * (ladder.REPEAT - 1)
-    assert here == {"wall_s": 0.25, "peak_rss_mb": None, "timed_out": False, "exit": 1,
-                    "report_bytes": None}
-    assert there == {"wall_s": None, "peak_rss_mb": None, "timed_out": True, "exit": None,
-                     "report_bytes": None}
+    assert here == {"wall_s": 0.25, "walls_s": [0.25] * ladder.REPEAT, "peak_rss_mb": None,
+                    "timed_out": False, "exit": 1, "report_bytes": None}
+    assert there == {"wall_s": None, "walls_s": [], "peak_rss_mb": None, "timed_out": True,
+                     "exit": None, "report_bytes": None}
     (alone,) = ladder.run_case(["verify"], tmp_path, [parent], run)
     assert alone["timed_out"] and calls[-1] == parent
 

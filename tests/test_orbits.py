@@ -80,7 +80,7 @@ def test_enumeration_has_no_duplicates():
 def test_ids_are_deterministic():
     a = enumerate_orbits(gl_chain((2, 2)))
     b = enumerate_orbits(gl_chain((2, 2)))
-    assert [(o.index, o.key, o.dim) for o in a] == [(o.index, o.key, o.dim) for o in b]
+    assert [(o.index, o.msegs, o.dim) for o in a] == [(o.index, o.msegs, o.dim) for o in b]
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +320,25 @@ def test_bitset_relation_and_hasse_match_the_definition(make):
     lambda: steinberg_variety("sp-dual", 4),
     lambda: two_eigenvalue_variety("so-even", 5),
 ])
-def test_orbit_table_by_key_maps_every_key_to_its_record(make):
+def test_orbit_table_by_dominance_maps_every_key_to_its_record(make):
+    # the key that enumeration sets holds the closure-order coordinates of the label,
+    # and records carry no instance dictionary
     table = enumerate_orbits(make())
     assert isinstance(table, OrbitTable)
-    assert len(table.by_key) == len(table)
+    assert len(table.by_dominance) == len(table)
+    v = table[0].variety
     for o in table:
-        assert table.by_key[o.key] is o
+        if v.kind == "chain":
+            key = tuple(
+                x for segs, chain in zip(o.msegs, v.chains) for x in rank_key(segs, chain.length)
+            )
+        elif v.kind == "steinberg":
+            key = tuple(int(i in o.subset) for i in range(v.n))
+        else:
+            key = (o.rank,)
+        assert o.dominance_key == key
+        assert table.by_dominance[key] is o
+        assert not hasattr(o, "__dict__")
 
 
 def test_closure_relation_needs_same_variety():

@@ -14,11 +14,9 @@ from voganlab import (
     Rectangle,
     RootDatum,
     VoganVariety,
-    enumerate_orbits,
-    steinberg_variety,
 )
 from voganlab.errors import InputError
-from voganlab.variety import GL, SP_DUAL
+from voganlab.variety import GL
 
 
 def chain():
@@ -33,8 +31,8 @@ def record_pairs():
     yield chain(), chain(), "dims"
     yield v, VoganVariety(GL, "chain", (chain(),)), "chains"
     yield (
-        OrbitRecord(v, 0, 0, False, True, msegs=(((0, 0), (1, 1), (1, 1), (2, 2)),)),
-        OrbitRecord(v, 0, 0, False, True, msegs=(((0, 0), (1, 1), (1, 1), (2, 2)),)),
+        OrbitRecord(v, 0, 0, False, True, (0, 0, 0), msegs=(((0, 0), (1, 1), (1, 1), (2, 2)),)),
+        OrbitRecord(v, 0, 0, False, True, (0, 0, 0), msegs=(((0, 0), (1, 1), (1, 1), (2, 2)),)),
         "dim",
     )
     yield rect, Rectangle(2, 1, Fraction(0)), "center"
@@ -77,7 +75,7 @@ def test_defaults():
     assert ComponentGroup().elementary_divisors == ()
     assert ComponentGroup().is_trivial
     assert RootDatum(1, GL, ()).center_generators == ()
-    record = OrbitRecord(v, 0, 0, True, True)
+    record = OrbitRecord(v, 0, 0, True, True, ())
     assert (record.msegs, record.subset, record.rank) == (None, None, None)
 
 
@@ -121,7 +119,3 @@ def test_cached_properties_are_computed_once():
     labels = c.exponent_labels
     assert labels == ("-3/2", "-1/2", "1/2", "3/2")
     assert c.exponent_labels is labels
-    for o in enumerate_orbits(steinberg_variety(SP_DUAL, 3)):
-        key = o.dominance_key
-        assert o.dominance_key is key
-        assert vars(o)["dominance_key"] is key

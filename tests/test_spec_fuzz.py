@@ -1,14 +1,15 @@
-"""Fuzzed spec files: every document makes analyze, hasse and verify either
-exit 2 with a one-line ``error:`` message and no output, or run (exit 0, or
-1 for a verify failure), never raise.  Well-formed chains stay at totals
-<= 5 per document, so every accepted spec finishes quickly."""
+"""Fuzzed spec files: every document, and every file of raw bytes, makes
+analyze, hasse and verify either exit 2 with a one-line ``error:`` message
+and no output, or run (exit 0, or 1 for a verify failure), never raise.
+Well-formed chains stay at totals <= 5 per document, so every accepted spec
+finishes quickly."""
 
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voganlab.cli import main
@@ -119,15 +120,30 @@ def spec_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "spec.json"
 
 
+def exits_cleanly(spec_path):
+    """Run analyze, hasse and verify on the spec file: each exits 2 with one
+    ``error:`` line and no output, or runs (exit 0, or 1 for verify)."""
+    for command in ("analyze", "hasse", "verify"):
+        code, out, err = run([command, "--spec", str(spec_path)])
+        if code == 2:
+            assert out == "", command
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        else:
+            assert code in (0, 1), (command, code)
+            assert code == 0 or command == "verify", command
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(doc=spec_documents())
 def test_fuzzed_specs_exit_cleanly(spec_path, doc):
     spec_path.write_text(json.dumps(doc))
-    for command in ("analyze", "hasse", "verify"):
-        code, out, err = run([command, "--spec", str(spec_path)])
-        if code == 2:
-            assert out == "", (command, doc)
-            assert err.startswith("error: ") and err.count("\n") == 1, (command, doc, err)
-        else:
-            assert code in (0, 1), (command, doc, code)
-            assert code == 0 or command == "verify", (command, doc)
+    exits_cleanly(spec_path)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(raw=st.one_of(st.binary(max_size=12), st.binary(max_size=8).map(lambda b: b"\xff" + b)))
+@example(raw=b"\xff\xfe{")  # not UTF-8
+@example(raw=b"[" * 200_000 + b"]" * 200_000)  # nested past the parser's recursion limit
+def test_raw_byte_specs_exit_cleanly(spec_path, raw):
+    spec_path.write_bytes(raw)
+    exits_cleanly(spec_path)
